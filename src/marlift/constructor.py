@@ -8,13 +8,17 @@ polynomial:
 
   * flat family (Minkowski, de Sitter, anti de Sitter):
         P(t) = sum_i m_i prod_{j != i} (r_j - t),  r_i = 1/kappa_i,
-    one root per consecutive pair of curvature radii, lift (phi + t nu, t);
+    one root per consecutive pair of curvature radii;
   * sphere x line:
-        P(s) = sum_i m_i (kappa_i s + 1) prod_{j != i} (s - kappa_j),
-    lift ((s phi + nu)/sqrt(1+s^2), arccot s);
+        P(s) = sum_i m_i (kappa_i s + 1) prod_{j != i} (s - kappa_j);
   * hyperbolic x line:
         P(s) = sum_i m_i (kappa_i s - 1) prod_{j != i} (s - kappa_j),
-    roots kept only when |s| > 1, lift ((s phi + nu)/sqrt(s^2-1), arccoth s).
+    roots kept only when |s| > 1.
+
+Both branches are placed in the ambient by one table, `_PLACEMENT`: per
+ambient family it takes a source point, its unit normal and a height to the
+lift and its distinguished null normal. It is the one place the lift
+formulas live.
 
 Breakpoint signs are evaluated through their exact factored forms, so the
 bracketing used by the bisection stage never relies on cancellation-prone
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -569,7 +573,11 @@ class LiftedImmersion:
         return self.context_fn(np.asarray(x, dtype=float))
 
 
-def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind):
+def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind,
+                  family: Sequence[AmbientKind] = tuple(AmbientKind)):
+    if kind not in family:
+        raise UnsupportedAmbientError(
+            f"{kind.value} is not one of {', '.join(k.value for k in family)}")
     want = _SOURCE_SPACE[kind]
     if imm.space.kind is not want:
         raise UnsupportedAmbientError(
@@ -635,50 +643,101 @@ def _memoized(fn, size: int = 64):
     return wrapped
 
 
-def space_form_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
-                    root_index: int = 0, h: Optional[float] = None,
-                    offset: float = 0.0) -> LiftedImmersion:
-    """Lift (phi + t nu, t) with t the root field of the given index.
+# The lift formulas, one row per ambient family: a source point p, its unit
+# normal nu and the height (t, or the polynomial parameter s in the products)
+# give the spatial part and the time coordinate of the lift, then the spatial
+# part of the distinguished null normal, whose time coordinate is 1.
+_PLACEMENT = {
+    "flat-family": (
+        lambda p, nu, t: p + t * nu,
+        lambda t: t,
+        lambda p, nu, t: nu),
+    "sphere-product": (
+        lambda p, nu, s: (s * p + nu) / math.sqrt(1.0 + s * s),
+        arccot,
+        lambda p, nu, s: (s * nu - p) / math.sqrt(1.0 + s * s)),
+    "hyperbolic-product": (
+        lambda p, nu, s: (s * p + nu) / math.sqrt(s * s - 1.0),
+        arccoth,
+        lambda p, nu, s: (p + s * nu) / math.sqrt(s * s - 1.0)),
+}
 
-    `offset` shifts the height away from the root; it exists for negative
-    controls and must be zero for a marginally trapped lift.
+
+def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
+                context: bool = True, **provenance) -> LiftedImmersion:
+    """Normal-shift lift placed by the row of its ambient family.
+
+    pick(x) = (frame, spectrum, height) gives the source point frame.point,
+    its unit normal frame.normal and the height. The spectrum is read only by
+    the cross-check context, which computes it from the frame when pick
+    leaves it None. `provenance` holds the Provenance fields; the family
+    defaults to the placement row.
     """
-    if kind not in SPACE_FORM_FAMILY:
-        raise UnsupportedAmbientError("space_form_lift covers the flat family only")
-    _check_source(imm, kind)
+    family = "flat-family" if kind in SPACE_FORM_FAMILY else kind.value
+    spatial, time, null = _PLACEMENT[family]
+    ambient = LorentzAmbient.for_kind(kind, chart.dim)
+    pick = _memoized(pick)
+
+    def eval_fn(x):
+        frame, _, height = pick(x)
+        t = time(height)    # arccoth rejects |s| <= 1 before the square root
+        return np.append(spatial(frame.point, frame.normal, height), t)
+
+    def null_fn(x):
+        frame, _, height = pick(x)
+        return np.append(null(frame.point, frame.normal, height), 1.0)
+
+    def context_fn(x):
+        frame, spectrum, height = pick(x)
+        if spectrum is None:
+            spectrum = spectrum_at(frame)
+        return LiftContext(frame=frame, spectrum=spectrum, tau=time(height),
+                           s=None if family == "flat-family" else height)
+
+    _constraint_sanity(ambient, eval_fn, chart)
+    provenance.setdefault("family", family)
+    return LiftedImmersion(ambient, chart, eval_fn, null_fn,
+                           context_fn if context else None,
+                           Provenance(**provenance), name=name)
+
+
+def _root_lift(imm, kind, family, root_index, h, offset=0.0) -> LiftedImmersion:
+    _check_source(imm, kind, family)
     pattern, count = _reference_pattern(imm, kind, h)
     if not 0 <= root_index < count:
         raise FilteredRootError(
             f"root index {root_index} out of range: {count} root(s) available")
-    ambient = LorentzAmbient.for_kind(kind, imm.chart.dim)
 
-    @_memoized
     def pick(x):
         frame, spectrum, roots = _guarded_roots(imm, kind, x, h, pattern, count)
         root = roots[root_index]
         if root.degenerate and offset == 0.0:
             raise DegenerateMetricError(
-                f"height {root.value} hits a curvature radius at chart {x}")
+                f"root {root.value} hits a breakpoint at chart {x}")
         return frame, spectrum, root.value + offset
 
-    def eval_fn(x):
-        frame, _, tau = pick(x)
-        return np.append(frame.point + tau * frame.normal, tau)
+    return _shift_lift(kind, imm.chart, pick,
+                       f"{imm.name}:{kind.value}[{root_index}]",
+                       source_name=imm.name, root_index=root_index,
+                       root_count=count, pattern=pattern,
+                       detail="height offset %g" % offset if offset else "")
 
-    def null_fn(x):
-        frame, _, _ = pick(x)
-        return np.append(frame.normal, 1.0)
 
-    def context_fn(x):
-        frame, spectrum, tau = pick(x)
-        return LiftContext(frame=frame, spectrum=spectrum, tau=tau)
+def _all_lifts(one_lift, imm, kind, family, h) -> list:
+    _check_source(imm, kind, family)
+    _, count = _reference_pattern(imm, kind, h)
+    return [one_lift(imm, kind, i, h) for i in range(count)]
 
-    _constraint_sanity(ambient, eval_fn, imm.chart)
-    prov = Provenance(family="flat-family", source_name=imm.name,
-                      root_index=root_index, root_count=count, pattern=pattern,
-                      detail="height offset %g" % offset if offset else "")
-    return LiftedImmersion(ambient, imm.chart, eval_fn, null_fn, context_fn,
-                           prov, name=f"{imm.name}:{kind.value}[{root_index}]")
+
+def space_form_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
+                    root_index: int = 0, h: Optional[float] = None,
+                    offset: float = 0.0) -> LiftedImmersion:
+    """Flat-family lift whose height t is the root field of the given index.
+
+    `offset` shifts the height away from the root; it exists for negative
+    controls and must be zero for a marginally trapped lift.
+    """
+    return _root_lift(imm, kind, SPACE_FORM_FAMILY, root_index, h, offset)
 
 
 def lift_minkowski(imm, root_index: int = 0, h=None, offset: float = 0.0):
@@ -694,60 +753,13 @@ def lift_antidesitter(imm, root_index: int = 0, h=None, offset: float = 0.0):
 
 
 def space_form_lifts(imm, kind, h=None) -> list:
-    _, count = _reference_pattern(imm, kind, h)
-    return [space_form_lift(imm, kind, i, h) for i in range(count)]
+    return _all_lifts(space_form_lift, imm, kind, SPACE_FORM_FAMILY, h)
 
 
 def product_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
                  root_index: int = 0, h: Optional[float] = None) -> LiftedImmersion:
     """Product-ambient lift by a kept root of the product polynomial."""
-    if kind not in PRODUCT_FAMILY:
-        raise UnsupportedAmbientError("product_lift covers the product family only")
-    _check_source(imm, kind)
-    pattern, count = _reference_pattern(imm, kind, h)
-    if not 0 <= root_index < count:
-        raise FilteredRootError(
-            f"root index {root_index} out of range: {count} root(s) available")
-    ambient = LorentzAmbient.for_kind(kind, imm.chart.dim)
-    spherical = kind is AmbientKind.SPHERE_PRODUCT
-
-    @_memoized
-    def pick(x):
-        frame, spectrum, roots = _guarded_roots(imm, kind, x, h, pattern, count)
-        root = roots[root_index]
-        if root.degenerate:
-            raise DegenerateMetricError(
-                f"parameter {root.value} hits a principal curvature at chart {x}")
-        return frame, spectrum, root.value
-
-    def eval_fn(x):
-        frame, _, s = pick(x)
-        if spherical:
-            den = math.sqrt(1.0 + s * s)
-            return np.append((s * frame.point + frame.normal) / den, arccot(s))
-        if abs(s) <= 1.0:
-            raise FilteredRootError(f"hyperbolic product needs |s| > 1, got {s}")
-        den = math.sqrt(s * s - 1.0)
-        return np.append((s * frame.point + frame.normal) / den, arccoth(s))
-
-    def null_fn(x):
-        frame, _, s = pick(x)
-        if spherical:
-            den = math.sqrt(1.0 + s * s)
-            return np.append((s * frame.normal - frame.point) / den, 1.0)
-        den = math.sqrt(s * s - 1.0)
-        return np.append((frame.point + s * frame.normal) / den, 1.0)
-
-    def context_fn(x):
-        frame, spectrum, s = pick(x)
-        tau = arccot(s) if spherical else arccoth(s)
-        return LiftContext(frame=frame, spectrum=spectrum, tau=tau, s=s)
-
-    _constraint_sanity(ambient, eval_fn, imm.chart)
-    prov = Provenance(family=kind.value, source_name=imm.name,
-                      root_index=root_index, root_count=count, pattern=pattern)
-    return LiftedImmersion(ambient, imm.chart, eval_fn, null_fn, context_fn,
-                           prov, name=f"{imm.name}:{kind.value}[{root_index}]")
+    return _root_lift(imm, kind, PRODUCT_FAMILY, root_index, h)
 
 
 def lift_sphere_product(imm, root_index: int = 0, h=None):
@@ -759,8 +771,7 @@ def lift_hyperbolic_product(imm, root_index: int = 0, h=None):
 
 
 def product_lifts(imm, kind, h=None) -> list:
-    _, count = _reference_pattern(imm, kind, h)
-    return [product_lift(imm, kind, i, h) for i in range(count)]
+    return _all_lifts(product_lift, imm, kind, PRODUCT_FAMILY, h)
 
 
 def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -771,31 +782,14 @@ def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
     Used for the surface-curvature closed form (mean over Gauss) and for
     negative controls; marginality is whatever the height field makes it.
     """
-    if kind not in SPACE_FORM_FAMILY:
-        raise UnsupportedAmbientError("graph_lift covers the flat family only")
-    _check_source(imm, kind)
-    ambient = LorentzAmbient.for_kind(kind, imm.chart.dim)
+    _check_source(imm, kind, SPACE_FORM_FAMILY)
 
-    frame_of = _memoized(lambda x: frame_at(imm, x, h=h))
+    def pick(x):
+        frame = frame_at(imm, x, h=h)
+        return frame, None, tau_fn(frame)
 
-    def eval_fn(x):
-        frame = frame_of(x)
-        tau = tau_fn(frame)
-        return np.append(frame.point + tau * frame.normal, tau)
-
-    def null_fn(x):
-        frame = frame_of(x)
-        return np.append(frame.normal, 1.0)
-
-    def context_fn(x):
-        frame = frame_of(x)
-        return LiftContext(frame=frame, spectrum=spectrum_at(frame),
-                           tau=tau_fn(frame))
-
-    prov = Provenance(family="flat-family", source_name=imm.name,
-                      detail="explicit height field")
-    return LiftedImmersion(ambient, imm.chart, eval_fn, null_fn, context_fn,
-                           prov, name=name or f"{imm.name}:graph")
+    return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph",
+                       source_name=imm.name, detail="explicit height field")
 
 
 def product_height_lift(imm: HypersurfaceImmersion, height: float,
@@ -805,9 +799,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
     A control object: it is marginally trapped only if the height matches a
     root of the product polynomial through the s = cot/coth correspondence.
     """
-    if kind not in PRODUCT_FAMILY:
-        raise UnsupportedAmbientError("constant-height lifts live in the products")
-    _check_source(imm, kind)
+    _check_source(imm, kind, PRODUCT_FAMILY)
     ambient = LorentzAmbient.for_kind(kind, imm.chart.dim)
 
     def eval_fn(x):
@@ -843,6 +835,11 @@ class TotallyGeodesicSlice:
 
     def __call__(self, x):
         return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=float)
+
+
+class _SlicePoint(NamedTuple):
+    point: np.ndarray
+    normal: np.ndarray
 
 
 def flat_slice(chart: Chart) -> TotallyGeodesicSlice:
@@ -898,17 +895,14 @@ def null_lift(slice_: TotallyGeodesicSlice,
     if kind is not slice_.kind:
         raise UnsupportedAmbientError(
             f"slice targets {slice_.kind.value}, requested {kind.value}")
-    ambient = LorentzAmbient.for_kind(kind, slice_.chart.dim)
-    nu_bar = np.append(slice_.normal0, 1.0)
 
-    def eval_fn(x):
-        return np.append(slice_(x), 0.0) + float(tau_fn(x)) * nu_bar
+    def pick(x):
+        return _SlicePoint(slice_(x), slice_.normal0), None, float(tau_fn(x))
 
-    prov = Provenance(family="null-second-form", source_name=name or "slice",
-                      detail="height graph along the constant null direction")
-    return LiftedImmersion(ambient, slice_.chart, eval_fn,
-                           lambda x: nu_bar.copy(), None, prov,
-                           name=name or f"null-lift:{kind.value}")
+    return _shift_lift(kind, slice_.chart, pick,
+                       name or f"null-lift:{kind.value}", context=False,
+                       family="null-second-form", source_name=name or "slice",
+                       detail="height graph along the constant null direction")
 
 
 # --------------------------------------------------------- support functions
@@ -1049,6 +1043,7 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
     multiplicity-pattern change, aborts with PatternChangeError. The first
     step on an axis calibrates the local variation instead of being checked.
     """
+    _check_source(imm, kind)
     chart = imm.chart if resolution is None else imm.chart.with_resolution(resolution)
     step = h if h is not None else DEFAULTS.step_h
     grid = chart.grid(margin=4.0 * step)

@@ -1,9 +1,9 @@
 """Shared numerical substrate.
 
 Flat bilinear forms of arbitrary signature, second-order jets of evaluatable
-maps by central differences, small symmetric eigenproblems (cyclic Jacobi),
-and the generalized eigenvalue solve that turns a metric / second-form pair
-into principal curvatures.
+maps by central differences, symmetric eigenproblems, and the generalized
+eigenvalue solve that turns a metric / second-form pair into principal
+curvatures.
 
 Everything here is a pure function of its inputs; the value types are frozen
 dataclasses, so grid sweeps can be parallelized point-wise without any
@@ -36,10 +36,7 @@ __all__ = [
     "NonFiniteError",
     "AsymmetricMatrixError",
     "DegenerateMetricError",
-    "EigenSizeError",
 ]
-
-MAX_EIGEN_DIM = 16
 
 
 class GeometryError(Exception):
@@ -63,10 +60,6 @@ class AsymmetricMatrixError(GeometryError):
 
 
 class DegenerateMetricError(GeometryError):
-    pass
-
-
-class EigenSizeError(GeometryError):
     pass
 
 
@@ -115,9 +108,6 @@ class Signature:
     @property
     def signs(self) -> np.ndarray:
         return self._signs
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self._signs)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
@@ -169,10 +159,6 @@ class Chart:
     def with_resolution(self, resolution) -> "Chart":
         return Chart(self.dim, self.lower, self.upper, resolution, self.excluded)
 
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower + margin) and np.all(x <= self.upper - margin))
-
     def axes(self, margin: float = 0.0):
         return [np.linspace(lo + margin, hi - margin, k)
                 for lo, hi, k in zip(self.lower, self.upper, self.resolution)]
@@ -188,13 +174,12 @@ class Jet2:
     """Value, first and second derivatives of a map at a point.
 
     d1[i] is the i-th partial derivative vector, d2[i, j] the mixed second
-    derivative; d2 is symmetric in (i, j) up to `sym_defect`.
+    derivative.
     """
 
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    sym_defect: float = 0.0
 
 
 def _eval_checked(fn, x, lo, hi):
@@ -209,13 +194,11 @@ def _eval_checked(fn, x, lo, hi):
 def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
             x: Sequence[float],
             h: float | Sequence[float] | None = None,
-            chart: Optional[Chart] = None,
-            tol_sym: Optional[float] = None) -> Jet2:
+            chart: Optional[Chart] = None) -> Jet2:
     """Second-order jet of `fn` at `x` by O(h^2) central differences.
 
     Mixed derivatives use the 4-point cross stencil, which is symmetric in its
-    two indices by construction; an asymmetry of an analytically supplied d2
-    would be reported through `sym_defect`, not raised.
+    two indices by construction.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -255,71 +238,20 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
             mixed = (fpp - fpm - fmp + fmm) / (4.0 * hs[i] * hs[j])
             d2[i, j] = mixed
             d2[j, i] = mixed
-    return Jet2(value=f0, d1=d1, d2=d2, sym_defect=0.0)
-
-
-def _jacobi_rotate(a, v, p, q):
-    apq = a[p, q]
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    tau = s / (1.0 + c)
-
-    app, aqq = a[p, p], a[q, q]
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    for k in range(a.shape[0]):
-        if k != p and k != q:
-            akp, akq = a[k, p], a[k, q]
-            a[k, p] = akp - s * (akq + tau * akp)
-            a[k, q] = akq + s * (akp - tau * akq)
-            a[p, k] = a[k, p]
-            a[q, k] = a[k, q]
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = vp - s * (vq + tau * vp)
-    v[:, q] = vq + s * (vp - tau * vq)
+    return Jet2(value=f0, d1=d1, d2=d2)
 
 
 def sym_eigen(m: np.ndarray, tol: Optional[float] = None):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a small symmetric matrix.
-
-    Cyclic Jacobi iteration; deterministic and accurate to round-off for the
-    matrix sizes used here (n <= 16).
-    """
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("sym_eigen expects a square matrix")
-    n = a.shape[0]
-    if n > MAX_EIGEN_DIM:
-        raise EigenSizeError(f"sym_eigen restricted to n <= {MAX_EIGEN_DIM}, got {n}")
     scale = max(1.0, float(np.max(np.abs(a))))
     if tol is None:
         tol = DEFAULTS.tol_sym
     if np.max(np.abs(a - a.T)) > tol * scale:
         raise AsymmetricMatrixError("input matrix is not symmetric to tolerance")
-    a = 0.5 * (a + a.T)
-
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    for _ in range(60):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > 1e-18 * scale:
-                    _jacobi_rotate(a, v, p, q)
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def _jacobi_2x2_values(m11: float, m12: float, m22: float):
@@ -341,8 +273,8 @@ def generalized_shape_eigen(g: np.ndarray, b: np.ndarray,
 
     Solved by Cholesky-style congruence: with g = L L^T the problem reduces to
     the ordinary symmetric eigenproblem for L^-1 b L^-T (one Jacobi rotation
-    when n = 2, cyclic Jacobi otherwise), so the returned values are invariant
-    under simultaneous congruence of (g, b).
+    when n = 2, numpy's symmetric solver otherwise), so the returned values
+    are invariant under simultaneous congruence of (g, b).
     """
     g = np.asarray(g, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -374,8 +306,7 @@ def generalized_shape_eigen(g: np.ndarray, b: np.ndarray,
     ell = np.linalg.cholesky(0.5 * (g + g.T))
     c = np.linalg.solve(ell, 0.5 * (b + b.T))
     mmat = np.linalg.solve(ell, c.T).T
-    w, _ = sym_eigen(0.5 * (mmat + mmat.T))
-    return w
+    return np.linalg.eigvalsh(0.5 * (mmat + mmat.T))
 
 
 def _det3(m) -> float:

@@ -17,8 +17,7 @@ import numpy as np
 from .core import GeometryError
 from .verifier import MarginalityReport
 
-__all__ = ["render_report", "write_report", "write_mesh", "read_mesh",
-           "IngestError"]
+__all__ = ["render_report", "write_mesh", "read_mesh", "IngestError"]
 
 MESH_MAGIC = "marlift mesh v1"
 REPORT_MAGIC = "marlift verification report v1"
@@ -82,14 +81,6 @@ def render_report(report: MarginalityReport, config_echo: str = "",
         lines.append("min_eig_g_min: n/a")
     lines.append(f"verdict: {report.verdict}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(path, report: MarginalityReport, config_echo: str = "",
-                 entry: Optional[str] = None) -> str:
-    text = render_report(report, config_echo, entry=entry)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
 
 
 def write_mesh(path, metadata: dict, chart_points: np.ndarray,

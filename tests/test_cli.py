@@ -72,6 +72,17 @@ def test_construct_sphere_has_no_lifts(tmp_path, capsys):
     assert "no lifts" in err
 
 
+@pytest.mark.parametrize("entry,ambient", [
+    ("equidistant", "minkowski"),
+    ("torus", "hyperbolic-product"),
+])
+def test_construct_wrong_source_space(tmp_path, capsys, entry, ambient):
+    code = main(["construct", "--entry", entry, "--ambient", ambient,
+                 "--grid", "5x5", "--out-dir", str(tmp_path)])
+    assert code == EXIT_PIPELINE
+    assert f"{ambient} lifts need a" in capsys.readouterr().err
+
+
 def test_construct_clifford_sphere_product(tmp_path, capsys):
     code = main(["construct", "--entry", "clifford-torus", "--ambient",
                  "sphere-product", "--grid", "5x5", "--out-dir", str(tmp_path)])

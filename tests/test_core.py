@@ -10,7 +10,6 @@ from marlift.core import (
     Chart,
     DegenerateMetricError,
     DimensionMismatchError,
-    EigenSizeError,
     OutOfDomainError,
     Signature,
     bilinear,
@@ -167,13 +166,8 @@ def test_sym_eigen_rejects_asymmetric():
         sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_sym_eigen_rejects_large():
-    with pytest.raises(EigenSizeError):
-        sym_eigen(np.eye(17))
-
-
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.integers(0, 10_000))
+@given(st.integers(2, 20), st.integers(0, 10_000))
 def test_sym_eigen_reconstruction(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))

@@ -23,6 +23,7 @@ from marlift.constructor import (
     roots_at,
     space_form_lifts,
     spherical_slice,
+    thread_root_fields,
 )
 from marlift.core import Chart, bilinear
 from marlift.hypersurface import (
@@ -61,9 +62,16 @@ def test_catenoid_lift_sits_at_zero_height():
     assert val[-1] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_flat_lift_rejects_wrong_space_form():
+@pytest.mark.parametrize("build", [
+    lambda: lift_minkowski(shapes.clifford_torus()),
+    lambda: space_form_lifts(shapes.equidistant_h3(), AmbientKind.MINKOWSKI),
+    lambda: product_lifts(shapes.torus(), AmbientKind.HYPERBOLIC_PRODUCT),
+    lambda: thread_root_fields(shapes.torus(), AmbientKind.HYPERBOLIC_PRODUCT),
+], ids=["lift_minkowski", "space_form_lifts", "product_lifts",
+        "thread_root_fields"])
+def test_flat_lift_rejects_wrong_space_form(build):
     with pytest.raises(UnsupportedAmbientError):
-        lift_minkowski(shapes.clifford_torus())
+        build()
 
 
 # ------------------------------------------------------------------- dS / AdS

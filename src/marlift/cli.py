@@ -200,6 +200,8 @@ def _lifts_for(cfg: RunConfig, entry, built):
             f"entry {entry.name!r} is already a lift; use 'verify' instead")
     if cfg.ambient is None:
         raise UsageError("construct needs --ambient for hypersurface entries")
+    # jump guard: the lifts' own per-point guard checks the multiplicity
+    # pattern and root count, not jumps between neighbouring root values
     thread_root_fields(built, cfg.ambient,
                        resolution=tuple(min(9, r) for r in built.chart.resolution),
                        h=cfg.step)

@@ -4,30 +4,16 @@ The construction has two branches. Lifts with null second fundamental form
 are graphs of an arbitrary C^2 height field over a totally geodesic slice,
 moved along the constant null direction (normal, 1). All other lifts shift a
 hypersurface along its own normal congruence by a root of a curvature
-polynomial:
-
-  * flat family (Minkowski, de Sitter, anti de Sitter):
-        P(t) = sum_i m_i prod_{j != i} (r_j - t),  r_i = 1/kappa_i,
-    one root per consecutive pair of curvature radii;
-  * sphere x line:
-        P(s) = sum_i m_i (kappa_i s + 1) prod_{j != i} (s - kappa_j);
-  * hyperbolic x line:
-        P(s) = sum_i m_i (kappa_i s - 1) prod_{j != i} (s - kappa_j),
-    roots kept only when |s| > 1.
+polynomial (`polynomial`, whose names this module re-exports).
 
 Both branches are placed in the ambient by one table, `_PLACEMENT`: per
 ambient family it takes a source point, its unit normal and a height to the
 lift and its distinguished null normal. It is the one place the lift
 formulas live.
-
-Breakpoint signs are evaluated through their exact factored forms, so the
-bracketing used by the bisection stage never relies on cancellation-prone
-expanded coefficients.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -41,9 +27,14 @@ from .core import (
     DimensionMismatchError,
     GeometryError,
     Jet2,
+    Rows,
     Signature,
+    _fail,
     bilinear,
+    is_stacked,
     jet2_of,
+    looped,
+    stacked,
 )
 from .hypersurface import (
     HypersurfaceImmersion,
@@ -52,8 +43,31 @@ from .hypersurface import (
     SpaceForm,
     SpaceFormKind,
     frame_at,
+    frame_rows,
     mean_gauss_at,
     spectrum_at,
+)
+from .polynomial import (
+    PRODUCT_FAMILY,
+    SPACE_FORM_FAMILY,
+    AmbientKind,
+    BracketingError,
+    ConstructionError,
+    CurvaturePolynomial,
+    FilteredRootError,
+    PatternChangeError,
+    Root,
+    UnsupportedAmbientError,
+    VanishingCurvatureError,
+    _root_rows,
+    arccot,
+    arccoth,
+    curvature_polynomial,
+    height_ratio,
+    hyperbolic_product_closed_roots,
+    roots_at,
+    solve_roots,
+    sphere_product_closed_roots,
 )
 
 __all__ = [
@@ -62,6 +76,7 @@ __all__ = [
     "CurvaturePolynomial",
     "Root",
     "LiftedImmersion",
+    "LiftRows",
     "LiftContext",
     "Provenance",
     "TotallyGeodesicSlice",
@@ -99,43 +114,7 @@ __all__ = [
 ]
 
 
-class ConstructionError(GeometryError):
-    pass
-
-
-class VanishingCurvatureError(ConstructionError):
-    pass
-
-
-class UnsupportedAmbientError(ConstructionError):
-    pass
-
-
-class BracketingError(ConstructionError):
-    pass
-
-
-class FilteredRootError(ConstructionError):
-    pass
-
-
-class PatternChangeError(ConstructionError):
-    pass
-
-
 # --------------------------------------------------------------- ambients
-
-class AmbientKind(enum.Enum):
-    MINKOWSKI = "minkowski"
-    DE_SITTER = "desitter"
-    ANTI_DE_SITTER = "antidesitter"
-    SPHERE_PRODUCT = "sphere-product"
-    HYPERBOLIC_PRODUCT = "hyperbolic-product"
-
-
-SPACE_FORM_FAMILY = (AmbientKind.MINKOWSKI, AmbientKind.DE_SITTER,
-                     AmbientKind.ANTI_DE_SITTER)
-PRODUCT_FAMILY = (AmbientKind.SPHERE_PRODUCT, AmbientKind.HYPERBOLIC_PRODUCT)
 
 _SOURCE_SPACE = {
     AmbientKind.MINKOWSKI: SpaceFormKind.EUCLIDEAN,
@@ -220,310 +199,6 @@ class LorentzAmbient:
         return LorentzAmbient(kind=kind, dim=n + 2)
 
 
-# ----------------------------------------------------- curvature polynomial
-
-def arccot(s: float) -> float:
-    """Inverse cotangent on the branch (0, pi), continuous across s = 0."""
-    return 0.5 * math.pi - math.atan(s)
-
-
-def arccoth(s: float) -> float:
-    if abs(s) <= 1.0:
-        raise FilteredRootError(f"arccoth needs |s| > 1, got {s}")
-    return 0.5 * math.log((s + 1.0) / (s - 1.0))
-
-
-def _polyval(coeffs, t: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
-def _poly_mul(a, b):
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != 0.0:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, bi in enumerate(b):
-        out[i] += bi
-    return out
-
-
-@dataclass(frozen=True)
-class CurvaturePolynomial:
-    """Height polynomial of a curvature spectrum, with guaranteed brackets.
-
-    `breakpoints` are the curvature radii (flat family) or the curvatures
-    (product family); `breakpoint_values` are the exact factored evaluations
-    of the polynomial there. Each bracket is (a, b, sign_a, sign_b) with a
-    strict sign change.
-    """
-
-    ambient_kind: AmbientKind
-    kappas: tuple
-    mults: tuple
-    coeffs: tuple            # ascending
-    breakpoints: tuple
-    breakpoint_values: tuple
-    brackets: tuple
-    trace: float            # sum m_i kappa_i (n times the mean curvature)
-    minimal: bool
-
-    def __call__(self, t: float) -> float:
-        return _polyval(self.coeffs, t)
-
-    def deriv(self, t: float) -> float:
-        acc = 0.0
-        cs = self.coeffs
-        for k in range(len(cs) - 1, 0, -1):
-            acc = acc * t + k * cs[k]
-        return acc
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _expand(kind: AmbientKind, kappas, mults) -> tuple:
-    """Ascending coefficients of the height polynomial."""
-    p = len(kappas)
-    total = [0.0]
-    for i in range(p):
-        if kind in SPACE_FORM_FAMILY:
-            term = [float(mults[i])]
-            for j in range(p):
-                if j != i:
-                    term = _poly_mul(term, [1.0 / kappas[j], -1.0])
-        else:
-            sign = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
-            m = float(mults[i])
-            term = [m * sign, m * kappas[i]]
-            for j in range(p):
-                if j != i:
-                    term = _poly_mul(term, [-kappas[j], 1.0])
-        total = _poly_add(total, term)
-    return tuple(total)
-
-
-def _expand_bracket(poly_eval, start: float, step0: float, direction: float,
-                    sign_inner: float):
-    """Walk outward geometrically until the polynomial changes sign."""
-    width = step0
-    for _ in range(80):
-        t = start + direction * width
-        val = poly_eval(t)
-        if val != 0.0 and math.copysign(1.0, val) != sign_inner:
-            return t, math.copysign(1.0, val)
-        width *= 2.0
-    raise BracketingError(
-        f"no sign change found expanding from {start} in direction {direction}")
-
-
-def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
-                         ambient_kind: AmbientKind,
-                         mults: Optional[Sequence[int]] = None,
-                         tol_zero: Optional[float] = None,
-                         tol_minimal: Optional[float] = None) -> CurvaturePolynomial:
-    """Build the height polynomial and its root brackets for one spectrum.
-
-    Accepts a ShapeSpectrum or a raw (kappas, mults) pair. For the flat
-    family the curvatures must be nonvanishing; a single curvature yields a
-    polynomial with an empty bracket list rather than an error.
-    """
-    if isinstance(spectrum, ShapeSpectrum):
-        kappas = list(spectrum.kappas)
-        ms = list(spectrum.mults)
-    else:
-        kappas = [float(k) for k in spectrum]
-        ms = list(mults) if mults is not None else [1] * len(kappas)
-    if len(kappas) != len(ms):
-        raise DimensionMismatchError("kappas and mults must align")
-    if tol_zero is None:
-        tol_zero = DEFAULTS.tol_zero
-    if tol_minimal is None:
-        tol_minimal = DEFAULTS.tol_minimal
-
-    kind = ambient_kind
-    pairs = sorted(zip(kappas, ms))
-    kappas = [k for k, _ in pairs]
-    ms = [m for _, m in pairs]
-    p = len(kappas)
-    trace = float(sum(m * k for m, k in zip(ms, kappas)))
-
-    if kind in SPACE_FORM_FAMILY:
-        if any(abs(k) <= tol_zero for k in kappas):
-            raise VanishingCurvatureError(
-                f"flat-family construction needs nonvanishing curvatures, got {kappas}")
-        rpairs = sorted((1.0 / k, m) for k, m in pairs)
-        radii = [r for r, _ in rpairs]
-        ms_r = [m for _, m in rpairs]
-        bps = radii
-        bp_vals = []
-        for i in range(p):
-            prod = ms_r[i]
-            for j in range(p):
-                if j != i:
-                    prod *= radii[j] - radii[i]
-            bp_vals.append(float(prod))
-        signs = [math.copysign(1.0, v) for v in bp_vals]
-        for i in range(p - 1):
-            if signs[i] == signs[i + 1]:
-                raise BracketingError(
-                    f"breakpoint signs fail to alternate: values {bp_vals}")
-        coeffs = _expand(kind, kappas, ms)
-        brackets = tuple((bps[i], bps[i + 1], signs[i], signs[i + 1])
-                         for i in range(p - 1))
-        return CurvaturePolynomial(kind, tuple(kappas), tuple(ms), coeffs,
-                                   tuple(bps), tuple(bp_vals), brackets,
-                                   trace, abs(trace) <= tol_minimal)
-
-    if kind not in PRODUCT_FAMILY:
-        raise UnsupportedAmbientError(f"unknown ambient kind {ambient_kind}")
-
-    coeffs = _expand(kind, kappas, ms)
-    unit = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
-    bp_vals = []
-    for i in range(p):
-        prod = ms[i] * (kappas[i] ** 2 + unit)
-        for j in range(p):
-            if j != i:
-                prod *= kappas[i] - kappas[j]
-        bp_vals.append(float(prod))
-    signs = [0.0 if v == 0.0 else math.copysign(1.0, v) for v in bp_vals]
-
-    brackets = []
-    for i in range(p - 1):
-        if signs[i] != 0.0 and signs[i + 1] != 0.0 and signs[i] != signs[i + 1]:
-            brackets.append((kappas[i], kappas[i + 1], signs[i], signs[i + 1]))
-
-    minimal = abs(trace) <= tol_minimal
-    if not minimal:
-        # the two end behaviours: sign(P) at +inf and at -inf
-        sign_pos = math.copysign(1.0, trace)
-        sign_neg = sign_pos * (-1.0) ** p
-        span = max(1.0, (2.0 / abs(trace)) * max(
-            1.0, sum(m * abs(k) for m, k in zip(ms, kappas))))
-        poly_eval = lambda t: _polyval(coeffs, t)
-        if signs[-1] != 0.0 and signs[-1] != sign_pos:
-            far, fs = _expand_bracket(poly_eval, kappas[-1], span, +1.0, signs[-1])
-            brackets.append((kappas[-1], far, signs[-1], fs))
-        if signs[0] != 0.0 and signs[0] != sign_neg:
-            far, fs = _expand_bracket(poly_eval, kappas[0], span, -1.0, signs[0])
-            brackets.append((far, kappas[0], fs, signs[0]))
-
-    brackets.sort(key=lambda br: br[0])
-    return CurvaturePolynomial(kind, tuple(kappas), tuple(ms), coeffs,
-                               tuple(kappas), tuple(bp_vals), tuple(brackets),
-                               trace, minimal)
-
-
-# --------------------------------------------------------------- root solve
-
-@dataclass(frozen=True)
-class Root:
-    value: float
-    bracket: tuple
-    degenerate: bool
-
-
-def solve_roots(poly: CurvaturePolynomial,
-                tol_root: Optional[float] = None,
-                tol_degenerate: Optional[float] = None) -> list:
-    """One root per bracket: bisection to width tol_root, then Newton polish.
-
-    Hyperbolic-product roots with |s| <= 1 are dropped (they produce no
-    spacelike lift); roots landing within tolerance of a breakpoint are
-    flagged degenerate because the induced metric collapses there.
-    """
-    if tol_root is None:
-        tol_root = DEFAULTS.tol_root
-    if tol_degenerate is None:
-        tol_degenerate = DEFAULTS.tol_degenerate
-
-    out = []
-    for a0, b0, sa, sb in poly.brackets:
-        if sa == sb or sa == 0.0 or sb == 0.0:
-            raise BracketingError(f"invalid bracket ({a0}, {b0}) signs ({sa}, {sb})")
-        a, b = float(a0), float(b0)
-        for _ in range(260):
-            if b - a <= tol_root:
-                break
-            mid = 0.5 * (a + b)
-            fm = poly(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if math.copysign(1.0, fm) == sa:
-                a = mid
-            else:
-                b = mid
-        t = 0.5 * (a + b)
-        for _ in range(8):
-            d = poly.deriv(t)
-            if d == 0.0:
-                break
-            step = poly(t) / d
-            t_new = t - step
-            if not (a0 <= t_new <= b0):
-                break
-            t = t_new
-            if abs(step) <= 1e-17 * max(1.0, abs(t)):
-                break
-        degen = any(abs(t - bp) <= tol_degenerate * (1.0 + abs(bp))
-                    for bp in poly.breakpoints)
-        if poly.ambient_kind is AmbientKind.HYPERBOLIC_PRODUCT and abs(t) <= 1.0:
-            continue
-        out.append(Root(value=float(t), bracket=(float(a0), float(b0)),
-                        degenerate=bool(degen)))
-    out.sort(key=lambda r: r.value)
-    return out
-
-
-def roots_at(imm: HypersurfaceImmersion, kind: AmbientKind, x,
-             h: Optional[float] = None):
-    """Frame, spectrum and solved roots of one chart point."""
-    frame = frame_at(imm, x, h=h)
-    spectrum = spectrum_at(frame)
-    poly = curvature_polynomial(spectrum, kind)
-    return frame, spectrum, solve_roots(poly)
-
-
-# ------------------------------------------------------------ closed forms
-
-def height_ratio(k1: float, k2: float) -> float:
-    """Surface height of the flat-family lift: mean over Gauss curvature."""
-    return 0.5 * (1.0 / k1 + 1.0 / k2)
-
-
-def sphere_product_closed_roots(k1: float, k2: float):
-    """Two-curvature closed form for the sphere product: a +- sqrt(a^2+1)."""
-    if abs(k1 + k2) <= DEFAULTS.tol_minimal:
-        raise VanishingCurvatureError("closed form needs a non-minimal surface")
-    a = (k1 * k2 - 1.0) / (k1 + k2)
-    d = math.sqrt(a * a + 1.0)
-    return a - d, a + d
-
-
-def hyperbolic_product_closed_roots(k1: float, k2: float):
-    """Closed form for the hyperbolic product; only |s| > 1 roots survive."""
-    if abs(k1 + k2) <= DEFAULTS.tol_minimal:
-        raise VanishingCurvatureError("closed form needs a non-minimal surface")
-    a = (k1 * k2 + 1.0) / (k1 + k2)
-    if a * a <= 1.0:
-        return ()
-    d = math.sqrt(a * a - 1.0)
-    return tuple(s for s in (a - d, a + d) if abs(s) > 1.0)
-
-
 # ------------------------------------------------------------------- lifts
 
 @dataclass(frozen=True)
@@ -547,9 +222,41 @@ class LiftContext:
     s: Optional[float] = None
 
 
+class LiftRows(Rows):
+    """A lift evaluated at stacked chart points: `values` (P, N) and one
+    error slot per row, as in `Rows`, plus the construction's distinguished
+    null normal and cross-check context of each row (None when the lift
+    carries none)."""
+
+    __slots__ = ("null_at", "context_at")
+
+    def __init__(self, values, errors, null_at=None, context_at=None):
+        super().__init__(values, errors)
+        self.null_at = null_at
+        self.context_at = context_at
+
+    def null_normal(self, i: int) -> Optional[np.ndarray]:
+        return None if self.null_at is None else self.null_at(i)
+
+    def context(self, i: int) -> Optional[LiftContext]:
+        return None if self.context_at is None else self.context_at(i)
+
+
 @dataclass(frozen=True)
 class LiftedImmersion:
-    """Evaluatable spacelike map into a Lorentzian ambient."""
+    """Evaluatable spacelike map into a Lorentzian ambient.
+
+    Array contract: `evaluate(x)` takes stacked chart points (P, n) to a
+    `LiftRows`. The normal-shift lifts built here pass an array map as
+    `eval_fn` (marked with `core.stacked`, returning LiftRows), whose rows,
+    null normals and contexts all come from one array pick of frame,
+    spectrum and height. Any other `eval_fn` is a one-point map: `evaluate`
+    loops it over the rows through `core.looped`, and reads a row's null
+    normal and context from `null_normal_fn` and `context_fn` at its point.
+    A row whose evaluation raises GeometryError holds NaN and that error,
+    and the rows beside it are unaffected. Calling the lift at one point
+    evaluates one row and raises that row's error.
+    """
 
     ambient: LorentzAmbient
     chart: Chart
@@ -559,8 +266,18 @@ class LiftedImmersion:
     provenance: Provenance = Provenance(family="unspecified")
     name: str = ""
 
+    def evaluate(self, x) -> LiftRows:
+        """Rows of the lift at stacked chart points (P, n)."""
+        x = np.asarray(x, dtype=float)
+        if is_stacked(self.eval_fn):
+            return self.eval_fn(x)
+        rows = looped(self.eval_fn)(x)
+        return LiftRows(rows.values, rows.errors,
+                        null_at=lambda i: self.null_normal(x[i]),
+                        context_at=lambda i: self.context(x[i]))
+
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=float)
+        return self.evaluate(np.asarray(x, dtype=float)[None]).value(0)
 
     def null_normal(self, x) -> Optional[np.ndarray]:
         if self.null_normal_fn is None:
@@ -585,148 +302,174 @@ def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind,
             f"got {imm.space.kind.value}")
 
 
-def _reference_pattern(imm, kind, h):
-    candidates = [0.5 * (imm.chart.lower + imm.chart.upper)]
+def _reference(imm, kind, h):
+    """Roots at the chart centre and the first eight grid points, in one
+    call, with the multiplicity pattern and root count of the first of them
+    the chart does not exclude and whose roots solve."""
     step = h if h is not None else DEFAULTS.step_h
-    candidates.extend(imm.chart.grid(margin=4.0 * step)[:8])
+    candidates = np.vstack([0.5 * (imm.chart.lower + imm.chart.upper),
+                            imm.chart.grid(margin=4.0 * step)[:8]])
+    solved = _root_rows(imm, kind, candidates, h=h)
+    _, spectra, roots = solved
     err = None
-    for x0 in candidates:
-        if imm.chart.excluded is not None and imm.chart.excluded(np.asarray(x0)):
-            continue
-        try:
-            _, spectrum, roots = roots_at(imm, kind, x0, h=h)
-            return spectrum.pattern, len(roots)
-        except GeometryError as exc:
-            err = exc
+    for i in imm.chart.usable(candidates):
+        err = roots.errors[i]
+        if err is None:
+            return candidates, solved, spectra.pattern(i), int(roots.counts[i])
     raise ConstructionError(f"no usable reference point on the chart: {err}")
 
 
-def _guarded_roots(imm, kind, x, h, pattern, count):
-    frame, spectrum, roots = roots_at(imm, kind, x, h=h)
-    if pattern is not None and spectrum.pattern != pattern:
-        raise PatternChangeError(
-            f"multiplicity pattern changed to {spectrum.pattern} at chart {x}")
-    if count is not None and len(roots) != count:
-        raise PatternChangeError(
-            f"root count changed from {count} to {len(roots)} at chart {x}")
-    return frame, spectrum, roots
-
-
-def _constraint_sanity(ambient: LorentzAmbient, eval_fn, chart: Chart):
+def _constraint_sanity(ambient: LorentzAmbient, rows: LiftRows):
     """The lift formulas satisfy the ambient constraint identically; a failure
-    here means inconsistent construction data, not a bad sample."""
-    x0 = 0.5 * (chart.lower + chart.upper)
-    try:
-        val = eval_fn(x0)
-    except GeometryError:
+    here means inconsistent construction data, not a bad sample. `rows` is
+    the lift evaluated at the chart centre first."""
+    if rows.errors[0] is not None:
         return
+    val = rows.values[0]
     res = ambient.constraint_residual(val)
     if res > DEFAULTS.tol_quadric * (1.0 + float(np.max(np.abs(val)))):
         raise ConstructionError(
             f"lift violates the {ambient.kind.value} constraint by {res:.3e}")
 
 
-def _memoized(fn, size: int = 64):
-    """Per-lift memo on the chart point; stencil evaluations repeat points."""
-    cache = {}
-
-    def wrapped(x):
-        key = x.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) >= size:
-                cache.clear()
-            hit = fn(x)
-            cache[key] = hit
-        return hit
-
-    return wrapped
+# Rows a normal-shift lift picks and places at once: a whole-grid stencil is
+# split into blocks of this many rows, which bounds the memory of the frames,
+# spectra and root solves it holds.
+_BLOCK = 1024
 
 
-# The lift formulas, one row per ambient family: a source point p, its unit
-# normal nu and the height (t, or the polynomial parameter s in the products)
-# give the spatial part and the time coordinate of the lift, then the spatial
-# part of the distinguished null normal, whose time coordinate is 1.
+# The lift formulas, one row per ambient family: source points p, their unit
+# normals nu and heights (t, or the polynomial parameter s in the products;
+# one per row, as a column) give the spatial parts and the time coordinates
+# of the lift, then the spatial parts of the distinguished null normal, whose
+# time coordinate is 1.
 _PLACEMENT = {
     "flat-family": (
         lambda p, nu, t: p + t * nu,
         lambda t: t,
         lambda p, nu, t: nu),
     "sphere-product": (
-        lambda p, nu, s: (s * p + nu) / math.sqrt(1.0 + s * s),
+        lambda p, nu, s: (s * p + nu) / np.sqrt(1.0 + s * s),
         arccot,
-        lambda p, nu, s: (s * nu - p) / math.sqrt(1.0 + s * s)),
+        lambda p, nu, s: (s * nu - p) / np.sqrt(1.0 + s * s)),
     "hyperbolic-product": (
-        lambda p, nu, s: (s * p + nu) / math.sqrt(s * s - 1.0),
+        lambda p, nu, s: (s * p + nu) / np.sqrt(s * s - 1.0),
         arccoth,
-        lambda p, nu, s: (p + s * nu) / math.sqrt(s * s - 1.0)),
+        lambda p, nu, s: (p + s * nu) / np.sqrt(s * s - 1.0)),
 }
 
 
 def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
-                context: bool = True, **provenance) -> LiftedImmersion:
+                context: bool = True, centre=None, **provenance) -> LiftedImmersion:
     """Normal-shift lift placed by the row of its ambient family.
 
-    pick(x) = (frame, spectrum, height) gives the source point frame.point,
-    its unit normal frame.normal and the height. The spectrum is read only by
-    the cross-check context, which computes it from the frame when pick
-    leaves it None. `provenance` holds the Provenance fields; the family
-    defaults to the placement row.
+    pick(x) maps stacked chart points (P, n) to (frame, spectra, heights,
+    errors): a frame of stacked points (`point` and `normal` (P, N), `row(i)`
+    for the cross-check context), their spectra (None: computed from the
+    frame when a context needs one), heights (P,) and one error slot per
+    point. Each row is placed from its source point, unit normal and height.
+    `centre` is a pick whose first row is the chart centre, when the caller
+    has one; the build-time constraint check reads it. `provenance` holds
+    the Provenance fields; the family defaults to the placement row.
     """
     family = "flat-family" if kind in SPACE_FORM_FAMILY else kind.value
     spatial, time, null = _PLACEMENT[family]
     ambient = LorentzAmbient.for_kind(kind, chart.dim)
-    pick = _memoized(pick)
 
-    def eval_fn(x):
-        frame, _, height = pick(x)
-        t = time(height)    # arccoth rejects |s| <= 1 before the square root
-        return np.append(spatial(frame.point, frame.normal, height), t)
+    def place(picked) -> LiftRows:
+        frame, spectra, height, errors = picked
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        tau = np.full(len(height), np.nan)
+        tau[~failed] = time(height[~failed])
+        s = height[:, None]
+        point, normal = frame.point, frame.normal
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = np.concatenate([spatial(point, normal, s), tau[:, None]], axis=1)
+            nulls = np.concatenate([null(point, normal, s),
+                                    np.ones((len(s), 1))], axis=1)
+        values[failed] = np.nan
+        nulls[failed] = np.nan
+
+        def null_at(i):
+            if errors[i] is not None:
+                raise errors[i]
+            return nulls[i]
+
+        def context_at(i):
+            if errors[i] is not None:
+                raise errors[i]
+            source = frame.row(i)
+            spectrum = spectrum_at(source) if spectra is None else spectra.row(i)
+            return LiftContext(frame=source, spectrum=spectrum, tau=float(tau[i]),
+                               s=None if family == "flat-family" else float(height[i]))
+
+        return LiftRows(values, errors, null_at, context_at if context else None)
+
+    @stacked
+    def eval_rows(x) -> LiftRows:
+        if len(x) <= _BLOCK:
+            return place(pick(x))
+        parts = [place(pick(x[k:k + _BLOCK])) for k in range(0, len(x), _BLOCK)]
+        return LiftRows(np.concatenate([part.values for part in parts]),
+                        [e for part in parts for e in part.errors],
+                        lambda i: parts[i // _BLOCK].null_normal(i % _BLOCK),
+                        lambda i: parts[i // _BLOCK].context(i % _BLOCK))
 
     def null_fn(x):
-        frame, _, height = pick(x)
-        return np.append(null(frame.point, frame.normal, height), 1.0)
+        return eval_rows(np.asarray(x, dtype=float)[None]).null_normal(0)
 
     def context_fn(x):
-        frame, spectrum, height = pick(x)
-        if spectrum is None:
-            spectrum = spectrum_at(frame)
-        return LiftContext(frame=frame, spectrum=spectrum, tau=time(height),
-                           s=None if family == "flat-family" else height)
+        return eval_rows(np.asarray(x, dtype=float)[None]).context(0)
 
-    _constraint_sanity(ambient, eval_fn, chart)
+    if centre is None:
+        centre = pick(0.5 * (chart.lower + chart.upper)[None])
+    _constraint_sanity(ambient, place(centre))
     provenance.setdefault("family", family)
-    return LiftedImmersion(ambient, chart, eval_fn, null_fn,
+    return LiftedImmersion(ambient, chart, eval_rows, null_fn,
                            context_fn if context else None,
                            Provenance(**provenance), name=name)
 
 
-def _root_lift(imm, kind, family, root_index, h, offset=0.0) -> LiftedImmersion:
+def _root_lift(imm, kind, family, root_index, h, offset=0.0,
+               reference=None) -> LiftedImmersion:
     _check_source(imm, kind, family)
-    pattern, count = _reference_pattern(imm, kind, h)
+    candidates, solved, pattern, count = reference or _reference(imm, kind, h)
     if not 0 <= root_index < count:
         raise FilteredRootError(
             f"root index {root_index} out of range: {count} root(s) available")
 
-    def pick(x):
-        frame, spectrum, roots = _guarded_roots(imm, kind, x, h, pattern, count)
-        root = roots[root_index]
-        if root.degenerate and offset == 0.0:
-            raise DegenerateMetricError(
-                f"root {root.value} hits a breakpoint at chart {x}")
-        return frame, spectrum, root.value + offset
+    def select(x, solved):
+        frame, spectra, roots = solved
+        errors = list(roots.errors)
+        changed = np.zeros(len(x), dtype=bool)
+        for c, mults in spectra.patterns.items():
+            if (len(mults), mults) != pattern:
+                changed |= spectra.code == c
+        _fail(errors, changed, lambda i: PatternChangeError(
+            f"multiplicity pattern changed to {spectra.pattern(i)} at chart {x[i]}"))
+        _fail(errors, roots.counts != count, lambda i: PatternChangeError(
+            f"root count changed from {count} to {roots.counts[i]} at chart {x[i]}"))
+        root = roots.values[:, root_index]
+        if offset == 0.0:
+            _fail(errors, roots.degenerate[:, root_index],
+                  lambda i: DegenerateMetricError(
+                      f"root {float(root[i])} hits a breakpoint at chart {x[i]}"))
+        return frame, spectra, root + offset, errors
 
-    return _shift_lift(kind, imm.chart, pick,
+    return _shift_lift(kind, imm.chart, lambda x: select(x, _root_rows(imm, kind, x, h)),
                        f"{imm.name}:{kind.value}[{root_index}]",
+                       centre=select(candidates, solved),
                        source_name=imm.name, root_index=root_index,
                        root_count=count, pattern=pattern,
                        detail="height offset %g" % offset if offset else "")
 
 
-def _all_lifts(one_lift, imm, kind, family, h) -> list:
+def _all_lifts(imm, kind, family, h) -> list:
+    """Every root lift of the hypersurface, from one reference solve."""
     _check_source(imm, kind, family)
-    _, count = _reference_pattern(imm, kind, h)
-    return [one_lift(imm, kind, i, h) for i in range(count)]
+    reference = _reference(imm, kind, h)
+    return [_root_lift(imm, kind, family, i, h, reference=reference)
+            for i in range(reference[3])]
 
 
 def space_form_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -753,7 +496,7 @@ def lift_antidesitter(imm, root_index: int = 0, h=None, offset: float = 0.0):
 
 
 def space_form_lifts(imm, kind, h=None) -> list:
-    return _all_lifts(space_form_lift, imm, kind, SPACE_FORM_FAMILY, h)
+    return _all_lifts(imm, kind, SPACE_FORM_FAMILY, h)
 
 
 def product_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -771,7 +514,7 @@ def lift_hyperbolic_product(imm, root_index: int = 0, h=None):
 
 
 def product_lifts(imm, kind, h=None) -> list:
-    return _all_lifts(product_lift, imm, kind, PRODUCT_FAMILY, h)
+    return _all_lifts(imm, kind, PRODUCT_FAMILY, h)
 
 
 def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -781,12 +524,21 @@ def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
 
     Used for the surface-curvature closed form (mean over Gauss) and for
     negative controls; marginality is whatever the height field makes it.
+    `tau_fn` takes one frame and is called per point.
     """
     _check_source(imm, kind, SPACE_FORM_FAMILY)
 
     def pick(x):
-        frame = frame_at(imm, x, h=h)
-        return frame, None, tau_fn(frame)
+        frame = frame_rows(imm, x, h=h)
+        errors = list(frame.errors)
+        height = np.full(len(x), np.nan)
+        for i in range(len(x)):
+            if errors[i] is None:
+                try:
+                    height[i] = tau_fn(frame.row(i))
+                except GeometryError as exc:
+                    errors[i] = exc
+        return frame, None, height, errors
 
     return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph",
                        source_name=imm.name, detail="explicit height field")
@@ -826,7 +578,8 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
 
 @dataclass(frozen=True)
 class TotallyGeodesicSlice:
-    """Totally geodesic hypersurface of a space form with a constant unit normal."""
+    """Totally geodesic hypersurface of a space form with a constant unit
+    normal; `eval_fn` takes stacked chart points (P, n)."""
 
     kind: AmbientKind
     chart: Chart
@@ -834,7 +587,7 @@ class TotallyGeodesicSlice:
     normal0: np.ndarray
 
     def __call__(self, x):
-        return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=float)
+        return self.eval_fn(np.asarray(x, dtype=float)[None])[0]
 
 
 class _SlicePoint(NamedTuple):
@@ -847,19 +600,23 @@ def flat_slice(chart: Chart) -> TotallyGeodesicSlice:
     n = chart.dim
     nu0 = np.zeros(n + 1)
     nu0[-1] = 1.0
-    return TotallyGeodesicSlice(AmbientKind.MINKOWSKI, chart,
-                                lambda x: np.append(x, 0.0), nu0)
+    return TotallyGeodesicSlice(
+        AmbientKind.MINKOWSKI, chart,
+        lambda x: np.concatenate([x, np.zeros((len(x), 1))], axis=1), nu0)
 
 
 def spherical_slice(chart: Chart) -> TotallyGeodesicSlice:
     """The equatorial 2-sphere of S^3, normal along the suppressed axis."""
     if chart.dim != 2:
         raise DimensionMismatchError("spherical slice is implemented for surfaces")
-    from .shapes import sphere_chart
+
+    def fn(x):
+        sx, cx = np.sin(x[:, 0]), np.cos(x[:, 0])
+        sy, cy = np.sin(x[:, 1]), np.cos(x[:, 1])
+        return np.stack([sx * cy, sy, cx * cy, np.zeros_like(sx)], axis=1)
 
     nu0 = np.array([0.0, 0.0, 0.0, 1.0])
-    return TotallyGeodesicSlice(AmbientKind.DE_SITTER, chart,
-                                lambda x: np.append(sphere_chart(x), 0.0), nu0)
+    return TotallyGeodesicSlice(AmbientKind.DE_SITTER, chart, fn, nu0)
 
 
 def hyperbolic_slice(chart: Chart) -> TotallyGeodesicSlice:
@@ -868,8 +625,9 @@ def hyperbolic_slice(chart: Chart) -> TotallyGeodesicSlice:
         raise DimensionMismatchError("hyperbolic slice is implemented for surfaces")
 
     def fn(x):
-        shu, chu = math.sinh(x[0]), math.cosh(x[0])
-        return np.array([shu * math.cos(x[1]), shu * math.sin(x[1]), 0.0, chu])
+        shu, chu = np.sinh(x[:, 0]), np.cosh(x[:, 0])
+        return np.stack([shu * np.cos(x[:, 1]), shu * np.sin(x[:, 1]),
+                         np.zeros_like(shu), chu], axis=1)
 
     nu0 = np.array([0.0, 0.0, 1.0, 0.0])
     return TotallyGeodesicSlice(AmbientKind.ANTI_DE_SITTER, chart, fn, nu0)
@@ -885,7 +643,7 @@ def null_lift(slice_: TotallyGeodesicSlice,
     Its second fundamental form is the height Hessian times that null vector,
     so the lift is marginally trapped for every C^2 height field. The product
     ambients admit no such lift besides the totally geodesic one and are
-    rejected.
+    rejected. `tau_fn` takes one chart point and is looped over the rows.
     """
     kind = ambient_kind if ambient_kind is not None else slice_.kind
     if kind in PRODUCT_FAMILY:
@@ -895,9 +653,13 @@ def null_lift(slice_: TotallyGeodesicSlice,
     if kind is not slice_.kind:
         raise UnsupportedAmbientError(
             f"slice targets {slice_.kind.value}, requested {kind.value}")
+    heights = looped(tau_fn)
 
     def pick(x):
-        return _SlicePoint(slice_(x), slice_.normal0), None, float(tau_fn(x))
+        point = slice_.eval_fn(x)
+        tau = heights(x)
+        normal = np.broadcast_to(slice_.normal0, point.shape)
+        return _SlicePoint(point, normal), None, tau.values[:, 0], tau.errors
 
     return _shift_lift(kind, slice_.chart, pick,
                        name or f"null-lift:{kind.value}", context=False,
@@ -1038,33 +800,40 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
                        jump_factor: float = 10.0) -> RootThreads:
     """Solve the roots over the chart grid and thread them into fields.
 
-    Samples are matched to their grid neighbor along each axis; a jump larger
-    than jump_factor times the variation last seen on the same axis, or any
-    multiplicity-pattern change, aborts with PatternChangeError. The first
-    step on an axis calibrates the local variation instead of being checked.
+    The grid is solved in one array call. Samples are then matched to their
+    grid neighbor along each axis, in raster order; a jump larger than
+    jump_factor times the variation last seen on the same axis, or any
+    multiplicity-pattern change, aborts with PatternChangeError, and so does
+    the first sample whose root solve failed. The first step on an axis
+    calibrates the local variation instead of being checked.
     """
     _check_source(imm, kind)
     chart = imm.chart if resolution is None else imm.chart.with_resolution(resolution)
     step = h if h is not None else DEFAULTS.step_h
     grid = chart.grid(margin=4.0 * step)
     shape = chart.resolution
+    usable = chart.usable(grid)
+    if not usable:
+        raise ConstructionError("no usable grid points for root threading")
+    _, spectra, roots = _root_rows(imm, kind, grid[usable], h=h)
     pattern = None
     count = None
     values = None
     last_jump = {}
-    for idx, x in enumerate(grid):
-        if chart.excluded is not None and chart.excluded(x):
-            continue
-        _, spectrum, roots = roots_at(imm, kind, x, h=h)
+    for j, idx in enumerate(usable):
+        x = grid[idx]
+        if roots.errors[j] is not None:
+            raise roots.errors[j]
+        found, n_roots = spectra.pattern(j), int(roots.counts[j])
         if pattern is None:
-            pattern = spectrum.pattern
-            count = len(roots)
+            pattern = found
+            count = n_roots
             values = np.full((len(grid), count), np.nan)
-        if spectrum.pattern != pattern or len(roots) != count:
+        if found != pattern or n_roots != count:
             raise PatternChangeError(
                 f"pattern changed from {pattern}/{count} roots to "
-                f"{spectrum.pattern}/{len(roots)} at chart {x}")
-        values[idx] = [r.value for r in roots]
+                f"{found}/{n_roots} at chart {x}")
+        values[idx] = roots.values[j, :count]
 
         multi = np.unravel_index(idx, shape)
         for axis in range(len(shape) - 1, -1, -1):
@@ -1085,6 +854,4 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
                         f"exceeds {jump_factor} x the local variation")
             last_jump[axis] = np.maximum(jump, 1e-12)
             break
-    if pattern is None:
-        raise ConstructionError("no usable grid points for root threading")
     return RootThreads(points=grid, values=values, pattern=pattern, count=count)

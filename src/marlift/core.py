@@ -5,9 +5,11 @@ maps by central differences, symmetric eigenproblems, and the generalized
 eigenvalue solve that turns a metric / second-form pair into principal
 curvatures.
 
-Everything here is a pure function of its inputs; the value types are frozen
-dataclasses, so grid sweeps can be parallelized point-wise without any
-coordination.
+The pipeline evaluates stacked points: an array map takes rows (P, n) to
+values (P, N), and a row that fails is reported in a `Rows` record beside
+the values of the rows that did not. `jet2_of`, `generalized_shape_eigen`
+and `generalized_cross` work on such stacks; a one-point map is turned into
+an array map by the one looping adapter, `looped`.
 """
 
 from __future__ import annotations
@@ -25,10 +27,15 @@ __all__ = [
     "Signature",
     "Chart",
     "Jet2",
+    "Rows",
+    "stacked",
+    "is_stacked",
+    "looped",
     "bilinear",
     "jet2_of",
     "sym_eigen",
     "generalized_shape_eigen",
+    "shape_eigen_rows",
     "generalized_cross",
     "GeometryError",
     "DimensionMismatchError",
@@ -159,6 +166,12 @@ class Chart:
     def with_resolution(self, resolution) -> "Chart":
         return Chart(self.dim, self.lower, self.upper, resolution, self.excluded)
 
+    def usable(self, points) -> list:
+        """Indices of the points that `excluded` does not mark."""
+        if self.excluded is None:
+            return list(range(len(points)))
+        return [i for i, x in enumerate(points) if not self.excluded(x)]
+
     def axes(self, margin: float = 0.0):
         return [np.linspace(lo + margin, hi - margin, k)
                 for lo, hi, k in zip(self.lower, self.upper, self.resolution)]
@@ -174,21 +187,113 @@ class Jet2:
     """Value, first and second derivatives of a map at a point.
 
     d1[i] is the i-th partial derivative vector, d2[i, j] the mixed second
-    derivative.
+    derivative. A jet of stacked points carries a leading point axis on all
+    three arrays and `errors`, one entry per point: None, or the
+    GeometryError that point raised (its rows hold NaN).
     """
 
     value: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
+    errors: tuple = ()
+
+    def row(self, i: int) -> "Jet2":
+        """The single-point jet of stacked point i; raises that point's error."""
+        if self.errors and self.errors[i] is not None:
+            raise self.errors[i]
+        return Jet2(value=self.value[i], d1=self.d1[i], d2=self.d2[i])
 
 
-def _eval_checked(fn, x, lo, hi):
-    if lo is not None and ((x < lo).any() or (x > hi).any()):
-        raise OutOfDomainError(f"stencil point {x} leaves the chart")
-    y = np.asarray(fn(x), dtype=float)
-    if not np.isfinite(y).all():
-        raise NonFiniteError(f"map returned non-finite values at {x}")
-    return y
+class Rows:
+    """Values of an array map at stacked points.
+
+    `values[i]` is the value at point i, NaN where that point failed, and
+    `errors[i]` the GeometryError it raised, or None.
+    """
+
+    __slots__ = ("values", "errors")
+
+    def __init__(self, values: np.ndarray, errors: list):
+        self.values = values
+        self.errors = errors
+
+    def value(self, i: int) -> np.ndarray:
+        """Value at point i; raises that point's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return self.values[i]
+
+
+def stacked(fn):
+    """Mark `fn` as an array map: it takes stacked points (P, n) and returns
+    their values (P, N), or a `Rows` record when points can fail."""
+    fn.stacked = True
+    return fn
+
+
+def is_stacked(fn) -> bool:
+    return getattr(fn, "stacked", False)
+
+
+def looped(fn: Callable[[np.ndarray], np.ndarray]):
+    """The adapter from a one-point map to an array map.
+
+    Calls `fn` on each row in turn. A row whose call raises GeometryError is
+    reported in the returned `Rows`, its values NaN; any other exception
+    propagates. An array map is returned as it is.
+    """
+    if is_stacked(fn):
+        return fn
+
+    @stacked
+    def rows_fn(points):
+        values = []
+        errors = [None] * len(points)
+        for i, x in enumerate(points):
+            try:
+                values.append(np.asarray(fn(x), dtype=float).ravel())
+            except GeometryError as exc:
+                values.append(None)
+                errors[i] = exc
+        if errors.count(None) < len(errors):
+            width = next((len(v) for v in values if v is not None), 1)
+            values = [np.full(width, np.nan) if v is None else v for v in values]
+        if not values:
+            return Rows(np.empty((0, 1)), errors)
+        return Rows(np.array(values).reshape(len(points), -1), errors)
+
+    return rows_fn
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(hs: tuple) -> np.ndarray:
+    """Offsets of the central-difference stencil, one row each, in evaluation
+    order: the point, then +h_i e_i and -h_i e_i per axis, then per pair
+    i < j the corners (+,+), (+,-), (-,+), (-,-)."""
+    n = len(hs)
+    off = np.zeros((1 + 2 * n * n, n))
+    k = 1
+    for i in range(n):
+        off[k, i], off[k + 1, i] = hs[i], -hs[i]
+        k += 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            off[k:k + 4, i] = (hs[i], hs[i], -hs[i], -hs[i])
+            off[k:k + 4, j] = (hs[j], -hs[j], hs[j], -hs[j])
+            k += 4
+    off.flags.writeable = False
+    return off
+
+
+def _call_rows(fn, points: np.ndarray):
+    """Values (P, m) of an array map at `points` and its row errors, if any."""
+    out = fn(points)
+    errors = None
+    if isinstance(out, Rows):
+        out, errors = out.values, out.errors
+    if not len(points):
+        return np.empty((0, 1)), errors
+    return np.asarray(out, dtype=float).reshape(len(points), -1), errors
 
 
 def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
@@ -199,46 +304,78 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
 
     Mixed derivatives use the 4-point cross stencil, which is symmetric in its
     two indices by construction.
+
+    `x` is one point (n,) with `fn` a one-point map, or stacked points (P, n)
+    with `fn` an array map. The array map is called twice: on the points
+    themselves, in the order of `x`, then on all their other stencil rows
+    that lie inside the chart. The stacked jet reports, per point, the first
+    stencil row that failed in stencil order (`_stencil`): a row outside the
+    chart (OutOfDomainError), a row the map failed, or a non-finite value
+    (NonFiniteError). One point raises that error.
     """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if h is None:
-        h = DEFAULTS.step_h
-    hs = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
+    if x.ndim == 1:
+        return jet2_of(looped(fn), x[None], h, chart).row(0)
+    count, n = x.shape
+    hs = np.empty(n)
+    hs[:] = DEFAULTS.step_h if h is None else h
     if np.any(hs <= 0):
         raise OutOfDomainError("step h must be positive")
-    lo = hi = None
+
+    off = _stencil(tuple(hs.tolist()))
+    pts = x[None, :, :] + off[:, None, :]          # (stencil row, point, n)
+    outside = np.zeros(pts.shape[:2], dtype=bool)
     if chart is not None:
-        lo, hi = chart.lower, chart.upper
+        outside = ((pts < chart.lower) | (pts > chart.upper)).any(axis=-1)
+    inside = ~outside[1:]
+    centre, centre_errors = _call_rows(fn, x)
+    rest_errors = None
+    if inside.all():
+        rest, rest_errors = _call_rows(fn, pts[1:].reshape(-1, n))
+        vals = np.concatenate([centre, rest]).reshape(len(off), count, centre.shape[1])
+    else:
+        vals = np.full((len(off), count, centre.shape[1]), np.nan)
+        vals[0] = centre
+        if inside.any():
+            vals[1:][inside], rest_errors = _call_rows(fn, pts[1:][inside])
 
-    f0 = _eval_checked(fn, x, lo, hi)
-    m = f0.shape[0] if f0.ndim else 1
-    f0 = np.atleast_1d(f0)
+    failed = outside | ~np.isfinite(vals).all(axis=-1)
+    raised = None
+    if any(e is not None for errs in (centre_errors, rest_errors) for e in errs or ()):
+        raised = np.full(failed.shape, None, dtype=object)
+        if centre_errors is not None:
+            raised[0] = centre_errors
+        if rest_errors is not None:
+            raised[1:][inside] = rest_errors
+        failed |= np.not_equal(raised, None)
+    errors = [None] * count
+    if failed.any():
+        for p in np.flatnonzero(failed.any(axis=0)):
+            s = int(np.argmax(failed[:, p]))
+            if outside[s, p]:
+                errors[p] = OutOfDomainError(f"stencil point {pts[s, p]} leaves the chart")
+            elif raised is not None and raised[s, p] is not None:
+                errors[p] = raised[s, p]
+            else:
+                errors[p] = NonFiniteError(f"map returned non-finite values at {pts[s, p]}")
+        vals[:, [e is not None for e in errors]] = np.nan
 
-    fp = np.empty((n, m))
-    fm = np.empty((n, m))
+    f0 = vals[0]
+    fp, fm = vals[1:2 * n + 1:2], vals[2:2 * n + 2:2]
+    d1 = np.empty((count, n, f0.shape[-1]))
+    d2 = np.empty((count, n, n, f0.shape[-1]))
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = hs[i]
-        fp[i] = _eval_checked(fn, x + e, lo, hi)
-        fm[i] = _eval_checked(fn, x - e, lo, hi)
-
-    d1 = (fp - fm) / (2.0 * hs[:, None])
-    d2 = np.empty((n, n, m))
-    for i in range(n):
-        d2[i, i] = (fp[i] - 2.0 * f0 + fm[i]) / hs[i] ** 2
+        d1[:, i] = (fp[i] - fm[i]) / (2.0 * hs[i])
+        d2[:, i, i] = (fp[i] - 2.0 * f0 + fm[i]) / hs[i] ** 2
+    k = 2 * n + 1
     for i in range(n):
         for j in range(i + 1, n):
-            ei = np.zeros(n); ei[i] = hs[i]
-            ej = np.zeros(n); ej[j] = hs[j]
-            fpp = _eval_checked(fn, x + ei + ej, lo, hi)
-            fpm = _eval_checked(fn, x + ei - ej, lo, hi)
-            fmp = _eval_checked(fn, x - ei + ej, lo, hi)
-            fmm = _eval_checked(fn, x - ei - ej, lo, hi)
+            fpp, fpm, fmp, fmm = vals[k:k + 4]
             mixed = (fpp - fpm - fmp + fmm) / (4.0 * hs[i] * hs[j])
-            d2[i, j] = mixed
-            d2[j, i] = mixed
-    return Jet2(value=f0, d1=d1, d2=d2)
+            d2[:, i, j] = mixed
+            d2[:, j, i] = mixed
+            k += 4
+    return Jet2(value=f0, d1=d1, d2=d2, errors=tuple(errors))
 
 
 def sym_eigen(m: np.ndarray, tol: Optional[float] = None):
@@ -254,17 +391,82 @@ def sym_eigen(m: np.ndarray, tol: Optional[float] = None):
     return np.linalg.eigh(0.5 * (a + a.T))
 
 
-def _jacobi_2x2_values(m11: float, m12: float, m22: float):
-    """Eigenvalues of a symmetric 2x2 matrix by one Jacobi rotation."""
-    if m12 == 0.0:
-        lo, hi = sorted((m11, m22))
-        return lo, hi
-    theta = (m22 - m11) / (2.0 * m12)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    lo, hi = m11 - t * m12, m22 + t * m12
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo, hi
+def _fail(errors: list, mask, make) -> None:
+    """Record make(i) as the error of each row in `mask` that has none yet."""
+    for i in np.flatnonzero(mask):
+        if errors[i] is None:
+            errors[i] = make(i)
+
+
+def _pd_rows(g: np.ndarray, tol_pd: float) -> np.ndarray:
+    """Per matrix of a stack: does g - tol_pd I admit a Cholesky factor."""
+    shifted = g - tol_pd * np.eye(g.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+        return np.ones(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    ok = np.zeros(len(g), dtype=bool)
+    for i, gi in enumerate(shifted):
+        try:
+            np.linalg.cholesky(gi)
+            ok[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return ok
+
+
+def shape_eigen_rows(g: np.ndarray, b: np.ndarray, tol_pd: Optional[float] = None,
+                     errors: Optional[list] = None) -> Rows:
+    """Stacked `generalized_shape_eigen`: rows of ascending eigenvalues.
+
+    A row whose metric is not positive definite reports
+    DegenerateMetricError; rows already failed in `errors` stay failed.
+    """
+    if tol_pd is None:
+        tol_pd = DEFAULTS.tol_pd
+    count, n = g.shape[0], g.shape[-1]
+    errors = [None] * count if errors is None else list(errors)
+    degenerate = lambda i: DegenerateMetricError("metric not positive definite")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if n == 2:
+            g11, g12, g22 = g[:, 0, 0], 0.5 * (g[:, 0, 1] + g[:, 1, 0]), g[:, 1, 1]
+            _fail(errors, (g11 <= tol_pd) | (g11 * g22 - g12 * g12 <= tol_pd * np.maximum(
+                np.maximum(g11, g22), 1.0)), degenerate)
+            l11 = np.sqrt(g11)
+            l21 = g12 / l11
+            d = g22 - l21 * l21
+            _fail(errors, d <= tol_pd, degenerate)
+            l22 = np.sqrt(d)
+            b11, b12, b22 = b[:, 0, 0], 0.5 * (b[:, 0, 1] + b[:, 1, 0]), b[:, 1, 1]
+            c11 = b11 / l11
+            m11 = c11 / l11
+            m12 = (b12 - l21 * c11) / (l22 * l11)
+            m22 = (b22 - 2.0 * l21 * b12 / l11 + l21 * l21 * m11) / (l22 * l22)
+            # one Jacobi rotation of the symmetric 2x2 matrix (m11, m12; m12, m22)
+            theta = (m22 - m11) / (2.0 * m12)
+            hyp = np.array([math.hypot(v, 1.0) for v in theta.tolist()])
+            t = np.copysign(1.0, theta) / (np.abs(theta) + hyp)
+            lo, hi = m11 - t * m12, m22 + t * m12
+            diagonal = m12 == 0.0
+            lo = np.where(diagonal, np.minimum(m11, m22), lo)
+            hi = np.where(diagonal, np.maximum(m11, m22), hi)
+            raw = np.stack([np.where(lo > hi, hi, lo), np.where(lo > hi, lo, hi)], axis=-1)
+        else:
+            sym_g = 0.5 * (g + np.swapaxes(g, -1, -2))
+            ok = np.array([e is None for e in errors], dtype=bool)
+            ok[ok] = _pd_rows(sym_g[ok], tol_pd)
+            _fail(errors, ~ok, degenerate)
+            raw = np.full((count, n), np.nan)
+            if ok.any():
+                ell = np.linalg.cholesky(sym_g[ok])
+                bs = b[ok]
+                c = np.linalg.solve(ell, 0.5 * (bs + np.swapaxes(bs, -1, -2)))
+                mmat = np.swapaxes(np.linalg.solve(ell, np.swapaxes(c, -1, -2)), -1, -2)
+                raw[ok] = np.linalg.eigvalsh(0.5 * (mmat + np.swapaxes(mmat, -1, -2)))
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    raw[failed] = np.nan
+    return Rows(raw, errors)
 
 
 def generalized_shape_eigen(g: np.ndarray, b: np.ndarray,
@@ -274,71 +476,41 @@ def generalized_shape_eigen(g: np.ndarray, b: np.ndarray,
     Solved by Cholesky-style congruence: with g = L L^T the problem reduces to
     the ordinary symmetric eigenproblem for L^-1 b L^-T (one Jacobi rotation
     when n = 2, numpy's symmetric solver otherwise), so the returned values
-    are invariant under simultaneous congruence of (g, b).
+    are invariant under simultaneous congruence of (g, b). One row of
+    `shape_eigen_rows`.
     """
     g = np.asarray(g, dtype=float)
     b = np.asarray(b, dtype=float)
     if g.shape != b.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError("g and b must be square matrices of equal shape")
-    if tol_pd is None:
-        tol_pd = DEFAULTS.tol_pd
-    n = g.shape[0]
-    if n == 2:
-        g11, g12, g22 = g[0, 0], 0.5 * (g[0, 1] + g[1, 0]), g[1, 1]
-        if g11 <= tol_pd or g11 * g22 - g12 * g12 <= tol_pd * max(g11, g22, 1.0):
-            raise DegenerateMetricError("metric not positive definite")
-        l11 = math.sqrt(g11)
-        l21 = g12 / l11
-        d = g22 - l21 * l21
-        if d <= tol_pd:
-            raise DegenerateMetricError("metric not positive definite")
-        l22 = math.sqrt(d)
-        b11, b12, b22 = b[0, 0], 0.5 * (b[0, 1] + b[1, 0]), b[1, 1]
-        c11 = b11 / l11
-        m11 = c11 / l11
-        m12 = (b12 - l21 * c11) / (l22 * l11)
-        m22 = (b22 - 2.0 * l21 * b12 / l11 + l21 * l21 * m11) / (l22 * l22)
-        return np.array(_jacobi_2x2_values(m11, m12, m22))
-    try:
-        np.linalg.cholesky(0.5 * (g + g.T) - tol_pd * np.eye(n))
-    except np.linalg.LinAlgError:
-        raise DegenerateMetricError("metric not positive definite")
-    ell = np.linalg.cholesky(0.5 * (g + g.T))
-    c = np.linalg.solve(ell, 0.5 * (b + b.T))
-    mmat = np.linalg.solve(ell, c.T).T
-    return np.linalg.eigvalsh(0.5 * (mmat + mmat.T))
+    return shape_eigen_rows(g[None], b[None], tol_pd).value(0)
 
 
-def _det3(m) -> float:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., 3, 3) by cofactor expansion."""
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
 
 
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
     """Vector orthogonal (Euclidean) to k = N-1 given vectors in R^N.
 
     Cofactor expansion of the formal determinant; the result completes the
-    input list to a positively oriented basis whenever it is nonzero.
+    input list to a positively oriented basis whenever it is nonzero. Takes
+    one list (k, N) or a stack of lists (..., k, N).
     """
     vecs = np.asarray(vectors, dtype=float)
-    k, nn = vecs.shape
+    k, nn = vecs.shape[-2:]
     if k != nn - 1:
         raise DimensionMismatchError("generalized cross needs N-1 vectors in R^N")
     if nn == 3:
-        (a1, a2, a3), (b1, b2, b3) = vecs
-        return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3,
-                         a1 * b2 - a2 * b1])
-    if nn == 4:
-        rows = vecs.tolist()
-        out = np.empty(4)
-        for i in range(4):
-            minor = [[row[j] for j in range(4) if j != i] for row in rows]
-            out[i] = (-1.0) ** (3 + i) * _det3(minor)
-        return out
-    out = np.empty(nn)
-    cols = np.arange(nn)
-    for i in range(nn):
-        minor = vecs[:, cols != i]
-        out[i] = (-1.0) ** (k + i) * np.linalg.det(minor)
-    return out
+        a1, a2, a3 = (vecs[..., 0, i] for i in range(3))
+        b1, b2, b3 = (vecs[..., 1, i] for i in range(3))
+        return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3,
+                         a1 * b2 - a2 * b1], axis=-1)
+    # all N minors at once, minor i dropping column i
+    keep = [[j for j in range(nn) if j != i] for i in range(nn)]
+    minors = np.ascontiguousarray(np.moveaxis(vecs[..., keep], -2, -3))
+    signs = (-1.0) ** (k + np.arange(nn))
+    return signs * (_det3(minors) if nn == 4 else np.linalg.det(minors))

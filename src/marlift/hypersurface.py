@@ -16,7 +16,6 @@ form because the normal is orthogonal to the position vector.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -29,12 +28,16 @@ from .core import (
     DimensionMismatchError,
     GeometryError,
     Jet2,
+    Rows,
     Signature,
     _det3,
-    bilinear,
+    _fail,
+    _pd_rows,
     generalized_cross,
     generalized_shape_eigen,
     jet2_of,
+    looped,
+    shape_eigen_rows,
 )
 
 __all__ = [
@@ -43,7 +46,10 @@ __all__ = [
     "HypersurfaceImmersion",
     "PointFrame",
     "ShapeSpectrum",
+    "SpectrumRows",
+    "frame_rows",
     "frame_at",
+    "spectrum_rows",
     "spectrum_at",
     "mean_gauss_at",
     "legendrian_residual",
@@ -95,12 +101,6 @@ class SpaceForm:
             return -1.0
         return None
 
-    def constraint_residual(self, point: np.ndarray) -> float:
-        c = self.quadric_constant
-        if c is None:
-            return 0.0
-        return abs(bilinear(self.signature, point, point) - c)
-
     @staticmethod
     def euclidean(dim: int) -> "SpaceForm":
         return SpaceForm(SpaceFormKind.EUCLIDEAN, dim)
@@ -118,8 +118,15 @@ class SpaceForm:
 class HypersurfaceImmersion:
     """Evaluatable immersion of a chart into a space form.
 
-    `jets`, when given, must return the analytic Jet2 of `eval_fn`; otherwise
-    derivatives fall back to central differences with the shared step.
+    Array contract: the frame, spectrum and root pipeline evaluates stacked
+    chart points (P, n). `eval_fn` is either an array map marked with
+    `core.stacked`, taking (P, n) to (P, N), or a one-point map (n,) -> (N,),
+    which stacked evaluation loops over the rows through `core.looped`.
+    `jets`, when given, takes stacked points and returns the stacked analytic
+    Jet2 of `eval_fn`; otherwise derivatives fall back to central
+    differences with the shared step, all stencils in one call. A point
+    whose evaluation raises GeometryError fails alone: its jet row carries
+    the error and the other rows are unaffected.
     """
 
     space: SpaceForm
@@ -129,19 +136,32 @@ class HypersurfaceImmersion:
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.eval_fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        out = looped(self.eval_fn)(x[None])
+        if isinstance(out, Rows):
+            return out.value(0)
+        return np.asarray(out, dtype=float)[0]
 
     def jet(self, x, h: Optional[float] = None) -> Jet2:
+        """Jet at one point (n,), or the stacked jet of points (P, n)."""
         x = np.asarray(x, dtype=float)
+        points = x[None] if x.ndim == 1 else x
         if self.jets is not None:
-            return self.jets(x)
-        return jet2_of(self.eval_fn, x, h=h if h is not None else DEFAULTS.step_h,
-                       chart=self.chart)
+            jet = self.jets(points)
+        else:
+            jet = jet2_of(looped(self.eval_fn), points,
+                          h=h if h is not None else DEFAULTS.step_h, chart=self.chart)
+        return jet.row(0) if x.ndim == 1 else jet
 
 
 @dataclass(frozen=True)
 class PointFrame:
-    """First and second order data of a hypersurface at one chart point."""
+    """First and second order data of a hypersurface at one chart point.
+
+    A frame of stacked points carries a leading point axis on every array
+    and `errors`, one entry per point: None, or the GeometryError that point
+    raised.
+    """
 
     space: SpaceForm
     x: np.ndarray
@@ -150,10 +170,19 @@ class PointFrame:
     normal: np.ndarray       # unit, orthogonal to tangent (and position on quadrics)
     metric: np.ndarray       # g_ij, positive definite
     second_form: np.ndarray  # b_ij with respect to `normal`
+    errors: tuple = ()
 
     @property
     def n(self) -> int:
-        return self.tangent.shape[0]
+        return self.tangent.shape[-2]
+
+    def row(self, i: int) -> "PointFrame":
+        """The frame of stacked point i; raises that point's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return PointFrame(space=self.space, x=self.x[i], point=self.point[i],
+                          tangent=self.tangent[i], normal=self.normal[i],
+                          metric=self.metric[i], second_form=self.second_form[i])
 
 
 @dataclass(frozen=True)
@@ -186,96 +215,168 @@ class ShapeSpectrum:
         return (self.p, self.mults)
 
 
-def frame_at(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
-             flip: bool = False, tol_pd: Optional[float] = None) -> PointFrame:
-    """Tangent frame, oriented unit normal, induced metric and second form.
+def _bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`bilinear` of paired rows; the products are the same dot products."""
+    p = sig.plus
+    return ((u[:, None, :p] @ v[:, :p, None])[:, 0, 0]
+            - (u[:, None, p:] @ v[:, p:, None])[:, 0, 0])
+
+
+def frame_rows(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
+               flip: bool = False, tol_pd: Optional[float] = None) -> PointFrame:
+    """Frame of stacked chart points (P, n): tangent frames, oriented unit
+    normals, induced metrics and second forms.
 
     The normal is fixed by requiring (d phi_1, ..., d phi_n, normal) to be a
     positively oriented container basis, with the position vector appended for
-    the hyperquadrics. Pass flip=True to select the opposite normal.
+    the hyperquadrics. Pass flip=True to select the opposite normal. Each
+    point runs the checks of `frame_at` in its order; the first that fails is
+    that point's error.
     """
     x = np.asarray(x, dtype=float)
     space = imm.space
     jet = imm.jet(x, h=h)
+    errors = list(jet.errors) if jet.errors else [None] * len(x)
     point = jet.value
     tangent = jet.d1
     sig = space.signature
+    gsigns = sig.signs
     if tol_pd is None:
         tol_pd = DEFAULTS.tol_pd
 
-    res = space.constraint_residual(point)
-    if res > DEFAULTS.tol_quadric * (1.0 + float(np.max(np.abs(point)))):
-        raise QuadricConstraintError(
-            f"point leaves the space form by {res:.3e} at chart {x}")
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if space.quadric_constant is not None:
+            res = np.abs(_bilinear_rows(sig, point, point) - space.quadric_constant)
+            _fail(errors, res > DEFAULTS.tol_quadric * (
+                1.0 + np.max(np.abs(point), axis=1)),
+                lambda i: QuadricConstraintError(
+                    f"point leaves the space form by {res[i]:.3e} at chart {x[i]}"))
 
-    gsigns = sig.signs
-    rows = tangent * gsigns  # row i = G @ tangent_i
-    g = rows @ tangent.T
-    n = tangent.shape[0]
-    if n == 2:
-        pd_ok = (g[0, 0] > tol_pd
-                 and g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-                 > tol_pd * max(g[0, 0], g[1, 1]))
-    else:
-        try:
-            np.linalg.cholesky(g - tol_pd * np.eye(n))
-            pd_ok = True
-        except np.linalg.LinAlgError:
-            pd_ok = False
-    if not pd_ok:
-        raise ImmersionError(
-            f"rank-deficient differential at chart {x} (metric not positive "
-            f"definite beyond {tol_pd:g})")
+        rows = tangent * gsigns  # row i = G @ tangent_i
+        g = rows @ np.swapaxes(tangent, -1, -2)
+        n = tangent.shape[1]
+        if n == 2:
+            pd_ok = ((g[:, 0, 0] > tol_pd)
+                     & (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
+                        > tol_pd * np.maximum(g[:, 0, 0], g[:, 1, 1])))
+        else:
+            live = np.array([e is None for e in errors], dtype=bool)
+            pd_ok = np.zeros(len(x), dtype=bool)
+            pd_ok[live] = _pd_rows(g[live], tol_pd)
+        _fail(errors, ~pd_ok, lambda i: ImmersionError(
+            f"rank-deficient differential at chart {x[i]} (metric not positive "
+            f"definite beyond {tol_pd:g})"))
 
-    if space.quadric_constant is not None:
-        rows = np.vstack([rows, point * gsigns])
-    normal = generalized_cross(rows)
-    p = sig.plus
-    nn = float(np.dot(normal[:p], normal[:p]) - np.dot(normal[p:], normal[p:]))
-    if nn <= 0.0:
-        raise ImmersionError(f"could not extract a spacelike unit normal at chart {x}")
-    normal = normal / math.sqrt(nn)
+        if space.quadric_constant is not None:
+            rows = np.concatenate([rows, (point * gsigns)[:, None, :]], axis=1)
+        normal = generalized_cross(rows)
+        nn = _bilinear_rows(sig, normal, normal)
+        _fail(errors, nn <= 0.0, lambda i: ImmersionError(
+            f"could not extract a spacelike unit normal at chart {x[i]}"))
+        normal = normal / np.sqrt(nn)[:, None]
 
-    frame_rows = [tangent[i] for i in range(n)] + [normal]
-    if space.quadric_constant is not None:
-        frame_rows.append(point)
-    mat = np.stack(frame_rows)
-    det = _det3(mat) if mat.shape[0] == 3 else np.linalg.det(mat)
-    if det < 0:
-        normal = -normal
-    if flip:
-        normal = -normal
+        basis = [tangent, normal[:, None, :]]
+        if space.quadric_constant is not None:
+            basis.append(point[:, None, :])
+        mat = np.concatenate(basis, axis=1)
+        det = np.linalg.det(mat)    # only its sign is read
+        sign = np.where(det < 0, -1.0, 1.0)
+        if flip:
+            sign = -sign
+        normal = normal * sign[:, None]
 
-    gnormal = gsigns * normal
-    b = jet.d2 @ gnormal
-    defect = float(np.max(np.abs(b - b.T)))
-    if defect > DEFAULTS.tol_sym * (1.0 + float(np.max(np.abs(b)))):
-        warnings.warn(f"second-derivative asymmetry {defect:.3e} at chart {x}; "
-                      "check the analytic jet provider", RuntimeWarning)
-    b = 0.5 * (b + b.T)
-    return PointFrame(space=space, x=x, point=point, tangent=tangent,
-                      normal=normal, metric=g, second_form=b)
+        gnormal = gsigns * normal
+        b = (jet.d2 @ gnormal[:, None, :, None])[..., 0]
+        bt = np.swapaxes(b, -1, -2)
+        defect = np.max(np.abs(b - bt), axis=(1, 2))
+        asym = defect > DEFAULTS.tol_sym * (1.0 + np.max(np.abs(b), axis=(1, 2)))
+    for i in np.flatnonzero(asym):
+        if errors[i] is None:
+            warnings.warn(f"second-derivative asymmetry {defect[i]:.3e} at chart "
+                          f"{x[i]}; check the analytic jet provider", RuntimeWarning)
+    b = 0.5 * (b + bt)
+    return PointFrame(space=space, x=x, point=point, tangent=tangent, normal=normal,
+                      metric=g, second_form=b, errors=tuple(errors))
 
 
-def spectrum_at(frame: PointFrame, cluster_tol: Optional[float] = None) -> ShapeSpectrum:
-    """Principal curvatures of the frame, merged by single linkage.
+def frame_at(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
+             flip: bool = False, tol_pd: Optional[float] = None) -> PointFrame:
+    """Tangent frame, oriented unit normal, induced metric and second form at
+    one chart point: one row of `frame_rows`."""
+    return frame_rows(imm, np.asarray(x, dtype=float)[None], h=h, flip=flip,
+                      tol_pd=tol_pd).row(0)
+
+
+class SpectrumRows:
+    """Clustered spectra at stacked points.
+
+    `raw` holds the ascending raw curvatures (P, n); `kappas` the cluster
+    means, first p columns of each row, NaN after. `code[i]` names the
+    row's cluster layout, a key of `patterns` (its multiplicities), or is
+    -1 where the row failed with errors[i].
+    """
+
+    __slots__ = ("raw", "kappas", "code", "patterns", "cluster_tol", "errors")
+
+    def __init__(self, raw, kappas, code, patterns, cluster_tol, errors):
+        self.raw, self.kappas, self.code = raw, kappas, code
+        self.patterns, self.cluster_tol, self.errors = patterns, cluster_tol, errors
+
+    def pattern(self, i: int) -> tuple:
+        mults = self.patterns[int(self.code[i])]
+        return (len(mults), mults)
+
+    def row(self, i: int) -> ShapeSpectrum:
+        """The ShapeSpectrum of point i; raises that point's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        mults = self.patterns[int(self.code[i])]
+        return ShapeSpectrum(kappas=tuple(float(k) for k in self.kappas[i, :len(mults)]),
+                             mults=mults, raw=tuple(float(r) for r in self.raw[i]),
+                             cluster_tol=self.cluster_tol)
+
+
+def spectrum_rows(metric: np.ndarray, second_form: np.ndarray,
+                  cluster_tol: Optional[float] = None,
+                  errors: Optional[list] = None) -> SpectrumRows:
+    """Principal curvatures of stacked metric / second-form pairs, merged by
+    single linkage.
 
     Raw eigenvalues closer than cluster_tol are one principal curvature with
-    summed multiplicity; the stored value is the cluster mean.
+    summed multiplicity; the stored value is the cluster mean. Rows already
+    failed in `errors` stay failed.
     """
     if cluster_tol is None:
         cluster_tol = DEFAULTS.tol_cluster
-    raw = generalized_shape_eigen(frame.metric, frame.second_form)
-    kappas = []
-    mults = []
-    start = 0
-    for i in range(1, len(raw) + 1):
-        if i == len(raw) or raw[i] - raw[i - 1] > cluster_tol:
-            kappas.append(float(sum(raw[start:i])) / (i - start))
-            mults.append(i - start)
-            start = i
-    return ShapeSpectrum(kappas=tuple(kappas), mults=tuple(mults),
-                         raw=tuple(float(r) for r in raw), cluster_tol=cluster_tol)
+    eig = shape_eigen_rows(metric, second_form, errors=errors)
+    raw, errors = eig.values, eig.errors
+    count, n = raw.shape
+    gaps = raw[:, 1:] - raw[:, :-1] > cluster_tol
+    code = gaps.astype(np.int64) @ (1 << np.arange(n - 1, dtype=np.int64))
+    code[[e is not None for e in errors]] = -1
+    kappas = np.full((count, n), np.nan)
+    patterns = {}
+    for c in sorted(set(code[code >= 0].tolist())):
+        ends = [i + 1 for i in range(n - 1) if (c >> i) & 1] + [n]
+        rows = code == c
+        start = 0
+        mults = []
+        for k, end in enumerate(ends):
+            acc = raw[rows, start]
+            for i in range(start + 1, end):
+                acc = acc + raw[rows, i]
+            kappas[rows, k] = acc / (end - start)
+            mults.append(end - start)
+            start = end
+        patterns[c] = tuple(mults)
+    return SpectrumRows(raw=raw, kappas=kappas, code=code, patterns=patterns,
+                        cluster_tol=cluster_tol, errors=errors)
+
+
+def spectrum_at(frame: PointFrame, cluster_tol: Optional[float] = None) -> ShapeSpectrum:
+    """Principal curvatures of one frame: one row of `spectrum_rows`."""
+    return spectrum_rows(frame.metric[None], frame.second_form[None],
+                         cluster_tol=cluster_tol).row(0)
 
 
 def mean_gauss_at(frame: PointFrame):
@@ -310,15 +411,16 @@ def pattern_sweep(imm: HypersurfaceImmersion, points,
     The lift constructions assume one pattern across the chart; a change
     marks umbilic crossings or clustering-threshold effects.
     """
-    patterns = []
-    seen = set()
-    for x in points:
-        if imm.chart.excluded is not None and imm.chart.excluded(np.asarray(x)):
-            patterns.append(None)
-            continue
-        sp = spectrum_at(frame_at(imm, x, h=h), cluster_tol=cluster_tol)
-        patterns.append(sp.pattern)
-        seen.add(sp.pattern)
+    points = np.asarray(points, dtype=float)
+    keep = imm.chart.usable(points)
+    patterns = [None] * len(points)
+    if keep:
+        frames = frame_rows(imm, points[keep], h=h)
+        spectra = spectrum_rows(frames.metric, frames.second_form,
+                                cluster_tol=cluster_tol, errors=frames.errors)
+        for j, i in enumerate(keep):
+            patterns[i] = spectra.row(j).pattern
+    seen = {p for p in patterns if p is not None}
     if len(seen) > 1:
         warnings.warn(
             f"multiplicity pattern changes across the chart: {sorted(seen)}",

@@ -1,0 +1,518 @@
+"""Height polynomials of curvature spectra and their roots.
+
+A normal-shift lift moves each point of a hypersurface along its normal by a
+height, a root of a polynomial built from the point's principal curvatures
+kappa_i with multiplicities m_i:
+
+  * flat family (Minkowski, de Sitter, anti de Sitter):
+        P(t) = sum_i m_i prod_{j != i} (r_j - t),  r_i = 1/kappa_i,
+    one root per consecutive pair of curvature radii;
+  * sphere x line:
+        P(s) = sum_i m_i (kappa_i s + 1) prod_{j != i} (s - kappa_j);
+  * hyperbolic x line:
+        P(s) = sum_i m_i (kappa_i s - 1) prod_{j != i} (s - kappa_j),
+    roots kept only when |s| > 1.
+
+Breakpoint signs are evaluated through their exact factored forms, so the
+bracketing used by the bisection stage never relies on cancellation-prone
+expanded coefficients.
+
+Every stage runs on rows, one spectrum per row: a row that fails records its
+error and the rows beside it carry on. `curvature_polynomial`, `solve_roots`
+and `roots_at` evaluate one row.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .core import DEFAULTS, DimensionMismatchError, GeometryError, _fail
+from .hypersurface import (
+    HypersurfaceImmersion,
+    ShapeSpectrum,
+    frame_rows,
+    spectrum_rows,
+)
+
+__all__ = [
+    "AmbientKind",
+    "SPACE_FORM_FAMILY",
+    "PRODUCT_FAMILY",
+    "CurvaturePolynomial",
+    "Root",
+    "curvature_polynomial",
+    "solve_roots",
+    "roots_at",
+    "height_ratio",
+    "sphere_product_closed_roots",
+    "hyperbolic_product_closed_roots",
+    "arccot",
+    "arccoth",
+    "ConstructionError",
+    "VanishingCurvatureError",
+    "UnsupportedAmbientError",
+    "BracketingError",
+    "FilteredRootError",
+    "PatternChangeError",
+]
+
+
+class ConstructionError(GeometryError):
+    pass
+
+
+class VanishingCurvatureError(ConstructionError):
+    pass
+
+
+class UnsupportedAmbientError(ConstructionError):
+    pass
+
+
+class BracketingError(ConstructionError):
+    pass
+
+
+class FilteredRootError(ConstructionError):
+    pass
+
+
+class PatternChangeError(ConstructionError):
+    pass
+
+
+class AmbientKind(enum.Enum):
+    MINKOWSKI = "minkowski"
+    DE_SITTER = "desitter"
+    ANTI_DE_SITTER = "antidesitter"
+    SPHERE_PRODUCT = "sphere-product"
+    HYPERBOLIC_PRODUCT = "hyperbolic-product"
+
+
+SPACE_FORM_FAMILY = (AmbientKind.MINKOWSKI, AmbientKind.DE_SITTER,
+                     AmbientKind.ANTI_DE_SITTER)
+PRODUCT_FAMILY = (AmbientKind.SPHERE_PRODUCT, AmbientKind.HYPERBOLIC_PRODUCT)
+
+
+# ----------------------------------------------------- curvature polynomial
+
+def arccot(s):
+    """Inverse cotangent on the branch (0, pi), continuous across s = 0."""
+    return 0.5 * math.pi - np.arctan(s)
+
+
+def arccoth(s):
+    """Inverse hyperbolic cotangent; every entry needs |s| > 1."""
+    s = np.asarray(s, dtype=float)
+    if np.any(np.abs(s) <= 1.0):
+        raise FilteredRootError(f"arccoth needs |s| > 1, got {s}")
+    return 0.5 * np.log((s + 1.0) / (s - 1.0))
+
+
+def _polyval(coeffs: np.ndarray, t):
+    """Horner evaluation; ascending coefficients along the last axis."""
+    acc = coeffs[..., -1]
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        acc = acc * t + coeffs[..., k]
+    return acc
+
+
+def _polyder(coeffs: np.ndarray, t):
+    acc = 0.0
+    for k in range(coeffs.shape[-1] - 1, 0, -1):
+        acc = acc * t + k * coeffs[..., k]
+    return acc
+
+
+@dataclass(frozen=True)
+class CurvaturePolynomial:
+    """Height polynomial of a curvature spectrum, with guaranteed brackets.
+
+    `breakpoints` are the curvature radii (flat family) or the curvatures
+    (product family); `breakpoint_values` are the exact factored evaluations
+    of the polynomial there. Each bracket is (a, b, sign_a, sign_b) with a
+    strict sign change.
+    """
+
+    ambient_kind: AmbientKind
+    kappas: tuple
+    mults: tuple
+    coeffs: tuple            # ascending
+    breakpoints: tuple
+    breakpoint_values: tuple
+    brackets: tuple
+    trace: float            # sum m_i kappa_i (n times the mean curvature)
+    minimal: bool
+
+    def __call__(self, t: float) -> float:
+        return _polyval(np.asarray(self.coeffs), t)
+
+    def deriv(self, t: float) -> float:
+        return _polyder(np.asarray(self.coeffs), t)
+
+
+def _times_linear(a: np.ndarray, c0, c1) -> np.ndarray:
+    """Rows of ascending coefficients times (c0 + c1 t)."""
+    out = np.empty((a.shape[0], a.shape[1] + 1))
+    out[:, 0] = a[:, 0] * c0
+    out[:, 1:-1] = a[:, :-1] * c1 + a[:, 1:] * np.reshape(c0, (-1, 1))
+    out[:, -1] = a[:, -1] * c1
+    return out
+
+
+def _expand(kind: AmbientKind, kappas: np.ndarray, mults: tuple) -> np.ndarray:
+    """Ascending coefficients of the height polynomial, one row per row of
+    ascending curvatures `kappas` (R, p)."""
+    count, p = kappas.shape
+    total = np.zeros((count, 1))
+    for i in range(p):
+        m = float(mults[i])
+        if kind in SPACE_FORM_FAMILY:
+            term = np.full((count, 1), m)
+            for j in range(p):
+                if j != i:
+                    term = _times_linear(term, 1.0 / kappas[:, j], -1.0)
+        else:
+            sign = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
+            term = np.stack([np.full(count, m * sign), m * kappas[:, i]], axis=1)
+            for j in range(p):
+                if j != i:
+                    term = _times_linear(term, -kappas[:, j], 1.0)
+        if total.shape[1] < term.shape[1]:
+            total = np.concatenate(
+                [total, np.zeros((count, term.shape[1] - total.shape[1]))], axis=1)
+        total = total + term
+    return total
+
+
+def _expand_bracket(coeffs, start, step0, direction: float, sign_inner):
+    """Walk outward geometrically until the polynomial changes sign; returns
+    the far end and its sign per row, and the rows that found none."""
+    width = step0
+    far = np.full(len(start), np.nan)
+    far_sign = np.full(len(start), np.nan)
+    active = np.ones(len(start), dtype=bool)
+    for _ in range(80):
+        t = start + direction * width
+        val = _polyval(coeffs, t)
+        hit = active & (val != 0.0) & (np.copysign(1.0, val) != sign_inner)
+        far[hit] = t[hit]
+        far_sign[hit] = np.copysign(1.0, val[hit])
+        active &= ~hit
+        if not active.any():
+            break
+        width = width * 2.0
+    return far, far_sign, active
+
+
+def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple,
+                     tol_zero: float, tol_minimal: float):
+    """Height polynomials of spectra sharing multiplicities `mults`, with
+    curvatures `kappas` (R, p) ascending per row.
+
+    Returns per row the ascending coefficients, the breakpoints and the
+    polynomial's values there, the trace, the minimal flag and the error,
+    and `brackets` (R, p + 1, 4): slots (a, b, sign_a, sign_b) in ascending
+    order of a, the outward bracket below the curvatures, one per
+    consecutive breakpoint pair, the outward bracket above; NaN marks an
+    empty slot.
+    """
+    count, p = kappas.shape
+    errors = [None] * count
+    trace = mults[0] * kappas[:, 0]
+    for i in range(1, p):
+        trace = trace + mults[i] * kappas[:, i]
+    minimal = np.abs(trace) <= tol_minimal
+    brackets = np.full((count, p + 1, 4), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        coeffs = _expand(kind, kappas, mults)
+        if kind in SPACE_FORM_FAMILY:
+            _fail(errors, (np.abs(kappas) <= tol_zero).any(axis=1),
+                  lambda i: VanishingCurvatureError(
+                      "flat-family construction needs nonvanishing curvatures, "
+                      f"got {[float(k) for k in kappas[i]]}"))
+            radii = 1.0 / kappas
+            order = np.argsort(radii, axis=1, kind="stable")
+            bps = np.take_along_axis(radii, order, axis=1)
+            ms_r = np.asarray(mults)[order]
+            bp_vals = np.empty((count, p))
+            for i in range(p):
+                prod = ms_r[:, i].astype(float)
+                for j in range(p):
+                    if j != i:
+                        prod = prod * (bps[:, j] - bps[:, i])
+                bp_vals[:, i] = prod
+            signs = np.copysign(1.0, bp_vals)
+            _fail(errors, (signs[:, :-1] == signs[:, 1:]).any(axis=1),
+                  lambda i: BracketingError(
+                      "breakpoint signs fail to alternate: values "
+                      f"{[float(v) for v in bp_vals[i]]}"))
+            brackets[:, 1:p] = np.stack(
+                [bps[:, :-1], bps[:, 1:], signs[:, :-1], signs[:, 1:]], axis=-1)
+            return coeffs, bps, bp_vals, brackets, trace, minimal, errors
+
+        if kind not in PRODUCT_FAMILY:
+            raise UnsupportedAmbientError(f"unknown ambient kind {kind}")
+        unit = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
+        bp_vals = np.empty((count, p))
+        for i in range(p):
+            prod = mults[i] * (kappas[:, i] ** 2 + unit)
+            for j in range(p):
+                if j != i:
+                    prod = prod * (kappas[:, i] - kappas[:, j])
+            bp_vals[:, i] = prod
+        signs = np.where(bp_vals == 0.0, 0.0, np.copysign(1.0, bp_vals))
+        inner = ((signs[:, :-1] != 0.0) & (signs[:, 1:] != 0.0)
+                 & (signs[:, :-1] != signs[:, 1:]))
+        brackets[:, 1:p][inner] = np.stack(
+            [kappas[:, :-1], kappas[:, 1:], signs[:, :-1], signs[:, 1:]],
+            axis=-1)[inner]
+
+        # the two end behaviours: sign(P) at +inf and at -inf
+        sign_pos = np.copysign(1.0, trace)
+        sign_neg = sign_pos * (-1.0) ** p
+        weight = mults[0] * np.abs(kappas[:, 0])
+        for i in range(1, p):
+            weight = weight + mults[i] * np.abs(kappas[:, i])
+        span = np.maximum(1.0, (2.0 / np.abs(trace)) * np.maximum(1.0, weight))
+        live = np.array([e is None for e in errors], dtype=bool) & ~minimal
+        for slot, end, direction, sign_end in ((p, p - 1, 1.0, sign_pos),
+                                               (0, 0, -1.0, sign_neg)):
+            rows = np.flatnonzero(live & (signs[:, end] != 0.0)
+                                  & (signs[:, end] != sign_end))
+            start = kappas[rows, end]
+            far, far_sign, lost = _expand_bracket(coeffs[rows], start, span[rows],
+                                                  direction, signs[rows, end])
+            for k in np.flatnonzero(lost):
+                if errors[rows[k]] is None:
+                    errors[rows[k]] = BracketingError(
+                        f"no sign change found expanding from {float(start[k])} "
+                        f"in direction {direction}")
+            pair = ((start, far, signs[rows, end], far_sign) if direction > 0
+                    else (far, start, far_sign, signs[rows, end]))
+            brackets[rows, slot] = np.stack(pair, axis=-1)
+            live[rows[lost]] = False
+    return coeffs, kappas, bp_vals, brackets, trace, minimal, errors
+
+
+def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
+                         ambient_kind: AmbientKind,
+                         mults: Optional[Sequence[int]] = None,
+                         tol_zero: Optional[float] = None,
+                         tol_minimal: Optional[float] = None) -> CurvaturePolynomial:
+    """Build the height polynomial and its root brackets for one spectrum.
+
+    Accepts a ShapeSpectrum or a raw (kappas, mults) pair. For the flat
+    family the curvatures must be nonvanishing; a single curvature yields a
+    polynomial with an empty bracket list rather than an error.
+    """
+    if isinstance(spectrum, ShapeSpectrum):
+        kappas = list(spectrum.kappas)
+        ms = list(spectrum.mults)
+    else:
+        kappas = [float(k) for k in spectrum]
+        ms = list(mults) if mults is not None else [1] * len(kappas)
+    if len(kappas) != len(ms):
+        raise DimensionMismatchError("kappas and mults must align")
+    if tol_zero is None:
+        tol_zero = DEFAULTS.tol_zero
+    if tol_minimal is None:
+        tol_minimal = DEFAULTS.tol_minimal
+    pairs = sorted(zip(kappas, ms))
+    kappas, ms = tuple(k for k, _ in pairs), tuple(m for _, m in pairs)
+    coeffs, bps, values, brackets, trace, minimal, errors = _polynomial_rows(
+        ambient_kind, np.array([kappas]), ms, tol_zero, tol_minimal)
+    if errors[0] is not None:
+        raise errors[0]
+    return CurvaturePolynomial(
+        ambient_kind, kappas, ms, tuple(coeffs[0].tolist()), tuple(bps[0].tolist()),
+        tuple(values[0].tolist()),
+        tuple(tuple(br) for br in brackets[0].tolist() if not math.isnan(br[0])),
+        float(trace[0]), bool(minimal[0]))
+
+
+# --------------------------------------------------------------- root solve
+
+@dataclass(frozen=True)
+class Root:
+    value: float
+    bracket: tuple
+    degenerate: bool
+
+
+def _bisect_newton(coeffs, a0, b0, sa, tol_root: float) -> np.ndarray:
+    """One root per bracket row: bisection to width tol_root, then Newton
+    polish kept inside the bracket."""
+    a, b = a0.copy(), b0.copy()
+    sa_negative = sa < 0.0
+    for _ in range(260):
+        active = b - a > tol_root
+        if not active.any():
+            break
+        mid = 0.5 * (a + b)
+        fm = _polyval(coeffs, mid)
+        zero = fm == 0.0            # a = b = mid: width 0 stops the row
+        left = np.signbit(fm) == sa_negative
+        np.copyto(a, mid, where=active & (left | zero))
+        np.copyto(b, mid, where=active & (~left | zero))
+    t = 0.5 * (a + b)
+    active = np.ones(len(t), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(8):
+            if not active.any():
+                break
+            d = _polyder(coeffs, t)
+            step = _polyval(coeffs, t) / d
+            t_new = t - step
+            moved = active & (d != 0.0) & (a0 <= t_new) & (t_new <= b0)
+            np.copyto(t, t_new, where=moved)
+            active = moved & ~(np.abs(step) <= 1e-17 * np.maximum(1.0, np.abs(t_new)))
+    return t
+
+
+class _Roots:
+    """Solved roots, one row per polynomial: ascending values (NaN-padded),
+    their brackets and degenerate flags, the root count and the error."""
+
+    __slots__ = ("values", "brackets", "degenerate", "counts", "errors")
+
+    def __init__(self, values, brackets, degenerate, counts, errors):
+        self.values, self.brackets, self.degenerate = values, brackets, degenerate
+        self.counts, self.errors = counts, errors
+
+    def roots(self, i: int) -> list:
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return [Root(value=float(self.values[i, k]),
+                     bracket=(float(self.brackets[i, k, 0]),
+                              float(self.brackets[i, k, 1])),
+                     degenerate=bool(self.degenerate[i, k]))
+                for k in range(int(self.counts[i]))]
+
+
+def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors,
+                tol_root: float, tol_degenerate: float) -> _Roots:
+    """Roots of polynomial rows from their bracket slots (R, B, 4).
+
+    Hyperbolic-product roots with |s| <= 1 are dropped (they produce no
+    spacelike lift); roots landing within tolerance of a breakpoint are
+    flagged degenerate because the induced metric collapses there.
+    """
+    errors = list(errors)
+    count, slots = brackets.shape[:2]
+    a0, b0, sa, sb = (brackets[..., k] for k in range(4))
+    live = np.array([e is None for e in errors], dtype=bool)[:, None]
+    present = live & ~np.isnan(a0)
+    invalid = present & ((sa == sb) | (sa == 0.0) | (sb == 0.0))
+    for i in np.flatnonzero(invalid.any(axis=1)):
+        k = int(np.argmax(invalid[i]))
+        errors[i] = BracketingError(
+            f"invalid bracket ({float(a0[i, k])}, {float(b0[i, k])}) signs "
+            f"({float(sa[i, k])}, {float(sb[i, k])})")
+    present &= ~invalid.any(axis=1, keepdims=True)
+    row, slot = np.nonzero(present)
+    t = _bisect_newton(coeffs[row], a0[row, slot], b0[row, slot], sa[row, slot],
+                       tol_root)
+    bps = breakpoints[row]
+    degen = (np.abs(t[:, None] - bps) <= tol_degenerate * (1.0 + np.abs(bps))).any(axis=1)
+    keep = (np.abs(t) > 1.0 if kind is AmbientKind.HYPERBOLIC_PRODUCT
+            else np.ones(len(t), dtype=bool))
+    row, slot = row[keep], slot[keep]
+    values = np.full((count, slots), np.nan)
+    values[row, slot] = t[keep]
+    flags = np.zeros((count, slots), dtype=bool)
+    flags[row, slot] = degen[keep]
+    order = np.argsort(values, axis=1, kind="stable")
+    return _Roots(np.take_along_axis(values, order, axis=1),
+                  np.take_along_axis(brackets[..., :2], order[..., None], axis=1),
+                  np.take_along_axis(flags, order, axis=1),
+                  np.count_nonzero(~np.isnan(values), axis=1), errors)
+
+
+def solve_roots(poly: CurvaturePolynomial,
+                tol_root: Optional[float] = None,
+                tol_degenerate: Optional[float] = None) -> list:
+    """One root per bracket: bisection to width tol_root, then Newton polish.
+
+    Hyperbolic-product roots with |s| <= 1 are dropped; roots within
+    tolerance of a breakpoint are flagged degenerate. One row of the array
+    root solve.
+    """
+    if tol_root is None:
+        tol_root = DEFAULTS.tol_root
+    if tol_degenerate is None:
+        tol_degenerate = DEFAULTS.tol_degenerate
+    brackets = np.array(poly.brackets, dtype=float).reshape(1, -1, 4)
+    roots = _solve_rows(poly.ambient_kind, np.array([poly.coeffs], dtype=float),
+                        brackets, np.array([poly.breakpoints], dtype=float), [None],
+                        tol_root, tol_degenerate)
+    return roots.roots(0)
+
+
+def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x,
+               h: Optional[float] = None):
+    """Frames, spectra and roots (`_Roots`) of stacked chart points, one
+    polynomial batch per multiplicity pattern present."""
+    frames = frame_rows(imm, x, h=h)
+    spectra = spectrum_rows(frames.metric, frames.second_form, errors=frames.errors)
+    count, n = spectra.raw.shape
+    errors = list(spectra.errors)
+    values = np.full((count, n + 1), np.nan)
+    brackets = np.full((count, n + 1, 2), np.nan)
+    degenerate = np.zeros((count, n + 1), dtype=bool)
+    counts = np.zeros(count, dtype=int)
+    for code, mults in spectra.patterns.items():
+        rows = np.flatnonzero(spectra.code == code)
+        p = len(mults)
+        coeffs, bps, _, brackets_p, _, _, errors_p = _polynomial_rows(
+            kind, spectra.kappas[rows, :p], mults, DEFAULTS.tol_zero,
+            DEFAULTS.tol_minimal)
+        roots = _solve_rows(kind, coeffs, brackets_p, bps, errors_p,
+                            DEFAULTS.tol_root, DEFAULTS.tol_degenerate)
+        values[rows, :p + 1] = roots.values
+        brackets[rows, :p + 1] = roots.brackets
+        degenerate[rows, :p + 1] = roots.degenerate
+        counts[rows] = roots.counts
+        for r, err in zip(rows, roots.errors):
+            errors[r] = err
+    return frames, spectra, _Roots(values, brackets, degenerate, counts, errors)
+
+
+def roots_at(imm: HypersurfaceImmersion, kind: AmbientKind, x,
+             h: Optional[float] = None):
+    """Frame, spectrum and solved roots of one chart point."""
+    frames, spectra, roots = _root_rows(imm, kind, np.asarray(x, dtype=float)[None], h=h)
+    solved = roots.roots(0)
+    return frames.row(0), spectra.row(0), solved
+
+
+# ------------------------------------------------------------ closed forms
+
+def height_ratio(k1: float, k2: float) -> float:
+    """Surface height of the flat-family lift: mean over Gauss curvature."""
+    return 0.5 * (1.0 / k1 + 1.0 / k2)
+
+
+def sphere_product_closed_roots(k1: float, k2: float):
+    """Two-curvature closed form for the sphere product: a +- sqrt(a^2+1)."""
+    if abs(k1 + k2) <= DEFAULTS.tol_minimal:
+        raise VanishingCurvatureError("closed form needs a non-minimal surface")
+    a = (k1 * k2 - 1.0) / (k1 + k2)
+    d = math.sqrt(a * a + 1.0)
+    return a - d, a + d
+
+
+def hyperbolic_product_closed_roots(k1: float, k2: float):
+    """Closed form for the hyperbolic product; only |s| > 1 roots survive."""
+    if abs(k1 + k2) <= DEFAULTS.tol_minimal:
+        raise VanishingCurvatureError("closed form needs a non-minimal surface")
+    a = (k1 * k2 + 1.0) / (k1 + k2)
+    if a * a <= 1.0:
+        return ()
+    d = math.sqrt(a * a - 1.0)
+    return tuple(s for s in (a - d, a + d) if abs(s) > 1.0)

@@ -2,7 +2,9 @@
 
 Each factory returns a HypersurfaceImmersion with an analytic jet provider,
 so downstream finite differencing only ever happens one level up (on lifts),
-never on chains of numerically differentiated maps.
+never on chains of numerically differentiated maps. The providers take
+stacked chart points (P, n) and return stacked jets; the immersion's values
+are the jets' values.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Chart, Jet2
+from .core import Chart, Jet2, stacked
 from .hypersurface import HypersurfaceImmersion, SpaceForm
 
 __all__ = [
     "sphere_chart",
     "sphere_chart_jet",
+    "sphere_chart_jets",
     "torus",
     "round_sphere",
     "ellipsoid",
@@ -31,21 +34,44 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+def _leaves(nested):
+    if isinstance(nested, list):
+        for item in nested:
+            yield from _leaves(item)
+    else:
+        yield nested
+
+
 def _jet(value, d1, d2):
-    return Jet2(value=np.asarray(value, float), d1=np.asarray(d1, float),
-                d2=np.asarray(d2, float))
+    """Stacked jet from nested lists of per-point coordinate arrays (P,)."""
+    def points_first(nested, shape):
+        out = np.empty((len(value[0]),) + shape)
+        flat = out.reshape(len(out), -1)
+        for k, leaf in enumerate(_leaves(nested)):
+            flat[:, k] = leaf
+        return out
+
+    n, m = len(d1), len(value)
+    return Jet2(value=points_first(value, (m,)), d1=points_first(d1, (n, m)),
+                d2=points_first(d2, (n, n, m)))
+
+
+def _immersion(space, chart, jets, name) -> HypersurfaceImmersion:
+    return HypersurfaceImmersion(space, chart, stacked(lambda x: jets(x).value),
+                                 jets, name=name)
 
 
 # ------------------------------------------------------------ S^2 charts
 
 def sphere_chart(x):
-    """Angular chart of S^2: (x, y) -> (sin x cos y, sin y, cos x cos y)."""
+    """Angular chart of S^2 at one point: (x, y) -> (sin x cos y, sin y, cos x cos y)."""
     sx, cx = math.sin(x[0]), math.cos(x[0])
     sy, cy = math.sin(x[1]), math.cos(x[1])
     return np.array([sx * cy, sy, cx * cy])
 
 
 def sphere_chart_jet(x):
+    """Analytic jet of `sphere_chart` at one point."""
     sx, cx = math.sin(x[0]), math.cos(x[0])
     sy, cy = math.sin(x[1]), math.cos(x[1])
     value = [sx * cy, sy, cx * cy]
@@ -53,19 +79,31 @@ def sphere_chart_jet(x):
           [-sx * sy, cy, -cx * sy]]
     d2 = [[[-sx * cy, 0.0, -cx * cy], [-cx * sy, 0.0, sx * sy]],
           [[-cx * sy, 0.0, sx * sy], [-sx * cy, -sy, -cx * cy]]]
+    return Jet2(value=np.asarray(value), d1=np.asarray(d1), d2=np.asarray(d2))
+
+
+def sphere_chart_jets(x):
+    """Stacked analytic jets of `sphere_chart` at points (P, 2).
+
+    `sphere_chart` and `sphere_chart_jet` stay one-point maps for
+    SupportFunction, whose nested jets evaluate them point by point.
+    """
+    sx, cx = np.sin(x[:, 0]), np.cos(x[:, 0])
+    sy, cy = np.sin(x[:, 1]), np.cos(x[:, 1])
+    zero = np.zeros_like(sx)
+    value = [sx * cy, sy, cx * cy]
+    d1 = [[cx * cy, zero, -sx * cy],
+          [-sx * sy, cy, -cx * sy]]
+    d2 = [[[-sx * cy, zero, -cx * cy], [-cx * sy, zero, sx * sy]],
+          [[-cx * sy, zero, sx * sy], [-sx * cy, -sy, -cx * cy]]]
     return _jet(value, d1, d2)
 
 
-def _sphere_chart_swapped(x):
-    # axis order chosen so the oriented frame rule picks the inward normal
-    return sphere_chart(np.array([x[1], x[0]]))
-
-
 def _sphere_chart_swapped_jet(x):
-    base = sphere_chart_jet(np.array([x[1], x[0]]))
-    d1 = base.d1[::-1].copy()
-    d2 = base.d2[::-1, ::-1].copy()
-    return Jet2(value=base.value, d1=d1, d2=d2)
+    # axis order chosen so the oriented frame rule picks the inward normal
+    base = sphere_chart_jets(x[:, ::-1])
+    return Jet2(value=base.value, d1=base.d1[:, ::-1].copy(),
+                d2=base.d2[:, ::-1, ::-1].copy())
 
 
 # ------------------------------------------------------------ E^3 shapes
@@ -78,27 +116,21 @@ def torus(rad_major: float = 2.0, rad_minor: float = 1.0,
         chart = Chart(2, [-1.2, 0.0], [1.2, TWO_PI], (33, 33))
     big, small = float(rad_major), float(rad_minor)
 
-    def fn(x):
-        cu, su = math.cos(x[0]), math.sin(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
-        w = big + small * cu
-        return np.array([w * cv, w * sv, small * su])
-
     def jets(x):
-        cu, su = math.cos(x[0]), math.sin(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
+        cu, su = np.cos(x[:, 0]), np.sin(x[:, 0])
+        cv, sv = np.cos(x[:, 1]), np.sin(x[:, 1])
+        zero = np.zeros_like(cu)
         w = big + small * cu
         value = [w * cv, w * sv, small * su]
         d1 = [[-small * su * cv, -small * su * sv, small * cu],
-              [-w * sv, w * cv, 0.0]]
+              [-w * sv, w * cv, zero]]
         d2 = [[[-small * cu * cv, -small * cu * sv, -small * su],
-               [small * su * sv, -small * su * cv, 0.0]],
-              [[small * su * sv, -small * su * cv, 0.0],
-               [-w * cv, -w * sv, 0.0]]]
+               [small * su * sv, -small * su * cv, zero]],
+              [[small * su * sv, -small * su * cv, zero],
+               [-w * cv, -w * sv, zero]]]
         return _jet(value, d1, d2)
 
-    return HypersurfaceImmersion(SpaceForm.euclidean(3), chart, fn, jets,
-                                 name="torus")
+    return _immersion(SpaceForm.euclidean(3), chart, jets, "torus")
 
 
 def round_sphere(radius: float = 1.0,
@@ -107,15 +139,11 @@ def round_sphere(radius: float = 1.0,
         chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
     rho = float(radius)
 
-    def fn(x):
-        return rho * _sphere_chart_swapped(x)
-
     def jets(x):
         base = _sphere_chart_swapped_jet(x)
         return Jet2(value=rho * base.value, d1=rho * base.d1, d2=rho * base.d2)
 
-    return HypersurfaceImmersion(SpaceForm.euclidean(3), chart, fn, jets,
-                                 name="sphere")
+    return _immersion(SpaceForm.euclidean(3), chart, jets, "sphere")
 
 
 def ellipsoid(ax: float = 1.5, ay: float = 1.0, az: float = 0.8,
@@ -126,37 +154,28 @@ def ellipsoid(ax: float = 1.5, ay: float = 1.0, az: float = 0.8,
         chart = Chart(2, [-1.0, 0.25], [1.0, 0.95], (17, 17))
     m = np.array([float(ax), float(ay), float(az)])
 
-    def fn(x):
-        return m * sphere_chart(x)
-
     def jets(x):
-        base = sphere_chart_jet(x)
+        base = sphere_chart_jets(x)
         return Jet2(value=m * base.value, d1=m * base.d1, d2=m * base.d2)
 
-    return HypersurfaceImmersion(SpaceForm.euclidean(3), chart, fn, jets,
-                                 name="ellipsoid")
+    return _immersion(SpaceForm.euclidean(3), chart, jets, "ellipsoid")
 
 
 def catenoid(chart: Optional[Chart] = None) -> HypersurfaceImmersion:
     if chart is None:
         chart = Chart(2, [-1.0, 0.0], [1.0, TWO_PI], (17, 33))
 
-    def fn(x):
-        ch, sh = math.cosh(x[0]), math.sinh(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
-        return np.array([ch * cv, ch * sv, x[0]])
-
     def jets(x):
-        ch, sh = math.cosh(x[0]), math.sinh(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
-        value = [ch * cv, ch * sv, x[0]]
-        d1 = [[sh * cv, sh * sv, 1.0], [-ch * sv, ch * cv, 0.0]]
-        d2 = [[[ch * cv, ch * sv, 0.0], [-sh * sv, sh * cv, 0.0]],
-              [[-sh * sv, sh * cv, 0.0], [-ch * cv, -ch * sv, 0.0]]]
+        ch, sh = np.cosh(x[:, 0]), np.sinh(x[:, 0])
+        cv, sv = np.cos(x[:, 1]), np.sin(x[:, 1])
+        zero, one = np.zeros_like(ch), np.ones_like(ch)
+        value = [ch * cv, ch * sv, x[:, 0]]
+        d1 = [[sh * cv, sh * sv, one], [-ch * sv, ch * cv, zero]]
+        d2 = [[[ch * cv, ch * sv, zero], [-sh * sv, sh * cv, zero]],
+              [[-sh * sv, sh * cv, zero], [-ch * cv, -ch * sv, zero]]]
         return _jet(value, d1, d2)
 
-    return HypersurfaceImmersion(SpaceForm.euclidean(3), chart, fn, jets,
-                                 name="catenoid")
+    return _immersion(SpaceForm.euclidean(3), chart, jets, "catenoid")
 
 
 # ------------------------------------------------------------ S^3 shapes
@@ -168,23 +187,17 @@ def clifford_torus(alpha: float = math.pi / 4,
         chart = Chart(2, [0.0, 0.0], [TWO_PI, TWO_PI], (33, 33))
     ca, sa = math.cos(float(alpha)), math.sin(float(alpha))
 
-    def fn(x):
-        cu, su = math.cos(x[0]), math.sin(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
-        return np.array([ca * cu, ca * su, sa * cv, sa * sv])
-
     def jets(x):
-        cu, su = math.cos(x[0]), math.sin(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
+        cu, su = np.cos(x[:, 0]), np.sin(x[:, 0])
+        cv, sv = np.cos(x[:, 1]), np.sin(x[:, 1])
+        z = np.zeros_like(cu)
         value = [ca * cu, ca * su, sa * cv, sa * sv]
-        d1 = [[-ca * su, ca * cu, 0.0, 0.0], [0.0, 0.0, -sa * sv, sa * cv]]
-        zero = [0.0, 0.0, 0.0, 0.0]
-        d2 = [[[-ca * cu, -ca * su, 0.0, 0.0], zero],
-              [zero, [0.0, 0.0, -sa * cv, -sa * sv]]]
+        d1 = [[-ca * su, ca * cu, z, z], [z, z, -sa * sv, sa * cv]]
+        d2 = [[[-ca * cu, -ca * su, z, z], [z, z, z, z]],
+              [[z, z, z, z], [z, z, -sa * cv, -sa * sv]]]
         return _jet(value, d1, d2)
 
-    return HypersurfaceImmersion(SpaceForm.sphere(3), chart, fn, jets,
-                                 name="clifford-torus")
+    return _immersion(SpaceForm.sphere(3), chart, jets, "clifford-torus")
 
 
 def geodesic_sphere_s3(rho: float = math.pi / 6,
@@ -194,18 +207,15 @@ def geodesic_sphere_s3(rho: float = math.pi / 6,
         chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
     sr, cr = math.sin(float(rho)), math.cos(float(rho))
 
-    def fn(x):
-        return np.append(sr * sphere_chart(x), cr)
-
     def jets(x):
-        base = sphere_chart_jet(x)
-        value = np.append(sr * base.value, cr)
-        d1 = np.concatenate([sr * base.d1, np.zeros((2, 1))], axis=1)
-        d2 = np.concatenate([sr * base.d2, np.zeros((2, 2, 1))], axis=2)
+        base = sphere_chart_jets(x)
+        count = len(x)
+        value = np.concatenate([sr * base.value, np.full((count, 1), cr)], axis=1)
+        d1 = np.concatenate([sr * base.d1, np.zeros((count, 2, 1))], axis=2)
+        d2 = np.concatenate([sr * base.d2, np.zeros((count, 2, 2, 1))], axis=3)
         return Jet2(value=value, d1=d1, d2=d2)
 
-    return HypersurfaceImmersion(SpaceForm.sphere(3), chart, fn, jets,
-                                 name="small-sphere")
+    return _immersion(SpaceForm.sphere(3), chart, jets, "small-sphere")
 
 
 # ------------------------------------------------------------ H^3 shapes
@@ -217,23 +227,17 @@ def geodesic_tube_h3(radius: float = 0.8,
         chart = Chart(2, [0.0, -1.0], [TWO_PI, 1.0], (33, 17))
     shb, chb = math.sinh(float(radius)), math.cosh(float(radius))
 
-    def fn(x):
-        cu, su = math.cos(x[0]), math.sin(x[0])
-        chv, shv = math.cosh(x[1]), math.sinh(x[1])
-        return np.array([shb * cu, shb * su, chb * shv, chb * chv])
-
     def jets(x):
-        cu, su = math.cos(x[0]), math.sin(x[0])
-        chv, shv = math.cosh(x[1]), math.sinh(x[1])
+        cu, su = np.cos(x[:, 0]), np.sin(x[:, 0])
+        chv, shv = np.cosh(x[:, 1]), np.sinh(x[:, 1])
+        z = np.zeros_like(cu)
         value = [shb * cu, shb * su, chb * shv, chb * chv]
-        d1 = [[-shb * su, shb * cu, 0.0, 0.0], [0.0, 0.0, chb * chv, chb * shv]]
-        zero = [0.0, 0.0, 0.0, 0.0]
-        d2 = [[[-shb * cu, -shb * su, 0.0, 0.0], zero],
-              [zero, [0.0, 0.0, chb * shv, chb * chv]]]
+        d1 = [[-shb * su, shb * cu, z, z], [z, z, chb * chv, chb * shv]]
+        d2 = [[[-shb * cu, -shb * su, z, z], [z, z, z, z]],
+              [[z, z, z, z], [z, z, chb * shv, chb * chv]]]
         return _jet(value, d1, d2)
 
-    return HypersurfaceImmersion(SpaceForm.hyperbolic(3), chart, fn, jets,
-                                 name="hyperbolic-tube")
+    return _immersion(SpaceForm.hyperbolic(3), chart, jets, "hyperbolic-tube")
 
 
 def equidistant_h3(dist: float = 0.8,
@@ -247,22 +251,17 @@ def equidistant_h3(dist: float = 0.8,
         chart = Chart(2, [0.3, 0.0], [1.3, TWO_PI], (17, 33))
     shb, chb = math.sinh(float(dist)), math.cosh(float(dist))
 
-    def fn(x):
-        shu, chu = math.sinh(x[0]), math.cosh(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
-        return np.array([chb * shu * cv, chb * shu * sv, shb, chb * chu])
-
     def jets(x):
-        shu, chu = math.sinh(x[0]), math.cosh(x[0])
-        cv, sv = math.cos(x[1]), math.sin(x[1])
-        value = [chb * shu * cv, chb * shu * sv, shb, chb * chu]
-        d1 = [[chb * chu * cv, chb * chu * sv, 0.0, chb * shu],
-              [-chb * shu * sv, chb * shu * cv, 0.0, 0.0]]
-        d2 = [[[chb * shu * cv, chb * shu * sv, 0.0, chb * chu],
-               [-chb * chu * sv, chb * chu * cv, 0.0, 0.0]],
-              [[-chb * chu * sv, chb * chu * cv, 0.0, 0.0],
-               [-chb * shu * cv, -chb * shu * sv, 0.0, 0.0]]]
+        shu, chu = np.sinh(x[:, 0]), np.cosh(x[:, 0])
+        cv, sv = np.cos(x[:, 1]), np.sin(x[:, 1])
+        z = np.zeros_like(shu)
+        value = [chb * shu * cv, chb * shu * sv, z + shb, chb * chu]
+        d1 = [[chb * chu * cv, chb * chu * sv, z, chb * shu],
+              [-chb * shu * sv, chb * shu * cv, z, z]]
+        d2 = [[[chb * shu * cv, chb * shu * sv, z, chb * chu],
+               [-chb * chu * sv, chb * chu * cv, z, z]],
+              [[-chb * chu * sv, chb * chu * cv, z, z],
+               [-chb * shu * cv, -chb * shu * sv, z, z]]]
         return _jet(value, d1, d2)
 
-    return HypersurfaceImmersion(SpaceForm.hyperbolic(3), chart, fn, jets,
-                                 name="equidistant")
+    return _immersion(SpaceForm.hyperbolic(3), chart, jets, "equidistant")

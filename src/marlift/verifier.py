@@ -96,13 +96,16 @@ def _normalize_null(v: np.ndarray, plus: int) -> np.ndarray:
 
 
 def lorentz_frame_at(lift: LiftedImmersion, x, h: Optional[float] = None,
-                     tol_pd: Optional[float] = None) -> LorentzFrame:
+                     tol_pd: Optional[float] = None,
+                     jet: Optional[Jet2] = None) -> LorentzFrame:
     """Frame of the lift at a chart point, built from its evaluations only.
 
     The normal plane is the orthogonal complement, with respect to the flat
     container form, of the tangent space together with the active constraint
     gradients; it must carry a Lorentzian induced form, whose two null
-    directions form the returned pair.
+    directions form the returned pair. `jet` is the lift's jet at x when the
+    caller has it already (a row of a whole-grid stencil); otherwise it is
+    taken from one stencil of lift evaluations.
     """
     x = np.asarray(x, dtype=float)
     ambient = lift.ambient
@@ -110,8 +113,10 @@ def lorentz_frame_at(lift: LiftedImmersion, x, h: Optional[float] = None,
     if tol_pd is None:
         tol_pd = DEFAULTS.tol_pd
 
-    jet = jet2_of(lift.eval_fn, x, h=h if h is not None else DEFAULTS.step_h,
-                  chart=lift.chart)
+    if jet is None:
+        jet = jet2_of(lift.evaluate, x[None],
+                      h=h if h is not None else DEFAULTS.step_h,
+                      chart=lift.chart).row(0)
     value = jet.value
     res = ambient.constraint_residual(value)
     if res > DEFAULTS.tol_quadric * (1.0 + float(np.max(np.abs(value)))):
@@ -382,18 +387,33 @@ def assemble_report(lift: LiftedImmersion,
     points = chart.grid(margin=4.0 * step)
     sig = lift.ambient.signature
 
+    # One stencil for the whole grid: jet2_of evaluates the lift once, the
+    # grid points first, so the null normals and cross-check contexts below
+    # come from the same rows as the stencil centres.
+    kept = chart.usable(points)
+    evaluations = []
+
+    def evaluate(rows):
+        evaluations.append(lift.evaluate(rows))
+        return evaluations[-1]
+
+    if kept:
+        jets = jet2_of(evaluate, points[kept], h=step, chart=lift.chart)
+    slot = {i: j for j, i in enumerate(kept)}
+
     records = []
     spacelike_failures = 0
-    for x in points:
-        if chart.excluded is not None and chart.excluded(x):
+    for i, x in enumerate(points):
+        if i not in slot:
             records.append(PointRecord(x=tuple(x), excluded=True,
                                        reason="chart exclusion"))
             continue
+        j = slot[i]
         try:
-            frame = lorentz_frame_at(lift, x, h=h, tol_pd=tol_pd)
+            frame = lorentz_frame_at(lift, x, h=h, tol_pd=tol_pd, jet=jets.row(j))
             sff = second_form_at(lift, x, frame=frame)
             hvec = mean_curvature_at(lift, x, frame=frame, sff=sff)
-            stored = lift.null_normal(x)
+            stored = evaluations[0].null_normal(j)
             primary, opposite = _match_primary(frame, stored, sig)
             norm = 1.0 + float(np.max(np.abs(hvec)))
             p = sig.plus
@@ -406,7 +426,7 @@ def assemble_report(lift: LiftedImmersion,
             leg = lmet = lsec = leqh = None
             if cross_checks and lift.context_fn is not None:
                 try:
-                    ctx = lift.context(x)
+                    ctx = evaluations[0].context(j)
                     leg = _legendrian_from_context(ctx)
                     lmet = check_metric_identity(lift, x, ctx=ctx, frame=frame)
                     lsec = check_second_form_identity(lift, x, ctx=ctx,

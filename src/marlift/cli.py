@@ -203,12 +203,11 @@ def _lifts_for(cfg: RunConfig, entry, built):
     # jump guard: the lifts' own per-point guard checks the multiplicity
     # pattern and root count, not jumps between neighbouring root values
     thread_root_fields(built, cfg.ambient,
-                       resolution=tuple(min(9, r) for r in built.chart.resolution),
-                       h=cfg.step)
+                       resolution=tuple(min(9, r) for r in built.chart.resolution))
     if cfg.ambient in SPACE_FORM_FAMILY:
-        lifts = space_form_lifts(built, cfg.ambient, h=cfg.step)
+        lifts = space_form_lifts(built, cfg.ambient)
     else:
-        lifts = product_lifts(built, cfg.ambient, h=cfg.step)
+        lifts = product_lifts(built, cfg.ambient)
     if cfg.root_index is not None:
         if not 0 <= cfg.root_index < len(lifts):
             raise UsageError(
@@ -231,10 +230,7 @@ def cmd_construct(cfg: RunConfig) -> int:
         rpath, mpath = _write_outputs(cfg, lift, report, idx, cfg.entry)
         print(f"root {idx if idx is not None else 0}: verdict={report.verdict} "
               f"report={rpath} mesh={mpath}")
-        if report.verdict == "inconclusive":
-            status = max(status, EXIT_INCONCLUSIVE)
-        elif report.verdict != "marginally_trapped":
-            status = max(status, EXIT_FAIL)
+        status = max(status, _report_exit(report, None))
     return status
 
 
@@ -259,8 +255,7 @@ def _verify_mesh(cfg: RunConfig) -> int:
     else:
         indexed = _lifts_for(cfg, entry, built)
         wanted = cfg.root_index if cfg.root_index is not None else 0
-        lift = dict(indexed).get(wanted) if indexed and indexed[0][0] is not None \
-            else (indexed[0][1] if indexed else None)
+        lift = dict(indexed).get(wanted)
         if lift is None:
             raise IngestError(f"mesh names root {wanted} but the entry has none")
     # ingest sanity: the stored coordinates must match the rebuilt lift

@@ -25,7 +25,6 @@ from .core import (
     Chart,
     DegenerateMetricError,
     DimensionMismatchError,
-    GeometryError,
     Jet2,
     Rows,
     Signature,
@@ -34,6 +33,7 @@ from .core import (
     is_stacked,
     jet2_of,
     looped,
+    shape_eigen_rows,
     stacked,
 )
 from .hypersurface import (
@@ -44,7 +44,7 @@ from .hypersurface import (
     SpaceFormKind,
     frame_at,
     frame_rows,
-    mean_gauss_at,
+    mean_gauss_at,  # unused here; bench/tracing.py wraps it on this module
     spectrum_at,
 )
 from .polynomial import (
@@ -302,14 +302,13 @@ def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind,
             f"got {imm.space.kind.value}")
 
 
-def _reference(imm, kind, h):
+def _reference(imm, kind):
     """Roots at the chart centre and the first eight grid points, in one
     call, with the multiplicity pattern and root count of the first of them
     the chart does not exclude and whose roots solve."""
-    step = h if h is not None else DEFAULTS.step_h
     candidates = np.vstack([0.5 * (imm.chart.lower + imm.chart.upper),
-                            imm.chart.grid(margin=4.0 * step)[:8]])
-    solved = _root_rows(imm, kind, candidates, h=h)
+                            imm.chart.grid(margin=4.0 * DEFAULTS.step_h)[:8]])
+    solved = _root_rows(imm, kind, candidates)
     _, spectra, roots = solved
     err = None
     for i in imm.chart.usable(candidates):
@@ -430,10 +429,10 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
                            Provenance(**provenance), name=name)
 
 
-def _root_lift(imm, kind, family, root_index, h, offset=0.0,
+def _root_lift(imm, kind, family, root_index, offset=0.0,
                reference=None) -> LiftedImmersion:
     _check_source(imm, kind, family)
-    candidates, solved, pattern, count = reference or _reference(imm, kind, h)
+    candidates, solved, pattern, count = reference or _reference(imm, kind)
     if not 0 <= root_index < count:
         raise FilteredRootError(
             f"root index {root_index} out of range: {count} root(s) available")
@@ -456,7 +455,7 @@ def _root_lift(imm, kind, family, root_index, h, offset=0.0,
                       f"root {float(root[i])} hits a breakpoint at chart {x[i]}"))
         return frame, spectra, root + offset, errors
 
-    return _shift_lift(kind, imm.chart, lambda x: select(x, _root_rows(imm, kind, x, h)),
+    return _shift_lift(kind, imm.chart, lambda x: select(x, _root_rows(imm, kind, x)),
                        f"{imm.name}:{kind.value}[{root_index}]",
                        centre=select(candidates, solved),
                        source_name=imm.name, root_index=root_index,
@@ -464,88 +463,84 @@ def _root_lift(imm, kind, family, root_index, h, offset=0.0,
                        detail="height offset %g" % offset if offset else "")
 
 
-def _all_lifts(imm, kind, family, h) -> list:
+def _all_lifts(imm, kind, family) -> list:
     """Every root lift of the hypersurface, from one reference solve."""
     _check_source(imm, kind, family)
-    reference = _reference(imm, kind, h)
-    return [_root_lift(imm, kind, family, i, h, reference=reference)
+    reference = _reference(imm, kind)
+    return [_root_lift(imm, kind, family, i, reference=reference)
             for i in range(reference[3])]
 
 
 def space_form_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
-                    root_index: int = 0, h: Optional[float] = None,
-                    offset: float = 0.0) -> LiftedImmersion:
+                    root_index: int = 0, offset: float = 0.0) -> LiftedImmersion:
     """Flat-family lift whose height t is the root field of the given index.
 
     `offset` shifts the height away from the root; it exists for negative
     controls and must be zero for a marginally trapped lift.
     """
-    return _root_lift(imm, kind, SPACE_FORM_FAMILY, root_index, h, offset)
+    return _root_lift(imm, kind, SPACE_FORM_FAMILY, root_index, offset)
 
 
-def lift_minkowski(imm, root_index: int = 0, h=None, offset: float = 0.0):
-    return space_form_lift(imm, AmbientKind.MINKOWSKI, root_index, h, offset)
+def lift_minkowski(imm, root_index: int = 0, offset: float = 0.0):
+    return space_form_lift(imm, AmbientKind.MINKOWSKI, root_index, offset)
 
 
-def lift_desitter(imm, root_index: int = 0, h=None, offset: float = 0.0):
-    return space_form_lift(imm, AmbientKind.DE_SITTER, root_index, h, offset)
+def lift_desitter(imm, root_index: int = 0, offset: float = 0.0):
+    return space_form_lift(imm, AmbientKind.DE_SITTER, root_index, offset)
 
 
-def lift_antidesitter(imm, root_index: int = 0, h=None, offset: float = 0.0):
-    return space_form_lift(imm, AmbientKind.ANTI_DE_SITTER, root_index, h, offset)
+def lift_antidesitter(imm, root_index: int = 0, offset: float = 0.0):
+    return space_form_lift(imm, AmbientKind.ANTI_DE_SITTER, root_index, offset)
 
 
-def space_form_lifts(imm, kind, h=None) -> list:
-    return _all_lifts(imm, kind, SPACE_FORM_FAMILY, h)
+def space_form_lifts(imm, kind) -> list:
+    return _all_lifts(imm, kind, SPACE_FORM_FAMILY)
 
 
 def product_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
-                 root_index: int = 0, h: Optional[float] = None) -> LiftedImmersion:
+                 root_index: int = 0) -> LiftedImmersion:
     """Product-ambient lift by a kept root of the product polynomial."""
-    return _root_lift(imm, kind, PRODUCT_FAMILY, root_index, h)
+    return _root_lift(imm, kind, PRODUCT_FAMILY, root_index)
 
 
-def lift_sphere_product(imm, root_index: int = 0, h=None):
-    return product_lift(imm, AmbientKind.SPHERE_PRODUCT, root_index, h)
+def lift_sphere_product(imm, root_index: int = 0):
+    return product_lift(imm, AmbientKind.SPHERE_PRODUCT, root_index)
 
 
-def lift_hyperbolic_product(imm, root_index: int = 0, h=None):
-    return product_lift(imm, AmbientKind.HYPERBOLIC_PRODUCT, root_index, h)
+def lift_hyperbolic_product(imm, root_index: int = 0):
+    return product_lift(imm, AmbientKind.HYPERBOLIC_PRODUCT, root_index)
 
 
-def product_lifts(imm, kind, h=None) -> list:
-    return _all_lifts(imm, kind, PRODUCT_FAMILY, h)
+def product_lifts(imm, kind) -> list:
+    return _all_lifts(imm, kind, PRODUCT_FAMILY)
 
 
 def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
-               tau_fn: Callable[[PointFrame], float],
-               h: Optional[float] = None, name: str = "") -> LiftedImmersion:
+               tau_fn: Callable[[PointFrame], Rows],
+               name: str = "") -> LiftedImmersion:
     """Flat-family lift with an arbitrary height field tau_fn(frame).
 
     Used for the surface-curvature closed form (mean over Gauss) and for
     negative controls; marginality is whatever the height field makes it.
-    `tau_fn` takes one frame and is called per point.
+    `tau_fn` takes the frame of stacked chart points and returns a `Rows` of
+    their heights, values (P,) and one error slot per point; a point whose
+    frame failed keeps the frame's error.
     """
     _check_source(imm, kind, SPACE_FORM_FAMILY)
 
     def pick(x):
-        frame = frame_rows(imm, x, h=h)
-        errors = list(frame.errors)
-        height = np.full(len(x), np.nan)
-        for i in range(len(x)):
-            if errors[i] is None:
-                try:
-                    height[i] = tau_fn(frame.row(i))
-                except GeometryError as exc:
-                    errors[i] = exc
-        return frame, None, height, errors
+        frame = frame_rows(imm, x)
+        height = tau_fn(frame)
+        errors = [f if f is not None else e
+                  for f, e in zip(frame.errors, height.errors)]
+        return frame, None, height.values, errors
 
     return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph",
                        source_name=imm.name, detail="explicit height field")
 
 
 def product_height_lift(imm: HypersurfaceImmersion, height: float,
-                        kind: AmbientKind, h: Optional[float] = None) -> LiftedImmersion:
+                        kind: AmbientKind) -> LiftedImmersion:
     """Product embedding of a hypersurface at one constant height.
 
     A control object: it is marginally trapped only if the height matches a
@@ -558,11 +553,11 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
         return np.append(imm(x), height)
 
     def null_fn(x):
-        frame = frame_at(imm, x, h=h)
+        frame = frame_at(imm, x)
         return np.append(frame.normal, 1.0)
 
     def context_fn(x):
-        frame = frame_at(imm, x, h=h)
+        frame = frame_at(imm, x)
         s = (1.0 / math.tan(height) if kind is AmbientKind.SPHERE_PRODUCT
              else 1.0 / math.tanh(height))
         return LiftContext(frame=frame, spectrum=spectrum_at(frame),
@@ -635,24 +630,17 @@ def hyperbolic_slice(chart: Chart) -> TotallyGeodesicSlice:
 
 def null_lift(slice_: TotallyGeodesicSlice,
               tau_fn: Callable[[np.ndarray], float],
-              ambient_kind: Optional[AmbientKind] = None,
               name: str = "") -> LiftedImmersion:
     """Graph of a height field over a totally geodesic slice, moved along the
-    constant null direction (normal, 1).
+    constant null direction (normal, 1), in the ambient the slice targets.
 
     Its second fundamental form is the height Hessian times that null vector,
-    so the lift is marginally trapped for every C^2 height field. The product
-    ambients admit no such lift besides the totally geodesic one and are
-    rejected. `tau_fn` takes one chart point and is looped over the rows.
+    so the lift is marginally trapped for every C^2 height field. Only the
+    flat family carries such lifts (the product ambients admit none besides
+    the totally geodesic one), so every slice targets a flat-family ambient.
+    `tau_fn` takes one chart point and is looped over the rows.
     """
-    kind = ambient_kind if ambient_kind is not None else slice_.kind
-    if kind in PRODUCT_FAMILY:
-        raise UnsupportedAmbientError(
-            "the product ambients carry no nontrivial lifts with null second "
-            "fundamental form; only the flat family does")
-    if kind is not slice_.kind:
-        raise UnsupportedAmbientError(
-            f"slice targets {slice_.kind.value}, requested {kind.value}")
+    kind = slice_.kind
     heights = looped(tau_fn)
 
     def pick(x):
@@ -769,16 +757,18 @@ def lift_palmer(sf: SupportFunction, name: str = "") -> LiftedImmersion:
                            prov, name=name or f"palmer:{sf.name}")
 
 
-def support_route_lift(sf: SupportFunction, h: Optional[float] = None) -> LiftedImmersion:
+def support_route_lift(sf: SupportFunction) -> LiftedImmersion:
     """Independent route: reconstruct the front, then lift by the surface
     curvature ratio computed from frames (mean over Gauss curvature)."""
     recon = sf.reconstruction()
 
-    def tau_fn(frame):
-        hmean, kgauss = mean_gauss_at(frame)
-        return hmean / kgauss
+    def mean_over_gauss(frame):
+        kappas = shape_eigen_rows(frame.metric, frame.second_form, errors=frame.errors)
+        k1, k2 = kappas.values[:, 0], kappas.values[:, 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return Rows(0.5 * (k1 + k2) / (k1 * k2), kappas.errors)
 
-    return graph_lift(recon, AmbientKind.MINKOWSKI, tau_fn, h=h,
+    return graph_lift(recon, AmbientKind.MINKOWSKI, mean_over_gauss,
                       name=f"{sf.name or 'support'}-route")
 
 
@@ -794,28 +784,30 @@ class RootThreads:
     count: int
 
 
+# A root field step larger than this many times the variation last seen on
+# the same axis is a jump between root branches.
+_JUMP_FACTOR = 10.0
+
+
 def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
-                       resolution: Optional[Sequence[int]] = None,
-                       h: Optional[float] = None,
-                       jump_factor: float = 10.0) -> RootThreads:
+                       resolution: Optional[Sequence[int]] = None) -> RootThreads:
     """Solve the roots over the chart grid and thread them into fields.
 
     The grid is solved in one array call. Samples are then matched to their
     grid neighbor along each axis, in raster order; a jump larger than
-    jump_factor times the variation last seen on the same axis, or any
+    _JUMP_FACTOR times the variation last seen on the same axis, or any
     multiplicity-pattern change, aborts with PatternChangeError, and so does
     the first sample whose root solve failed. The first step on an axis
     calibrates the local variation instead of being checked.
     """
     _check_source(imm, kind)
     chart = imm.chart if resolution is None else imm.chart.with_resolution(resolution)
-    step = h if h is not None else DEFAULTS.step_h
-    grid = chart.grid(margin=4.0 * step)
+    grid = chart.grid(margin=4.0 * DEFAULTS.step_h)
     shape = chart.resolution
     usable = chart.usable(grid)
     if not usable:
         raise ConstructionError("no usable grid points for root threading")
-    _, spectra, roots = _root_rows(imm, kind, grid[usable], h=h)
+    _, spectra, roots = _root_rows(imm, kind, grid[usable])
     pattern = None
     count = None
     values = None
@@ -848,10 +840,10 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
             base = last_jump.get(axis)
             if base is not None:
                 scale = np.maximum(base, 1e-9 * (1.0 + np.abs(values[pidx])))
-                if np.any(jump > jump_factor * scale):
+                if np.any(jump > _JUMP_FACTOR * scale):
                     raise PatternChangeError(
                         f"root field jump {float(jump.max()):.3e} at chart {x} "
-                        f"exceeds {jump_factor} x the local variation")
+                        f"exceeds {_JUMP_FACTOR} x the local variation")
             last_jump[axis] = np.maximum(jump, 1e-12)
             break
     return RootThreads(points=grid, values=values, pattern=pattern, count=count)

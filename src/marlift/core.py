@@ -74,9 +74,13 @@ class DegenerateMetricError(GeometryError):
 class Tolerances:
     """Central tolerance record.
 
-    Every module reads these defaults instead of redefining its own. The
-    finite-difference step balances O(h^2) truncation against eps/h^2
-    round-off in second differences at double precision.
+    The one place tolerances are set: every module reads `DEFAULTS` where it
+    uses a tolerance. Callers override only the verifier's finite-difference
+    step (`assemble_report(h)`, `jet2_of(h)`, `marlift --step`), its
+    marginality threshold (`tol_marginal`) and the clustering gap of
+    `spectrum_rows`. The default step balances O(h^2) truncation against
+    eps/h^2 round-off in second differences at double precision; the
+    construction differentiates hypersurfaces without analytic jets at it.
     """
 
     step_h: float = 1e-4
@@ -378,15 +382,13 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     return Jet2(value=f0, d1=d1, d2=d2, errors=tuple(errors))
 
 
-def sym_eigen(m: np.ndarray, tol: Optional[float] = None):
+def sym_eigen(m: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("sym_eigen expects a square matrix")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if tol is None:
-        tol = DEFAULTS.tol_sym
-    if np.max(np.abs(a - a.T)) > tol * scale:
+    if np.max(np.abs(a - a.T)) > DEFAULTS.tol_sym * scale:
         raise AsymmetricMatrixError("input matrix is not symmetric to tolerance")
     return np.linalg.eigh(0.5 * (a + a.T))
 
@@ -398,9 +400,9 @@ def _fail(errors: list, mask, make) -> None:
             errors[i] = make(i)
 
 
-def _pd_rows(g: np.ndarray, tol_pd: float) -> np.ndarray:
+def _pd_rows(g: np.ndarray) -> np.ndarray:
     """Per matrix of a stack: does g - tol_pd I admit a Cholesky factor."""
-    shifted = g - tol_pd * np.eye(g.shape[-1])
+    shifted = g - DEFAULTS.tol_pd * np.eye(g.shape[-1])
     try:
         np.linalg.cholesky(shifted)
         return np.ones(len(g), dtype=bool)
@@ -416,15 +418,14 @@ def _pd_rows(g: np.ndarray, tol_pd: float) -> np.ndarray:
     return ok
 
 
-def shape_eigen_rows(g: np.ndarray, b: np.ndarray, tol_pd: Optional[float] = None,
+def shape_eigen_rows(g: np.ndarray, b: np.ndarray,
                      errors: Optional[list] = None) -> Rows:
     """Stacked `generalized_shape_eigen`: rows of ascending eigenvalues.
 
     A row whose metric is not positive definite reports
     DegenerateMetricError; rows already failed in `errors` stay failed.
     """
-    if tol_pd is None:
-        tol_pd = DEFAULTS.tol_pd
+    tol_pd = DEFAULTS.tol_pd
     count, n = g.shape[0], g.shape[-1]
     errors = [None] * count if errors is None else list(errors)
     degenerate = lambda i: DegenerateMetricError("metric not positive definite")
@@ -455,7 +456,7 @@ def shape_eigen_rows(g: np.ndarray, b: np.ndarray, tol_pd: Optional[float] = Non
         else:
             sym_g = 0.5 * (g + np.swapaxes(g, -1, -2))
             ok = np.array([e is None for e in errors], dtype=bool)
-            ok[ok] = _pd_rows(sym_g[ok], tol_pd)
+            ok[ok] = _pd_rows(sym_g[ok])
             _fail(errors, ~ok, degenerate)
             raw = np.full((count, n), np.nan)
             if ok.any():
@@ -469,8 +470,7 @@ def shape_eigen_rows(g: np.ndarray, b: np.ndarray, tol_pd: Optional[float] = Non
     return Rows(raw, errors)
 
 
-def generalized_shape_eigen(g: np.ndarray, b: np.ndarray,
-                            tol_pd: Optional[float] = None) -> np.ndarray:
+def generalized_shape_eigen(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real eigenvalues of det(b - kappa g) = 0, ascending.
 
     Solved by Cholesky-style congruence: with g = L L^T the problem reduces to
@@ -483,7 +483,7 @@ def generalized_shape_eigen(g: np.ndarray, b: np.ndarray,
     b = np.asarray(b, dtype=float)
     if g.shape != b.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError("g and b must be square matrices of equal shape")
-    return shape_eigen_rows(g[None], b[None], tol_pd).value(0)
+    return shape_eigen_rows(g[None], b[None]).value(0)
 
 
 def _det3(m: np.ndarray) -> np.ndarray:

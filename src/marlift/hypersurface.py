@@ -149,8 +149,7 @@ class HypersurfaceImmersion:
         if self.jets is not None:
             jet = self.jets(points)
         else:
-            jet = jet2_of(looped(self.eval_fn), points,
-                          h=h if h is not None else DEFAULTS.step_h, chart=self.chart)
+            jet = jet2_of(looped(self.eval_fn), points, h=h, chart=self.chart)
         return jet.row(0) if x.ndim == 1 else jet
 
 
@@ -222,8 +221,7 @@ def _bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             - (u[:, None, p:] @ v[:, p:, None])[:, 0, 0])
 
 
-def frame_rows(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
-               flip: bool = False, tol_pd: Optional[float] = None) -> PointFrame:
+def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
     """Frame of stacked chart points (P, n): tangent frames, oriented unit
     normals, induced metrics and second forms.
 
@@ -235,14 +233,13 @@ def frame_rows(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
     """
     x = np.asarray(x, dtype=float)
     space = imm.space
-    jet = imm.jet(x, h=h)
+    jet = imm.jet(x)
     errors = list(jet.errors) if jet.errors else [None] * len(x)
     point = jet.value
     tangent = jet.d1
     sig = space.signature
     gsigns = sig.signs
-    if tol_pd is None:
-        tol_pd = DEFAULTS.tol_pd
+    tol_pd = DEFAULTS.tol_pd
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if space.quadric_constant is not None:
@@ -262,7 +259,7 @@ def frame_rows(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
         else:
             live = np.array([e is None for e in errors], dtype=bool)
             pd_ok = np.zeros(len(x), dtype=bool)
-            pd_ok[live] = _pd_rows(g[live], tol_pd)
+            pd_ok[live] = _pd_rows(g[live])
         _fail(errors, ~pd_ok, lambda i: ImmersionError(
             f"rank-deficient differential at chart {x[i]} (metric not positive "
             f"definite beyond {tol_pd:g})"))
@@ -299,12 +296,10 @@ def frame_rows(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
                       metric=g, second_form=b, errors=tuple(errors))
 
 
-def frame_at(imm: HypersurfaceImmersion, x, h: Optional[float] = None,
-             flip: bool = False, tol_pd: Optional[float] = None) -> PointFrame:
+def frame_at(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
     """Tangent frame, oriented unit normal, induced metric and second form at
     one chart point: one row of `frame_rows`."""
-    return frame_rows(imm, np.asarray(x, dtype=float)[None], h=h, flip=flip,
-                      tol_pd=tol_pd).row(0)
+    return frame_rows(imm, np.asarray(x, dtype=float)[None], flip=flip).row(0)
 
 
 class SpectrumRows:
@@ -389,13 +384,12 @@ def mean_gauss_at(frame: PointFrame):
     return h, k
 
 
-def legendrian_residual(imm: HypersurfaceImmersion, x, nu=None,
-                        h: Optional[float] = None) -> float:
+def legendrian_residual(imm: HypersurfaceImmersion, x, nu=None) -> float:
     """Max over chart directions of |<d phi_i, nu>|.
 
     Vanishes for any valid frame; a deliberately perturbed normal is detected.
     """
-    frame = frame_at(imm, x, h=h)
+    frame = frame_at(imm, x)
     if nu is None:
         nu = frame.normal
     nu = np.asarray(nu, dtype=float)
@@ -403,9 +397,7 @@ def legendrian_residual(imm: HypersurfaceImmersion, x, nu=None,
     return float(np.max(np.abs(frame.tangent @ (gsigns * nu))))
 
 
-def pattern_sweep(imm: HypersurfaceImmersion, points,
-                  cluster_tol: Optional[float] = None,
-                  h: Optional[float] = None):
+def pattern_sweep(imm: HypersurfaceImmersion, points):
     """Multiplicity pattern (p, mults) per sample, warning on changes.
 
     The lift constructions assume one pattern across the chart; a change
@@ -415,9 +407,9 @@ def pattern_sweep(imm: HypersurfaceImmersion, points,
     keep = imm.chart.usable(points)
     patterns = [None] * len(points)
     if keep:
-        frames = frame_rows(imm, points[keep], h=h)
+        frames = frame_rows(imm, points[keep])
         spectra = spectrum_rows(frames.metric, frames.second_form,
-                                cluster_tol=cluster_tol, errors=frames.errors)
+                                errors=frames.errors)
         for j, i in enumerate(keep):
             patterns[i] = spectra.row(j).pattern
     seen = {p for p in patterns if p is not None}

@@ -210,8 +210,7 @@ def _expand_bracket(coeffs, start, step0, direction: float, sign_inner):
     return far, far_sign, active
 
 
-def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple,
-                     tol_zero: float, tol_minimal: float):
+def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     """Height polynomials of spectra sharing multiplicities `mults`, with
     curvatures `kappas` (R, p) ascending per row.
 
@@ -227,12 +226,12 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple,
     trace = mults[0] * kappas[:, 0]
     for i in range(1, p):
         trace = trace + mults[i] * kappas[:, i]
-    minimal = np.abs(trace) <= tol_minimal
+    minimal = np.abs(trace) <= DEFAULTS.tol_minimal
     brackets = np.full((count, p + 1, 4), np.nan)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         coeffs = _expand(kind, kappas, mults)
         if kind in SPACE_FORM_FAMILY:
-            _fail(errors, (np.abs(kappas) <= tol_zero).any(axis=1),
+            _fail(errors, (np.abs(kappas) <= DEFAULTS.tol_zero).any(axis=1),
                   lambda i: VanishingCurvatureError(
                       "flat-family construction needs nonvanishing curvatures, "
                       f"got {[float(k) for k in kappas[i]]}"))
@@ -302,9 +301,7 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple,
 
 def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
                          ambient_kind: AmbientKind,
-                         mults: Optional[Sequence[int]] = None,
-                         tol_zero: Optional[float] = None,
-                         tol_minimal: Optional[float] = None) -> CurvaturePolynomial:
+                         mults: Optional[Sequence[int]] = None) -> CurvaturePolynomial:
     """Build the height polynomial and its root brackets for one spectrum.
 
     Accepts a ShapeSpectrum or a raw (kappas, mults) pair. For the flat
@@ -319,14 +316,10 @@ def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
         ms = list(mults) if mults is not None else [1] * len(kappas)
     if len(kappas) != len(ms):
         raise DimensionMismatchError("kappas and mults must align")
-    if tol_zero is None:
-        tol_zero = DEFAULTS.tol_zero
-    if tol_minimal is None:
-        tol_minimal = DEFAULTS.tol_minimal
     pairs = sorted(zip(kappas, ms))
     kappas, ms = tuple(k for k, _ in pairs), tuple(m for _, m in pairs)
     coeffs, bps, values, brackets, trace, minimal, errors = _polynomial_rows(
-        ambient_kind, np.array([kappas]), ms, tol_zero, tol_minimal)
+        ambient_kind, np.array([kappas]), ms)
     if errors[0] is not None:
         raise errors[0]
     return CurvaturePolynomial(
@@ -345,11 +338,12 @@ class Root:
     degenerate: bool
 
 
-def _bisect_newton(coeffs, a0, b0, sa, tol_root: float) -> np.ndarray:
+def _bisect_newton(coeffs, a0, b0, sa) -> np.ndarray:
     """One root per bracket row: bisection to width tol_root, then Newton
     polish kept inside the bracket."""
     a, b = a0.copy(), b0.copy()
     sa_negative = sa < 0.0
+    tol_root = DEFAULTS.tol_root
     for _ in range(260):
         active = b - a > tol_root
         if not active.any():
@@ -395,8 +389,7 @@ class _Roots:
                 for k in range(int(self.counts[i]))]
 
 
-def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors,
-                tol_root: float, tol_degenerate: float) -> _Roots:
+def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Roots:
     """Roots of polynomial rows from their bracket slots (R, B, 4).
 
     Hyperbolic-product roots with |s| <= 1 are dropped (they produce no
@@ -416,10 +409,10 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors,
             f"({float(sa[i, k])}, {float(sb[i, k])})")
     present &= ~invalid.any(axis=1, keepdims=True)
     row, slot = np.nonzero(present)
-    t = _bisect_newton(coeffs[row], a0[row, slot], b0[row, slot], sa[row, slot],
-                       tol_root)
+    t = _bisect_newton(coeffs[row], a0[row, slot], b0[row, slot], sa[row, slot])
     bps = breakpoints[row]
-    degen = (np.abs(t[:, None] - bps) <= tol_degenerate * (1.0 + np.abs(bps))).any(axis=1)
+    degen = (np.abs(t[:, None] - bps)
+             <= DEFAULTS.tol_degenerate * (1.0 + np.abs(bps))).any(axis=1)
     keep = (np.abs(t) > 1.0 if kind is AmbientKind.HYPERBOLIC_PRODUCT
             else np.ones(len(t), dtype=bool))
     row, slot = row[keep], slot[keep]
@@ -434,31 +427,23 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors,
                   np.count_nonzero(~np.isnan(values), axis=1), errors)
 
 
-def solve_roots(poly: CurvaturePolynomial,
-                tol_root: Optional[float] = None,
-                tol_degenerate: Optional[float] = None) -> list:
+def solve_roots(poly: CurvaturePolynomial) -> list:
     """One root per bracket: bisection to width tol_root, then Newton polish.
 
     Hyperbolic-product roots with |s| <= 1 are dropped; roots within
     tolerance of a breakpoint are flagged degenerate. One row of the array
     root solve.
     """
-    if tol_root is None:
-        tol_root = DEFAULTS.tol_root
-    if tol_degenerate is None:
-        tol_degenerate = DEFAULTS.tol_degenerate
     brackets = np.array(poly.brackets, dtype=float).reshape(1, -1, 4)
     roots = _solve_rows(poly.ambient_kind, np.array([poly.coeffs], dtype=float),
-                        brackets, np.array([poly.breakpoints], dtype=float), [None],
-                        tol_root, tol_degenerate)
+                        brackets, np.array([poly.breakpoints], dtype=float), [None])
     return roots.roots(0)
 
 
-def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x,
-               h: Optional[float] = None):
+def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x):
     """Frames, spectra and roots (`_Roots`) of stacked chart points, one
     polynomial batch per multiplicity pattern present."""
-    frames = frame_rows(imm, x, h=h)
+    frames = frame_rows(imm, x)
     spectra = spectrum_rows(frames.metric, frames.second_form, errors=frames.errors)
     count, n = spectra.raw.shape
     errors = list(spectra.errors)
@@ -470,10 +455,8 @@ def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x,
         rows = np.flatnonzero(spectra.code == code)
         p = len(mults)
         coeffs, bps, _, brackets_p, _, _, errors_p = _polynomial_rows(
-            kind, spectra.kappas[rows, :p], mults, DEFAULTS.tol_zero,
-            DEFAULTS.tol_minimal)
-        roots = _solve_rows(kind, coeffs, brackets_p, bps, errors_p,
-                            DEFAULTS.tol_root, DEFAULTS.tol_degenerate)
+            kind, spectra.kappas[rows, :p], mults)
+        roots = _solve_rows(kind, coeffs, brackets_p, bps, errors_p)
         values[rows, :p + 1] = roots.values
         brackets[rows, :p + 1] = roots.brackets
         degenerate[rows, :p + 1] = roots.degenerate
@@ -483,10 +466,9 @@ def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x,
     return frames, spectra, _Roots(values, brackets, degenerate, counts, errors)
 
 
-def roots_at(imm: HypersurfaceImmersion, kind: AmbientKind, x,
-             h: Optional[float] = None):
+def roots_at(imm: HypersurfaceImmersion, kind: AmbientKind, x):
     """Frame, spectrum and solved roots of one chart point."""
-    frames, spectra, roots = _root_rows(imm, kind, np.asarray(x, dtype=float)[None], h=h)
+    frames, spectra, roots = _root_rows(imm, kind, np.asarray(x, dtype=float)[None])
     solved = roots.roots(0)
     return frames.row(0), spectra.row(0), solved
 

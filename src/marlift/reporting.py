@@ -42,11 +42,9 @@ def _stat_line(name: str, stat: Optional[dict]) -> str:
 
 
 def render_report(report: MarginalityReport, config_echo: str = "",
-                  entry: Optional[str] = None,
-                  timestamp: Optional[str] = None) -> str:
+                  entry: Optional[str] = None) -> str:
     """Structured text document for one verified lift."""
-    if timestamp is None:
-        timestamp = datetime.datetime.now().isoformat(timespec="seconds")
+    timestamp = datetime.datetime.now().isoformat(timespec="seconds")
     lines = [
         REPORT_MAGIC,
         f"generated: {timestamp}",

@@ -95,8 +95,7 @@ def _normalize_null(v: np.ndarray, plus: int) -> np.ndarray:
     return v / spat
 
 
-def lorentz_frame_at(lift: LiftedImmersion, x, h: Optional[float] = None,
-                     tol_pd: Optional[float] = None,
+def lorentz_frame_at(lift: LiftedImmersion, x,
                      jet: Optional[Jet2] = None) -> LorentzFrame:
     """Frame of the lift at a chart point, built from its evaluations only.
 
@@ -105,18 +104,15 @@ def lorentz_frame_at(lift: LiftedImmersion, x, h: Optional[float] = None,
     gradients; it must carry a Lorentzian induced form, whose two null
     directions form the returned pair. `jet` is the lift's jet at x when the
     caller has it already (a row of a whole-grid stencil); otherwise it is
-    taken from one stencil of lift evaluations.
+    taken from one stencil of lift evaluations at the default step.
     """
     x = np.asarray(x, dtype=float)
     ambient = lift.ambient
     sig = ambient.signature
-    if tol_pd is None:
-        tol_pd = DEFAULTS.tol_pd
+    tol_pd = DEFAULTS.tol_pd
 
     if jet is None:
-        jet = jet2_of(lift.evaluate, x[None],
-                      h=h if h is not None else DEFAULTS.step_h,
-                      chart=lift.chart).row(0)
+        jet = jet2_of(lift.evaluate, x[None], chart=lift.chart).row(0)
     value = jet.value
     res = ambient.constraint_residual(value)
     if res > DEFAULTS.tol_quadric * (1.0 + float(np.max(np.abs(value)))):
@@ -167,8 +163,7 @@ def lorentz_frame_at(lift: LiftedImmersion, x, h: Optional[float] = None,
 
 
 def second_form_at(lift: LiftedImmersion, x,
-                   frame: Optional[LorentzFrame] = None,
-                   h: Optional[float] = None) -> np.ndarray:
+                   frame: Optional[LorentzFrame] = None) -> np.ndarray:
     """Vector-valued second fundamental form, shape (n, n, container_dim).
 
     Flat second derivatives projected onto the normal plane; the tangential
@@ -176,7 +171,7 @@ def second_form_at(lift: LiftedImmersion, x,
     both with respect to the container form.
     """
     if frame is None:
-        frame = lorentz_frame_at(lift, x, h=h)
+        frame = lorentz_frame_at(lift, x)
     signs = lift.ambient.signature.signs
     basis = frame.normal_basis
     sform = frame.normal_form
@@ -188,11 +183,10 @@ def second_form_at(lift: LiftedImmersion, x,
 
 def mean_curvature_at(lift: LiftedImmersion, x,
                       frame: Optional[LorentzFrame] = None,
-                      sff: Optional[np.ndarray] = None,
-                      h: Optional[float] = None) -> np.ndarray:
+                      sff: Optional[np.ndarray] = None) -> np.ndarray:
     """Averaged-trace mean curvature vector (1/n) g^ij h_ij."""
     if frame is None:
-        frame = lorentz_frame_at(lift, x, h=h)
+        frame = lorentz_frame_at(lift, x)
     if sff is None:
         sff = second_form_at(lift, x, frame=frame)
     n = frame.n
@@ -244,8 +238,7 @@ def check_mean_curvature_identity(lift: LiftedImmersion, x,
                                   ctx: Optional[LiftContext] = None,
                                   frame: Optional[LorentzFrame] = None,
                                   hvec: Optional[np.ndarray] = None,
-                                  nu: Optional[np.ndarray] = None,
-                                  h: Optional[float] = None) -> float:
+                                  nu: Optional[np.ndarray] = None) -> float:
     """|<H, nu> - closed form| with the construction's null normal.
 
     The closed form sums kappa/(1 - tau kappa) over the raw curvatures for
@@ -256,7 +249,7 @@ def check_mean_curvature_identity(lift: LiftedImmersion, x,
     if ctx is None:
         raise FrameError("lift carries no cross-check context")
     if hvec is None:
-        hvec = mean_curvature_at(lift, x, frame=frame, h=h)
+        hvec = mean_curvature_at(lift, x, frame=frame)
     if nu is None:
         nu = lift.null_normal(x)
     comp = bilinear(lift.ambient.signature, hvec, nu)
@@ -267,14 +260,13 @@ def check_mean_curvature_identity(lift: LiftedImmersion, x,
 
 def check_metric_identity(lift: LiftedImmersion, x,
                           ctx: Optional[LiftContext] = None,
-                          frame: Optional[LorentzFrame] = None,
-                          h: Optional[float] = None) -> float:
+                          frame: Optional[LorentzFrame] = None) -> float:
     """Max-norm gap between the measured induced metric and its closed form."""
     ctx = ctx if ctx is not None else lift.context(x)
     if ctx is None:
         raise FrameError("lift carries no cross-check context")
     if frame is None:
-        frame = lorentz_frame_at(lift, x, h=h)
+        frame = lorentz_frame_at(lift, x)
     g, b, binvb = _context_matrices(ctx)
     closed = _closed_metric(lift.ambient.kind, g, b, binvb, ctx.tau)
     return float(np.max(np.abs(frame.metric - closed)))
@@ -284,14 +276,13 @@ def check_second_form_identity(lift: LiftedImmersion, x,
                                ctx: Optional[LiftContext] = None,
                                frame: Optional[LorentzFrame] = None,
                                sff: Optional[np.ndarray] = None,
-                               nu: Optional[np.ndarray] = None,
-                               h: Optional[float] = None) -> float:
+                               nu: Optional[np.ndarray] = None) -> float:
     """Max-norm gap between <h(.,.), nu> and its closed form."""
     ctx = ctx if ctx is not None else lift.context(x)
     if ctx is None:
         raise FrameError("lift carries no cross-check context")
     if frame is None:
-        frame = lorentz_frame_at(lift, x, h=h)
+        frame = lorentz_frame_at(lift, x)
     if sff is None:
         sff = second_form_at(lift, x, frame=frame)
     signs = lift.ambient.signature.signs
@@ -369,7 +360,6 @@ def assemble_report(lift: LiftedImmersion,
                     resolution=None,
                     h: Optional[float] = None,
                     tol_marginal: Optional[float] = None,
-                    tol_pd: Optional[float] = None,
                     cross_checks: bool = True) -> MarginalityReport:
     """Sweep the chart grid and classify the lift.
 
@@ -380,8 +370,6 @@ def assemble_report(lift: LiftedImmersion,
     """
     if tol_marginal is None:
         tol_marginal = DEFAULTS.tol_marginal
-    if tol_pd is None:
-        tol_pd = DEFAULTS.tol_pd
     step = h if h is not None else DEFAULTS.step_h
     chart = lift.chart if resolution is None else lift.chart.with_resolution(resolution)
     points = chart.grid(margin=4.0 * step)
@@ -410,7 +398,7 @@ def assemble_report(lift: LiftedImmersion,
             continue
         j = slot[i]
         try:
-            frame = lorentz_frame_at(lift, x, h=h, tol_pd=tol_pd, jet=jets.row(j))
+            frame = lorentz_frame_at(lift, x, jet=jets.row(j))
             sff = second_form_at(lift, x, frame=frame)
             hvec = mean_curvature_at(lift, x, frame=frame, sff=sff)
             stored = evaluations[0].null_normal(j)
@@ -473,7 +461,7 @@ def assemble_report(lift: LiftedImmersion,
         worst = max(min(r.null_residual_primary, r.null_residual_opposite)
                     for r in usable)
         ok_metric = (spacelike_failures == 0
-                     and min(r.min_eig_g for r in usable) > tol_pd)
+                     and min(r.min_eig_g for r in usable) > DEFAULTS.tol_pd)
         verdict = VERDICT_TRAPPED if (worst <= tol_marginal and ok_metric) \
             else VERDICT_NOT
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marlift import shapes
-from marlift.core import Chart, GeometryError, OutOfDomainError, jet2_of, looped
+from marlift.core import Chart, GeometryError, OutOfDomainError, Rows, jet2_of, looped
 from marlift.constructor import (
     AmbientKind,
     ConstructionError,
@@ -53,9 +53,13 @@ def _s4_rotational():
     return product_lifts(imm, AmbientKind.SPHERE_PRODUCT)[0]
 
 
-def _mean_over_gauss(frame):
-    hmean, kgauss = mean_gauss_at(frame)
-    return hmean / kgauss
+def _mean_over_gauss(frames):
+    heights = np.full(len(frames.x), np.nan)
+    for i, err in enumerate(frames.errors):
+        if err is None:
+            hmean, kgauss = mean_gauss_at(frames.row(i))
+            heights[i] = hmean / kgauss
+    return Rows(heights, list(frames.errors))
 
 
 LIFTS = {

@@ -120,6 +120,26 @@ def test_mesh_round_trip(tmp_path, capsys):
     assert "verdict=marginally_trapped" in out
 
 
+def test_step_reaches_verifier_and_round_trip(tmp_path, capsys):
+    def null_residual(report):
+        return next(ln for ln in report.read_text().splitlines()
+                    if ln.startswith("null_residual:"))
+
+    base = ["construct", "--entry", "torus", "--ambient", "minkowski",
+            "--grid", "9x9"]
+    assert main(base + ["--out-dir", str(tmp_path / "default")]) == EXIT_PASS
+    out = tmp_path / "step"
+    assert main(base + ["--step", "5e-5", "--out-dir", str(out)]) == EXIT_PASS
+    mesh = next(out.glob("*.mesh.txt"))
+    assert read_mesh(mesh)[0]["step"] == "5e-05"
+    report = next(out.glob("*.report.txt"))
+    assert "step=5e-05" in report.read_text()
+    assert null_residual(report) != null_residual(
+        next((tmp_path / "default").glob("*.report.txt")))
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(out)]) == EXIT_PASS
+    assert "step=5e-05" in next(out.glob("*.verify.report.txt")).read_text()
+
+
 def test_mesh_round_trip_detects_tampering(tmp_path, capsys):
     assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
                  "--grid", "5x5", "--out-dir", str(tmp_path)]) == EXIT_PASS

@@ -99,13 +99,6 @@ def test_null_lift_desitter_constraint():
     assert bilinear(lift.ambient.signature, nu, nu) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_null_lift_rejects_products():
-    ch = Chart(2, [-1.0, -1.0], [1.0, 1.0], (5, 5))
-    with pytest.raises(UnsupportedAmbientError):
-        null_lift(flat_slice(ch), lambda x: 0.0,
-                  ambient_kind=AmbientKind.SPHERE_PRODUCT)
-
-
 # ------------------------------------------------------------- sphere product
 
 def test_clifford_lift_is_normal_torus_at_equator_height():

@@ -15,7 +15,7 @@ from marlift.constructor import (
     null_lift,
     product_height_lift,
 )
-from marlift.core import Chart, bilinear
+from marlift.core import Chart, Rows, bilinear
 from marlift.hypersurface import HypersurfaceImmersion, SpaceForm
 from marlift.verifier import (
     SpacelikeViolationError,
@@ -179,7 +179,8 @@ def test_identities_on_torus_lift():
 
 def test_metric_identity_at_zero_height():
     imm = shapes.torus(2.0, 1.0)
-    lift = graph_lift(imm, AmbientKind.MINKOWSKI, lambda fr: 0.0)
+    lift = graph_lift(imm, AmbientKind.MINKOWSKI,
+                      lambda fr: Rows(np.zeros(len(fr.x)), list(fr.errors)))
     x = [0.2, 0.8]
     fr = lorentz_frame_at(lift, x)
     ctx = lift.context(x)

@@ -30,7 +30,7 @@ from .constructor import (
     null_lift,
     spherical_slice,
 )
-from .core import Chart, GeometryError
+from .core import Chart, GeometryError, stacked
 
 __all__ = [
     "CatalogEntry",
@@ -117,10 +117,11 @@ def _build_chen_l2(p):
     # coordinates around (-1, 0) and the height is (1+y) sin x
     chart = Chart(2, [-1.0, -0.4], [1.0, 0.4], (17, 17))
 
+    @stacked
     def eval_fn(x):
-        c, s = math.cos(x[0]), math.sin(x[0])
-        tau = (1.0 + x[1]) * s
-        return np.array([(x[1] + 1.0) * c - 1.0, (x[1] + 1.0) * s, tau, tau])
+        c, s = np.cos(x[:, 0]), np.sin(x[:, 0])
+        tau = (1.0 + x[:, 1]) * s
+        return np.stack([(x[:, 1] + 1.0) * c - 1.0, (x[:, 1] + 1.0) * s, tau, tau], 1)
 
     nu_bar = np.array([0.0, 0.0, 1.0, 1.0])
     prov = Provenance(family="null-second-form", source_name="chen-l2",
@@ -144,11 +145,12 @@ def _build_chen_l3(p):
 def _build_chen_l4(p):
     chart = Chart(2, [-1.0, -0.8], [1.0, 0.8], (17, 17))
 
+    @stacked
     def eval_fn(x):
-        ey, emy = math.exp(x[1]), math.exp(-x[1])
-        xsq = x[0] * x[0]
-        return np.array([emy, x[0] * ey, (xsq - 0.5) * ey,
-                         0.5 * ey + emy, xsq * ey])
+        ey, emy = np.exp(x[:, 1]), np.exp(-x[:, 1])
+        xsq = x[:, 0] * x[:, 0]
+        return np.stack([emy, x[:, 0] * ey, (xsq - 0.5) * ey,
+                         0.5 * ey + emy, xsq * ey], axis=1)
 
     nu_bar = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
     prov = Provenance(family="null-second-form", source_name="chen-l4",
@@ -180,8 +182,10 @@ def _build_spacelike_graph(p):
     amp = float(p["amplitude"])
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
 
+    @stacked
     def eval_fn(x):
-        return np.array([x[0], x[1], amp * math.sin(x[0]) * math.sin(x[1]), 0.0])
+        return np.stack([x[:, 0], x[:, 1], amp * np.sin(x[:, 0]) * np.sin(x[:, 1]),
+                         np.zeros(len(x))], axis=1)
 
     prov = Provenance(family="control", source_name="spacelike-graph",
                       detail="generic spatial graph, not marginally trapped")

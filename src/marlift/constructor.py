@@ -29,8 +29,7 @@ from .core import (
     Rows,
     Signature,
     _fail,
-    bilinear,
-    is_stacked,
+    bilinear_rows,
     jet2_of,
     looped,
     shape_eigen_rows,
@@ -168,31 +167,24 @@ class LorentzAmbient:
             AmbientKind.HYPERBOLIC_PRODUCT: -1.0,
         }[self.kind]
 
-    def _block_value(self, point: np.ndarray) -> float:
-        block = point[:-1]
-        if self.kind is AmbientKind.SPHERE_PRODUCT:
-            return float(np.dot(block, block))
-        return float(np.dot(block[:-1], block[:-1]) - block[-1] ** 2)
-
-    def constraint_residual(self, point: np.ndarray) -> float:
-        c = self.quadric_constant
-        if c is None:
-            return 0.0
-        point = np.asarray(point, dtype=float)
-        if self.is_product:
-            return abs(self._block_value(point) - c)
-        return abs(bilinear(self.signature, point, point) - c)
-
-    def constraint_normals(self, point: np.ndarray) -> np.ndarray:
-        """Flat-form gradients of the active constraints, one per row."""
+    def constraint_residual(self, points: np.ndarray) -> np.ndarray:
+        """|constraint - constant| of each container point (..., N)."""
+        points = np.asarray(points, dtype=float)
         if self.quadric_constant is None:
-            return np.zeros((0, self.container_dim))
-        point = np.asarray(point, dtype=float)
+            return np.zeros(points.shape[:-1])
+        z = self.constraint_normals(points)[..., 0, :]
+        return np.abs(bilinear_rows(self.signature, z, z) - self.quadric_constant)
+
+    def constraint_normals(self, points: np.ndarray) -> np.ndarray:
+        """Flat-form gradients of the active constraints of each container
+        point (..., N), one per row: shape (..., k, N)."""
+        points = np.asarray(points, dtype=float)
+        if self.quadric_constant is None:
+            return np.zeros(points.shape[:-1] + (0, self.container_dim))
+        z = points[..., None, :].copy()
         if self.is_product:
-            z = point.copy()
-            z[-1] = 0.0
-            return z[None, :]
-        return point[None, :]
+            z[..., -1] = 0.0
+        return z
 
     @staticmethod
     def for_kind(kind: AmbientKind, n: int) -> "LorentzAmbient":
@@ -250,9 +242,11 @@ class LiftedImmersion:
     `LiftRows`. The normal-shift lifts built here pass an array map as
     `eval_fn` (marked with `core.stacked`, returning LiftRows), whose rows,
     null normals and contexts all come from one array pick of frame,
-    spectrum and height. Any other `eval_fn` is a one-point map: `evaluate`
-    loops it over the rows through `core.looped`, and reads a row's null
-    normal and context from `null_normal_fn` and `context_fn` at its point.
+    spectrum and height. Any other `eval_fn` is an array map returning
+    plain values (P, N) or a `Rows`, or a one-point map that `evaluate`
+    loops over the rows through `core.looped`; either way a row's null
+    normal and context come from `null_normal_fn` and `context_fn` at its
+    point.
     A row whose evaluation raises GeometryError holds NaN and that error,
     and the rows beside it are unaffected. Calling the lift at one point
     evaluates one row and raises that row's error.
@@ -269,9 +263,11 @@ class LiftedImmersion:
     def evaluate(self, x) -> LiftRows:
         """Rows of the lift at stacked chart points (P, n)."""
         x = np.asarray(x, dtype=float)
-        if is_stacked(self.eval_fn):
-            return self.eval_fn(x)
         rows = looped(self.eval_fn)(x)
+        if isinstance(rows, LiftRows):
+            return rows
+        if not isinstance(rows, Rows):
+            rows = Rows(np.asarray(rows, dtype=float), [None] * len(x))
         return LiftRows(rows.values, rows.errors,
                         null_at=lambda i: self.null_normal(x[i]),
                         context_at=lambda i: self.context(x[i]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,9 +29,9 @@ __all__ = [
     "Jet2",
     "Rows",
     "stacked",
-    "is_stacked",
     "looped",
     "bilinear",
+    "bilinear_rows",
     "jet2_of",
     "sym_eigen",
     "generalized_shape_eigen",
@@ -137,6 +137,13 @@ def bilinear(sig: Signature, u: Sequence[float], v: Sequence[float]) -> float:
     return float(np.dot(u[:p], v[:p]) - np.dot(u[p:], v[p:]))
 
 
+def bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`bilinear` of paired rows (..., N); the products are the same dot products."""
+    p = sig.plus
+    return ((u[..., None, :p] @ v[..., :p, None])[..., 0, 0]
+            - (u[..., None, p:] @ v[..., p:, None])[..., 0, 0])
+
+
 @dataclass(frozen=True)
 class Chart:
     """Sampled open box in R^n.
@@ -235,10 +242,6 @@ def stacked(fn):
     return fn
 
 
-def is_stacked(fn) -> bool:
-    return getattr(fn, "stacked", False)
-
-
 def looped(fn: Callable[[np.ndarray], np.ndarray]):
     """The adapter from a one-point map to an array map.
 
@@ -246,7 +249,7 @@ def looped(fn: Callable[[np.ndarray], np.ndarray]):
     reported in the returned `Rows`, its values NaN; any other exception
     propagates. An array map is returned as it is.
     """
-    if is_stacked(fn):
+    if getattr(fn, "stacked", False):
         return fn
 
     @stacked
@@ -345,7 +348,7 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
 
     failed = outside | ~np.isfinite(vals).all(axis=-1)
     raised = None
-    if any(e is not None for errs in (centre_errors, rest_errors) for e in errs or ()):
+    if any(errs and errs.count(None) < len(errs) for errs in (centre_errors, rest_errors)):
         raised = np.full(failed.shape, None, dtype=object)
         if centre_errors is not None:
             raised[0] = centre_errors

@@ -30,9 +30,9 @@ from .core import (
     Jet2,
     Rows,
     Signature,
-    _det3,
     _fail,
     _pd_rows,
+    bilinear_rows,
     generalized_cross,
     generalized_shape_eigen,
     jet2_of,
@@ -214,13 +214,6 @@ class ShapeSpectrum:
         return (self.p, self.mults)
 
 
-def _bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`bilinear` of paired rows; the products are the same dot products."""
-    p = sig.plus
-    return ((u[:, None, :p] @ v[:, :p, None])[:, 0, 0]
-            - (u[:, None, p:] @ v[:, p:, None])[:, 0, 0])
-
-
 def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
     """Frame of stacked chart points (P, n): tangent frames, oriented unit
     normals, induced metrics and second forms.
@@ -243,7 +236,7 @@ def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if space.quadric_constant is not None:
-            res = np.abs(_bilinear_rows(sig, point, point) - space.quadric_constant)
+            res = np.abs(bilinear_rows(sig, point, point) - space.quadric_constant)
             _fail(errors, res > DEFAULTS.tol_quadric * (
                 1.0 + np.max(np.abs(point), axis=1)),
                 lambda i: QuadricConstraintError(
@@ -267,7 +260,7 @@ def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
         if space.quadric_constant is not None:
             rows = np.concatenate([rows, (point * gsigns)[:, None, :]], axis=1)
         normal = generalized_cross(rows)
-        nn = _bilinear_rows(sig, normal, normal)
+        nn = bilinear_rows(sig, normal, normal)
         _fail(errors, nn <= 0.0, lambda i: ImmersionError(
             f"could not extract a spacelike unit normal at chart {x[i]}"))
         normal = normal / np.sqrt(nn)[:, None]

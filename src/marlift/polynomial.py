@@ -152,9 +152,6 @@ class CurvaturePolynomial:
     def __call__(self, t: float) -> float:
         return _polyval(np.asarray(self.coeffs), t)
 
-    def deriv(self, t: float) -> float:
-        return _polyder(np.asarray(self.coeffs), t)
-
 
 def _times_linear(a: np.ndarray, c0, c1) -> np.ndarray:
     """Rows of ascending coefficients times (c0 + c1 t)."""

@@ -54,7 +54,8 @@ def render_report(report: MarginalityReport, config_echo: str = "",
         f"convention: {report.convention}",
         f"config: {config_echo}",
         f"points: {report.total} excluded: {report.excluded_count} "
-        f"spacelike_failures: {report.spacelike_failures}",
+        f"spacelike_failures: {report.spacelike_failures} "
+        f"cross_check_failures: {report.cross_check_failures}",
     ]
     order = ["min_eig_g", "null_residual", "null_residual_primary",
              "hvec_norm_sq", "legendrian_residual", "lemma_metric_residual",

@@ -8,6 +8,11 @@ two null normal directions extracted from the induced Lorentzian plane
 metric. The constructor's spectrum is consulted only for the optional lemma
 cross-checks, never for the verdict.
 
+Row contract: `assemble_report` takes the grid's stencil in one `jet2_of`
+call and runs every later stage on those stacked rows. A point that fails
+fails alone, with the error its one-row call `lorentz_frame_at` raises; the
+`*_at` and `check_*_identity` functions are one-row calls of the same code.
+
 Mean curvature convention: the averaged trace (1/n) g^ij h_ij. The verdict
 is insensitive to the normalization, but the closed-form identities are not,
 so the convention is recorded in every report.
@@ -16,7 +21,7 @@ so the convention is recorded in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -25,9 +30,10 @@ from .core import (
     DEFAULTS,
     GeometryError,
     Jet2,
-    bilinear,
+    _fail,
+    bilinear_rows,
     jet2_of,
-    sym_eigen,
+    sym_eigen,  # unused here; bench/tracing.py wraps it on this module
 )
 from .constructor import (
     AmbientKind,
@@ -40,8 +46,11 @@ __all__ = [
     "LorentzFrame",
     "PointRecord",
     "MarginalityReport",
+    "lorentz_frame_rows",
     "lorentz_frame_at",
+    "second_form_rows",
     "second_form_at",
+    "mean_curvature_rows",
     "mean_curvature_at",
     "check_mean_curvature_identity",
     "check_metric_identity",
@@ -68,7 +77,12 @@ class SpacelikeViolationError(GeometryError):
 
 @dataclass(frozen=True)
 class LorentzFrame:
-    """Tangent data, induced metric and the null normal pair at one point."""
+    """Tangent data, induced metric and the null normal pair at one point.
+
+    A frame of stacked points carries a leading point axis on every array
+    and `errors`, one entry per point: None, or the GeometryError that point
+    raised (its metric, normal plane and null pair rows hold NaN).
+    """
 
     x: np.ndarray
     position: np.ndarray
@@ -81,157 +95,202 @@ class LorentzFrame:
     null_pair: np.ndarray        # (2, N), both null, normalized
     null_product: float          # bilinear(null_pair[0], null_pair[1]) != 0
     jet: Jet2
+    errors: tuple = ()
 
     @property
     def n(self) -> int:
-        return self.tangent.shape[0]
+        return self.tangent.shape[-2]
+
+    def row(self, i: int) -> "LorentzFrame":
+        """The frame of stacked point i; raises that point's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        arrays = (getattr(self, f.name) for f in fields(self)[:-2])
+        return LorentzFrame(*(a[i] for a in arrays), jet=self.jet.row(i))
 
 
 def _normalize_null(v: np.ndarray, plus: int) -> np.ndarray:
-    scale = float(np.max(np.abs(v)))
-    if abs(v[-1]) > 1e-6 * scale:
-        return v / v[-1]
-    spat = np.linalg.norm(v[:plus])
-    return v / spat
+    """Scale null vectors (P, N) to time coordinate 1, or to a unit spatial
+    part where the time coordinate is negligible."""
+    last = v[:, -1]
+    big = np.abs(last) > 1e-6 * np.max(np.abs(v), axis=-1)
+    return v / np.where(big, last, np.linalg.norm(v[:, :plus], axis=-1))[:, None]
 
 
-def lorentz_frame_at(lift: LiftedImmersion, x,
-                     jet: Optional[Jet2] = None) -> LorentzFrame:
-    """Frame of the lift at a chart point, built from its evaluations only.
+def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
+    """Frames of the lift at stacked chart points x (P, n), built from their
+    stacked jet of lift evaluations only.
 
     The normal plane is the orthogonal complement, with respect to the flat
     container form, of the tangent space together with the active constraint
     gradients; it must carry a Lorentzian induced form, whose two null
-    directions form the returned pair. `jet` is the lift's jet at x when the
-    caller has it already (a row of a whole-grid stencil); otherwise it is
-    taken from one stencil of lift evaluations at the default step.
+    directions form the returned pair. Per point the checks run in order
+    (the jet's error, the constraint, the induced metric's symmetry and
+    positive definiteness, the rank of the tangent/constraint system, the
+    normal form's signature, the null pair) and the first that fails is
+    that point's error.
     """
     x = np.asarray(x, dtype=float)
     ambient = lift.ambient
-    sig = ambient.signature
-    tol_pd = DEFAULTS.tol_pd
+    sig, signs, tol_pd = ambient.signature, ambient.signature.signs, DEFAULTS.tol_pd
+    errors = list(jet.errors) if jet.errors else [None] * len(x)
+    value, tangent = jet.value, jet.d1
 
-    if jet is None:
-        jet = jet2_of(lift.evaluate, x[None], chart=lift.chart).row(0)
-    value = jet.value
-    res = ambient.constraint_residual(value)
-    if res > DEFAULTS.tol_quadric * (1.0 + float(np.max(np.abs(value)))):
-        raise FrameError(f"ambient constraint violated by {res:.3e} at chart {x}")
+    def failed(fill, a):
+        """`a` with the rows of failed points replaced by `fill`."""
+        dead = np.array([e is not None for e in errors], dtype=bool)
+        return np.where(dead.reshape((-1,) + (1,) * (a.ndim - 1)), fill, a)
 
-    signs = sig.signs
-    tangent = jet.d1
-    g = (tangent * signs) @ tangent.T
-    try:
-        gw, _ = sym_eigen(g)
-    except GeometryError as exc:
-        raise FrameError(f"induced metric evaluation failed at {x}: {exc}")
-    if gw[0] <= tol_pd:
-        raise SpacelikeViolationError(
-            f"induced metric not positive definite at chart {x} "
-            f"(min eigenvalue {gw[0]:.3e})")
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        res = ambient.constraint_residual(value)
+        _fail(errors, res > DEFAULTS.tol_quadric * (1.0 + np.max(np.abs(value), axis=-1)),
+              lambda i: FrameError(
+                  f"ambient constraint violated by {res[i]:.3e} at chart {x[i]}"))
 
-    zrows = ambient.constraint_normals(value)
-    rows = np.vstack([tangent, zrows]) * signs
-    _, sv, vt = np.linalg.svd(rows)
-    ncol = rows.shape[1]
-    rank = rows.shape[0]
-    if sv[-1] <= 1e-10 * max(1.0, sv[0]):
-        raise FrameError(f"degenerate tangent/constraint system at chart {x}")
-    basis = vt[rank:ncol]
-    if basis.shape[0] != 2:
-        raise FrameError(
-            f"normal complement has dimension {basis.shape[0]}, expected 2")
+        g = (tangent * signs) @ np.swapaxes(tangent, -1, -2)
+        gt = np.swapaxes(g, -1, -2)
+        # the symmetry check and symmetrization of `core.sym_eigen`
+        scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        _fail(errors, np.max(np.abs(g - gt), axis=(-2, -1)) > DEFAULTS.tol_sym * scale,
+              lambda i: FrameError(f"induced metric evaluation failed at {x[i]}: "
+                                   "input matrix is not symmetric to tolerance"))
+        min_eig = np.linalg.eigvalsh(failed(1.0, 0.5 * (g + gt)))[:, 0]
+        _fail(errors, min_eig <= tol_pd, lambda i: SpacelikeViolationError(
+            f"induced metric not positive definite at chart {x[i]} "
+            f"(min eigenvalue {min_eig[i]:.3e})"))
 
-    s2 = (basis * signs) @ basis.T
-    w2, v2 = sym_eigen(s2)
-    if not (w2[0] < -tol_pd < tol_pd < w2[1]):
-        raise FrameError(
-            f"normal plane metric is not Lorentzian at chart {x}: eigenvalues {w2}")
-    e_time = (v2[:, 0] @ basis) / math.sqrt(-w2[0])
-    e_space = (v2[:, 1] @ basis) / math.sqrt(w2[1])
-    null_a = _normalize_null(e_space + e_time, sig.plus)
-    null_b = _normalize_null(e_space - e_time, sig.plus)
-    pair = np.stack([null_a, null_b])
-    product = bilinear(sig, null_a, null_b)
-    if abs(product) <= tol_pd:
-        raise FrameError(f"null pair degenerate at chart {x}")
+        rows = np.concatenate([tangent, ambient.constraint_normals(value)], axis=-2) * signs
+        _, sv, vt = np.linalg.svd(failed(0.0, rows))   # NaN stops the SVD
+        _fail(errors, sv[:, -1] <= 1e-10 * np.maximum(1.0, sv[:, 0]),
+              lambda i: FrameError(f"degenerate tangent/constraint system at chart {x[i]}"))
+        basis = vt[:, rows.shape[-2]:]
+        if basis.shape[1] != 2:
+            dim = basis.shape[1]
+            _fail(errors, np.ones(len(x), dtype=bool), lambda i: FrameError(
+                f"normal complement has dimension {dim}, expected 2"))
+            basis = np.zeros((len(x), 2, rows.shape[-1]))
 
-    return LorentzFrame(x=x, position=value, tangent=tangent, metric=g,
-                        metric_inv=np.linalg.inv(g), min_eig=float(gw[0]),
-                        normal_basis=basis, normal_form=s2, null_pair=pair,
-                        null_product=float(product), jet=jet)
+        s2 = (basis * signs) @ np.swapaxes(basis, -1, -2)
+        w2, v2 = np.linalg.eigh(0.5 * (s2 + np.swapaxes(s2, -1, -2)))
+        _fail(errors, ~((w2[:, 0] < -tol_pd) & (tol_pd < w2[:, 1])),
+              lambda i: FrameError(f"normal plane metric is not Lorentzian at "
+                                   f"chart {x[i]}: eigenvalues {w2[i]}"))
+        e_time = (v2[:, None, :, 0] @ basis)[:, 0] / np.sqrt(-w2[:, :1])
+        e_space = (v2[:, None, :, 1] @ basis)[:, 0] / np.sqrt(w2[:, 1:])
+        pair = np.stack([_normalize_null(e_space + e_time, sig.plus),
+                         _normalize_null(e_space - e_time, sig.plus)], axis=1)
+        product = bilinear_rows(sig, pair[:, 0], pair[:, 1])
+        _fail(errors, np.abs(product) <= tol_pd,
+              lambda i: FrameError(f"null pair degenerate at chart {x[i]}"))
+        g, min_eig, basis, s2, pair, product = (
+            failed(np.nan, a) for a in (g, min_eig, basis, s2, pair, product))
+        return LorentzFrame(x, value, tangent, g, np.linalg.inv(g), min_eig, basis,
+                            s2, pair, product, jet, tuple(errors))
 
 
-def second_form_at(lift: LiftedImmersion, x,
-                   frame: Optional[LorentzFrame] = None) -> np.ndarray:
-    """Vector-valued second fundamental form, shape (n, n, container_dim).
+def lorentz_frame_at(lift: LiftedImmersion, x,
+                     jet: Optional[Jet2] = None) -> LorentzFrame:
+    """Frame of the lift at a chart point: one row of `lorentz_frame_rows`.
+
+    `jet` is the lift's jet at x when the caller has it already; otherwise
+    it is taken from one stencil of lift evaluations at the default step.
+    """
+    x = np.asarray(x, dtype=float)[None]
+    jets = (jet2_of(lift.evaluate, x, chart=lift.chart) if jet is None
+            else Jet2(jet.value[None], jet.d1[None], jet.d2[None]))
+    return lorentz_frame_rows(lift, x, jets).row(0)
+
+
+def second_form_rows(lift: LiftedImmersion, frame: LorentzFrame) -> np.ndarray:
+    """Vector-valued second fundamental form, shape (..., n, n, container_dim),
+    of a frame at one point or at stacked points.
 
     Flat second derivatives projected onto the normal plane; the tangential
     and constraint components drop out because the plane is orthogonal to
     both with respect to the container form.
     """
-    if frame is None:
-        frame = lorentz_frame_at(lift, x)
-    signs = lift.ambient.signature.signs
-    basis = frame.normal_basis
-    sform = frame.normal_form
+    basis, d2, n = frame.normal_basis, frame.jet.d2, frame.n
+    rhs = d2.reshape(d2.shape[:-3] + (n * n, -1)) @ np.swapaxes(
+        basis * lift.ambient.signature.signs, -1, -2)
+    coeff = np.linalg.solve(frame.normal_form, np.swapaxes(rhs, -1, -2))
+    return (np.swapaxes(coeff, -1, -2) @ basis).reshape(d2.shape)
+
+
+def second_form_at(lift: LiftedImmersion, x,
+                   frame: Optional[LorentzFrame] = None) -> np.ndarray:
+    """Second fundamental form (n, n, container_dim) at one chart point."""
+    return second_form_rows(lift, frame if frame is not None else lorentz_frame_at(lift, x))
+
+
+def mean_curvature_rows(frame: LorentzFrame, sff: np.ndarray) -> np.ndarray:
+    """Averaged-trace mean curvature vector (1/n) g^ij h_ij, shape
+    (..., container_dim), of a frame at one point or at stacked points."""
     n = frame.n
-    rhs = np.tensordot(frame.jet.d2, (basis * signs).T, axes=([2], [0]))
-    coeff = np.linalg.solve(sform, rhs.reshape(n * n, 2).T).T
-    return (coeff @ basis).reshape(n, n, basis.shape[1])
+    ginv = frame.metric_inv.reshape(frame.metric_inv.shape[:-2] + (1, n * n))
+    return (ginv @ sff.reshape(sff.shape[:-3] + (n * n, -1)))[..., 0, :] / n
 
 
 def mean_curvature_at(lift: LiftedImmersion, x,
                       frame: Optional[LorentzFrame] = None,
                       sff: Optional[np.ndarray] = None) -> np.ndarray:
-    """Averaged-trace mean curvature vector (1/n) g^ij h_ij."""
+    """Averaged-trace mean curvature vector at one chart point."""
     if frame is None:
         frame = lorentz_frame_at(lift, x)
     if sff is None:
         sff = second_form_at(lift, x, frame=frame)
-    n = frame.n
-    return np.tensordot(frame.metric_inv, sff, axes=([0, 1], [0, 1])) / n
+    return mean_curvature_rows(frame, sff)
 
 
 # ------------------------------------------------------- closed-form oracles
+#
+# One point's data or stacked points' data: tau and s scalars or (P,), the
+# source metric g and second form b (..., n, n), raw curvatures (..., n).
 
-def _closed_mean_component(kind: AmbientKind, raw_kappas, tau: float,
-                           s: Optional[float]) -> float:
-    n = len(raw_kappas)
+def _closed_mean_component(kind: AmbientKind, raw_kappas, tau, s) -> np.ndarray:
+    k = np.asarray(raw_kappas, dtype=float)
+    tau = np.asarray(tau, dtype=float)[..., None]
     if kind in SPACE_FORM_FAMILY:
-        return sum(k / (1.0 - tau * k) for k in raw_kappas) / n
-    if s is None:
+        terms = k / (1.0 - tau * k)
+    elif s is None:
         raise FrameError("product-ambient identity needs the s parameter")
-    if kind is AmbientKind.SPHERE_PRODUCT:
-        return sum((k * s + 1.0) / (s - k) for k in raw_kappas) / n
-    return sum((k * s - 1.0) / (s - k) for k in raw_kappas) / n
+    else:
+        s = np.asarray(s, dtype=float)[..., None]
+        one = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
+        terms = (k * s + one) / (s - k)
+    return np.sum(terms, axis=-1) / k.shape[-1]
 
 
-def _closed_metric(kind: AmbientKind, g, b, binvb, tau: float) -> np.ndarray:
-    if kind in SPACE_FORM_FAMILY:
-        return g - 2.0 * tau * b + tau ** 2 * binvb
-    if kind is AmbientKind.SPHERE_PRODUCT:
-        c, s = math.cos(tau), math.sin(tau)
-        return c * c * g - 2.0 * s * c * b + s * s * binvb
-    ch, sh = math.cosh(tau), math.sinh(tau)
-    return ch * ch * g - 2.0 * sh * ch * b + sh * sh * binvb
-
-
-def _closed_second_form(kind: AmbientKind, g, b, binvb, tau: float) -> np.ndarray:
-    if kind in SPACE_FORM_FAMILY:
-        return b - tau * binvb
-    if kind is AmbientKind.SPHERE_PRODUCT:
-        c, s = math.cos(tau), math.sin(tau)
-        return (c * c - s * s) * b + s * c * (g - binvb)
-    ch, sh = math.cosh(tau), math.sinh(tau)
-    return (ch * ch + sh * sh) * b - sh * ch * (g + binvb)
-
-
-def _context_matrices(ctx: LiftContext):
-    g = ctx.frame.metric
-    b = ctx.frame.second_form
+def _closed_forms(kind: AmbientKind, g, b, tau):
+    """Closed forms of the lift's induced metric and of <h(.,.), nu>."""
     binvb = b @ np.linalg.solve(g, b)
-    return g, b, binvb
+    tau = np.asarray(tau, dtype=float)[..., None, None]
+    if kind in SPACE_FORM_FAMILY:
+        return g - 2.0 * tau * b + tau ** 2 * binvb, b - tau * binvb
+    if kind is AmbientKind.SPHERE_PRODUCT:
+        c, s = np.cos(tau), np.sin(tau)
+        return (c * c * g - 2.0 * s * c * b + s * s * binvb,
+                (c * c - s * s) * b + s * c * (g - binvb))
+    ch, sh = np.cosh(tau), np.sinh(tau)
+    return (ch * ch * g - 2.0 * sh * ch * b + sh * sh * binvb,
+            (ch * ch + sh * sh) * b - sh * ch * (g + binvb))
+
+
+def _second_form_gap(lift, sff, nu, closed) -> np.ndarray:
+    """Max-norm gap of the measured <h(.,.), nu> from its closed form."""
+    measured = (sff @ (lift.ambient.signature.signs * nu)[..., None, :, None])[..., 0]
+    return np.max(np.abs(measured - closed), axis=(-2, -1))
+
+
+def _mean_gap(lift, hvec, nu, raw, tau, s) -> np.ndarray:
+    comp = bilinear_rows(lift.ambient.signature, hvec, nu)
+    return np.abs(comp - _closed_mean_component(lift.ambient.kind, raw, tau, s))
+
+
+def _context(lift: LiftedImmersion, x, ctx: Optional[LiftContext]) -> LiftContext:
+    ctx = ctx if ctx is not None else lift.context(x)
+    if ctx is None:
+        raise FrameError("lift carries no cross-check context")
+    return ctx
 
 
 def check_mean_curvature_identity(lift: LiftedImmersion, x,
@@ -245,30 +304,21 @@ def check_mean_curvature_identity(lift: LiftedImmersion, x,
     the flat family and the corresponding rational expressions in
     s = cot(tau) or coth(tau) for the products.
     """
-    ctx = ctx if ctx is not None else lift.context(x)
-    if ctx is None:
-        raise FrameError("lift carries no cross-check context")
+    ctx = _context(lift, x, ctx)
     if hvec is None:
         hvec = mean_curvature_at(lift, x, frame=frame)
-    if nu is None:
-        nu = lift.null_normal(x)
-    comp = bilinear(lift.ambient.signature, hvec, nu)
-    closed = _closed_mean_component(lift.ambient.kind, ctx.spectrum.raw,
-                                    ctx.tau, ctx.s)
-    return abs(comp - closed)
+    nu = nu if nu is not None else lift.null_normal(x)
+    return float(_mean_gap(lift, hvec, nu, ctx.spectrum.raw, ctx.tau, ctx.s))
 
 
 def check_metric_identity(lift: LiftedImmersion, x,
                           ctx: Optional[LiftContext] = None,
                           frame: Optional[LorentzFrame] = None) -> float:
     """Max-norm gap between the measured induced metric and its closed form."""
-    ctx = ctx if ctx is not None else lift.context(x)
-    if ctx is None:
-        raise FrameError("lift carries no cross-check context")
-    if frame is None:
-        frame = lorentz_frame_at(lift, x)
-    g, b, binvb = _context_matrices(ctx)
-    closed = _closed_metric(lift.ambient.kind, g, b, binvb, ctx.tau)
+    ctx = _context(lift, x, ctx)
+    frame = frame if frame is not None else lorentz_frame_at(lift, x)
+    closed, _ = _closed_forms(lift.ambient.kind, ctx.frame.metric,
+                              ctx.frame.second_form, ctx.tau)
     return float(np.max(np.abs(frame.metric - closed)))
 
 
@@ -278,20 +328,13 @@ def check_second_form_identity(lift: LiftedImmersion, x,
                                sff: Optional[np.ndarray] = None,
                                nu: Optional[np.ndarray] = None) -> float:
     """Max-norm gap between <h(.,.), nu> and its closed form."""
-    ctx = ctx if ctx is not None else lift.context(x)
-    if ctx is None:
-        raise FrameError("lift carries no cross-check context")
-    if frame is None:
-        frame = lorentz_frame_at(lift, x)
+    ctx = _context(lift, x, ctx)
     if sff is None:
         sff = second_form_at(lift, x, frame=frame)
-    signs = lift.ambient.signature.signs
-    if nu is None:
-        nu = lift.null_normal(x)
-    measured = sff @ (signs * nu)
-    g, b, binvb = _context_matrices(ctx)
-    closed = _closed_second_form(lift.ambient.kind, g, b, binvb, ctx.tau)
-    return float(np.max(np.abs(measured - closed)))
+    nu = nu if nu is not None else lift.null_normal(x)
+    _, closed = _closed_forms(lift.ambient.kind, ctx.frame.metric,
+                              ctx.frame.second_form, ctx.tau)
+    return float(_second_form_gap(lift, sff, nu, closed))
 
 
 # ----------------------------------------------------------------- reports
@@ -322,11 +365,8 @@ class MarginalityReport:
     spacelike_failures: int
     total: int
     summary: dict
+    cross_check_failures: int = 0
     convention: str = CONVENTION_NOTE
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == VERDICT_TRAPPED
 
 
 def _stat(values):
@@ -336,24 +376,54 @@ def _stat(values):
     return {"max": max(vals), "median": float(np.median(vals))}
 
 
-def _match_primary(frame: LorentzFrame, stored: Optional[np.ndarray], sig):
-    """Order the extracted null pair so index 0 matches the stored normal."""
-    a, b = frame.null_pair
-    if stored is None:
-        return a, b
-    stored = np.asarray(stored, dtype=float)
-    sa = abs(bilinear(sig, a, stored))
-    sb = abs(bilinear(sig, b, stored))
+def _match_primary(pair: np.ndarray, stored: np.ndarray, sig):
+    """Order each extracted null pair (P, 2, N) so index 0 matches the stored
+    normal of its row; a row whose stored normal is NaN keeps its order."""
+    a, b = pair[:, 0], pair[:, 1]
     # a null vector pairs to zero with itself: the match MINIMIZES |<v, stored>|
-    if sa <= sb:
-        return a, b
-    return b, a
+    swap = (np.abs(bilinear_rows(sig, a, stored))
+            > np.abs(bilinear_rows(sig, b, stored)))[:, None]
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def _legendrian_from_context(ctx: LiftContext) -> float:
     fr = ctx.frame
     signs = fr.space.signature.signs
     return float(np.max(np.abs(fr.tangent @ (signs * fr.normal))))
+
+
+def _cross_check_rows(lift: LiftedImmersion, rows, live, frame: LorentzFrame,
+                      sff, hvec, nu):
+    """Legendrian, metric, second-form and eqH residuals (P, 4) of the live
+    rows, NaN where not computed, and the number of live rows whose context
+    raised GeometryError or, on a product ambient, carries no s."""
+    out = np.full((len(live), 4), np.nan)
+    found = {}
+    for j in np.flatnonzero(live):
+        try:
+            found[j] = rows.context(j)
+        except GeometryError:
+            pass
+    failures = int(np.count_nonzero(live)) - len(found)
+    if not found:
+        return out, failures
+    at, ctxs = list(found), list(found.values())
+    fr = [c.frame for c in ctxs]
+    tangent, normal, g, b = (np.array([getattr(f, name) for f in fr]) for name in
+                             ("tangent", "normal", "metric", "second_form"))
+    raw = np.array([c.spectrum.raw for c in ctxs])
+    tau = np.array([c.tau for c in ctxs])
+    gnormal = fr[0].space.signature.signs * normal
+    out[at, 0] = np.max(np.abs(tangent @ gnormal[:, :, None]), axis=(-2, -1))
+    closed_g, closed_h = _closed_forms(lift.ambient.kind, g, b, tau)
+    out[at, 1] = np.max(np.abs(frame.metric[at] - closed_g), axis=(-2, -1))
+    out[at, 2] = _second_form_gap(lift, sff[at], nu[at], closed_h)
+    s = None
+    if lift.ambient.kind not in SPACE_FORM_FAMILY:
+        s = np.array([math.nan if c.s is None else c.s for c in ctxs])
+        failures += int(np.count_nonzero(np.isnan(s)))
+    out[at, 3] = _mean_gap(lift, hvec[at], nu[at], raw, tau, s)
+    return out, failures
 
 
 def assemble_report(lift: LiftedImmersion,
@@ -366,7 +436,9 @@ def assemble_report(lift: LiftedImmersion,
     Verdict: marginally trapped iff at every usable sample the smaller of the
     two normalized null components of the mean curvature is at most
     tol_marginal and the induced metric stays positive definite. A majority
-    of excluded points makes the run inconclusive.
+    of excluded points makes the run inconclusive. `cross_check_failures`
+    counts the usable points whose cross-checks could not run (their
+    residuals stay None).
     """
     if tol_marginal is None:
         tol_marginal = DEFAULTS.tol_marginal
@@ -375,70 +447,62 @@ def assemble_report(lift: LiftedImmersion,
     points = chart.grid(margin=4.0 * step)
     sig = lift.ambient.signature
 
-    # One stencil for the whole grid: jet2_of evaluates the lift once, the
-    # grid points first, so the null normals and cross-check contexts below
-    # come from the same rows as the stencil centres.
     kept = chart.usable(points)
-    evaluations = []
-
-    def evaluate(rows):
-        evaluations.append(lift.evaluate(rows))
-        return evaluations[-1]
-
+    records = [None] * len(points)
+    spacelike_failures = cross_check_failures = 0
     if kept:
-        jets = jet2_of(evaluate, points[kept], h=step, chart=lift.chart)
-    slot = {i: j for j, i in enumerate(kept)}
+        # One stencil for the whole grid: jet2_of evaluates the lift once, the
+        # grid points first, so the null normals and cross-check contexts
+        # below come from the same rows as the stencil centres.
+        evaluations = []
 
-    records = []
-    spacelike_failures = 0
-    for i, x in enumerate(points):
-        if i not in slot:
-            records.append(PointRecord(x=tuple(x), excluded=True,
-                                       reason="chart exclusion"))
-            continue
-        j = slot[i]
-        try:
-            frame = lorentz_frame_at(lift, x, jet=jets.row(j))
-            sff = second_form_at(lift, x, frame=frame)
-            hvec = mean_curvature_at(lift, x, frame=frame, sff=sff)
-            stored = evaluations[0].null_normal(j)
-            primary, opposite = _match_primary(frame, stored, sig)
-            norm = 1.0 + float(np.max(np.abs(hvec)))
-            p = sig.plus
-            ghvec = hvec.copy()
-            ghvec[p:] = -ghvec[p:]
-            res_p = abs(float(ghvec @ primary)) / norm
-            res_o = abs(float(ghvec @ opposite)) / norm
-            hsq = float(ghvec @ hvec)
+        def evaluate(rows):
+            evaluations.append(lift.evaluate(rows))
+            return evaluations[-1]
 
-            leg = lmet = lsec = leqh = None
-            if cross_checks and lift.context_fn is not None:
-                try:
-                    ctx = evaluations[0].context(j)
-                    leg = _legendrian_from_context(ctx)
-                    lmet = check_metric_identity(lift, x, ctx=ctx, frame=frame)
-                    lsec = check_second_form_identity(lift, x, ctx=ctx,
-                                                      frame=frame, sff=sff,
-                                                      nu=stored)
-                    leqh = check_mean_curvature_identity(lift, x, ctx=ctx,
-                                                         frame=frame,
-                                                         hvec=hvec, nu=stored)
-                except GeometryError:
-                    pass
-            records.append(PointRecord(
-                x=tuple(x), position=tuple(frame.position),
-                min_eig_g=frame.min_eig,
-                null_residual_primary=res_p, null_residual_opposite=res_o,
-                hvec_norm_sq=hsq, legendrian_residual=leg,
-                lemma_metric_residual=lmet, lemma_secondform_residual=lsec,
-                eqH_residual=leqh))
-        except SpacelikeViolationError as exc:
-            spacelike_failures += 1
-            records.append(PointRecord(x=tuple(x), excluded=True,
-                                       reason=f"spacelike violation: {exc}"))
-        except GeometryError as exc:
-            records.append(PointRecord(x=tuple(x), excluded=True,
-                                       reason=f"{type(exc).__name__}: {exc}"))
+        x = points[kept]
+        frame = lorentz_frame_rows(lift, x, jet2_of(evaluate, x, h=step, chart=lift.chart))
+        sff = second_form_rows(lift, frame)
+        hvec = mean_curvature_rows(frame, sff)
+        rows, errors = evaluations[0], list(frame.errors)
+        nu = np.full(hvec.shape, np.nan)
+        for j in np.flatnonzero(np.equal(frame.errors, None)):
+            try:
+                stored = rows.null_normal(j)
+            except GeometryError as exc:
+                errors[j] = exc
+                continue
+            if stored is not None:
+                nu[j] = stored
+        primary, opposite = _match_primary(frame.null_pair, nu, sig)
+        norm = 1.0 + np.max(np.abs(hvec), axis=-1)
+        ghvec = (hvec * sig.signs)[:, None, :]
+        res_p = np.abs(ghvec @ primary[:, :, None])[:, 0, 0] / norm
+        res_o = np.abs(ghvec @ opposite[:, :, None])[:, 0, 0] / norm
+        hsq = (ghvec @ hvec[:, :, None])[:, 0, 0]
+        checks = [(None,) * 4] * len(x)
+        if cross_checks and lift.context_fn is not None:
+            found, cross_check_failures = _cross_check_rows(
+                lift, rows, np.equal(errors, None), frame, sff, hvec, nu)
+            checks = [[None if math.isnan(v) else v for v in row] for row in found.tolist()]
+        # PointRecord fields in order: x, position, min_eig_g, the two null
+        # residuals, hvec_norm_sq, then the four cross-check residuals
+        columns = zip(kept, errors, x.tolist(), frame.position.tolist(),
+                      frame.min_eig.tolist(), res_p.tolist(), res_o.tolist(),
+                      hsq.tolist(), checks)
+        for i, err, xi, pos, *values, check in columns:
+            if err is None:
+                records[i] = PointRecord(tuple(xi), tuple(pos), *values, *check)
+            elif isinstance(err, SpacelikeViolationError):
+                spacelike_failures += 1
+                records[i] = PointRecord(tuple(xi), excluded=True,
+                                         reason=f"spacelike violation: {err}")
+            else:
+                records[i] = PointRecord(tuple(xi), excluded=True,
+                                         reason=f"{type(err).__name__}: {err}")
+    for i, x in enumerate(points.tolist()):
+        if records[i] is None:
+            records[i] = PointRecord(x=tuple(x), excluded=True, reason="chart exclusion")
 
     usable = [r for r in records if not r.excluded]
     excluded_count = len(records) - len(usable)
@@ -469,4 +533,4 @@ def assemble_report(lift: LiftedImmersion,
         name=lift.name, ambient=lift.ambient.kind.value, records=tuple(records),
         verdict=verdict, excluded_count=excluded_count,
         spacelike_failures=spacelike_failures, total=len(records),
-        summary=summary)
+        summary=summary, cross_check_failures=cross_check_failures)

@@ -14,10 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marlift import shapes
-from marlift.core import Chart, GeometryError, OutOfDomainError, Rows, jet2_of, looped
+from marlift.catalog import catalog_lookup
+from marlift.core import (
+    DEFAULTS,
+    Chart,
+    GeometryError,
+    OutOfDomainError,
+    Rows,
+    bilinear,
+    jet2_of,
+    looped,
+)
 from marlift.constructor import (
     AmbientKind,
     ConstructionError,
+    LiftedImmersion,
+    LorentzAmbient,
     PatternChangeError,
     flat_slice,
     graph_lift,
@@ -37,6 +49,21 @@ from marlift.hypersurface import (
     mean_gauss_at,
     spectrum_at,
     spectrum_rows,
+)
+from marlift.reporting import render_report
+from marlift.verifier import (
+    FrameError,
+    SpacelikeViolationError,
+    assemble_report,
+    check_mean_curvature_identity,
+    check_metric_identity,
+    check_second_form_identity,
+    lorentz_frame_at,
+    lorentz_frame_rows,
+    mean_curvature_at,
+    mean_curvature_rows,
+    second_form_at,
+    second_form_rows,
 )
 
 
@@ -75,6 +102,8 @@ LIFTS = {
                                      _mean_over_gauss),
     "null-lift": lambda: null_lift(flat_slice(Chart(2, [-1.0, -1.0], [1.0, 1.0], (9, 9))),
                                    lambda x: x[0] ** 2 + x[0] * x[1]),
+    "chen-l2": lambda: catalog_lookup("chen-l2")[1],
+    "chen-l4": lambda: catalog_lookup("chen-l4")[1],
 }
 
 
@@ -246,3 +275,150 @@ def test_stacked_sphere_chart_jets_match_the_one_point_jet():
         assert _close(jets.value[i], one.value)
         assert _close(jets.d1[i], one.d1)
         assert _close(jets.d2[i], one.d2)
+
+
+# ------------------------------------------------------ the verifier on rows
+
+FRAME_FIELDS = ("position", "tangent", "metric", "metric_inv", "min_eig",
+                "normal_basis", "normal_form", "null_pair", "null_product")
+
+
+def _primary(sig, pair, stored):
+    # the stored null normal pairs to zero with the matching extracted one
+    a, b = pair
+    return (a, b) if abs(bilinear(sig, a, stored)) <= abs(bilinear(sig, b, stored)) else (b, a)
+
+
+@pytest.mark.parametrize("name", ["torus-minkowski", "sphere-torus-desitter",
+                                  "sphere-torus-product-0", "sphere-torus-product-1",
+                                  "tube-antidesitter", "equidistant-hyperbolic-product",
+                                  "chen-l2", "chen-l4"])
+def test_row_verifier_equals_one_row_calls(name):
+    lift = _lift(name)
+    sig = lift.ambient.signature
+    points = lift.chart.with_resolution((5, 5)).grid(margin=4.0 * DEFAULTS.step_h)
+    # the report's own stencil, so its records can be checked row by row
+    jets = jet2_of(lift.evaluate, points, chart=lift.chart)
+    frames = lorentz_frame_rows(lift, points, jets)
+    sff = second_form_rows(lift, frames)
+    hvec = mean_curvature_rows(frames, sff)
+    report = assemble_report(lift, resolution=(5, 5))
+    assert report.excluded_count == 0 and report.cross_check_failures == 0
+    for i, x in enumerate(points):
+        one = lorentz_frame_at(lift, x, jet=jets.row(i))
+        for field in FRAME_FIELDS:
+            assert _close(getattr(frames.row(i), field), getattr(one, field)), field
+        sff1 = second_form_at(lift, x, frame=one)
+        hvec1 = mean_curvature_at(lift, x, frame=one, sff=sff1)
+        assert _close(sff[i], sff1)
+        assert _close(hvec[i], hvec1)
+
+        record = report.records[i]
+        nu = lift.null_normal(x)
+        primary, opposite = _primary(sig, one.null_pair, nu)
+        norm = 1.0 + np.max(np.abs(hvec1))
+        assert _close(record.position, one.position)
+        assert _close(record.min_eig_g, one.min_eig)
+        assert _close(record.null_residual_primary, abs(bilinear(sig, hvec1, primary)) / norm)
+        assert _close(record.null_residual_opposite, abs(bilinear(sig, hvec1, opposite)) / norm)
+        assert _close(record.hvec_norm_sq, bilinear(sig, hvec1, hvec1))
+        if lift.context_fn is None:
+            assert record.lemma_metric_residual is None
+            continue
+        ctx = lift.context(x)
+        assert _close(record.lemma_metric_residual,
+                      check_metric_identity(lift, x, ctx=ctx, frame=one))
+        assert _close(record.lemma_secondform_residual,
+                      check_second_form_identity(lift, x, ctx=ctx, frame=one, sff=sff1))
+        assert _close(record.eqH_residual,
+                      check_mean_curvature_identity(lift, x, ctx=ctx, hvec=hvec1))
+
+
+def _patchwork_desitter():
+    """A hand-built de Sitter map in three pieces along x[0]: below -1 it runs
+    along a timelike direction of the quadric (not spacelike); between -1 and
+    1 it is a great 2-sphere (valid); above 1 it is the plane through e1
+    spanned by a = 2 e1 + e2 + 1.5 e5 and e3, which meets the quadric only at
+    the anchor (2, 0.3), where span(a, e3, e1) has signature (2, 1) and so
+    the normal plane is positive definite (not Lorentzian); elsewhere on that
+    piece the constraint fails."""
+    amb = LorentzAmbient.for_kind(AmbientKind.DE_SITTER, 2)
+    e1, a, e3 = np.eye(5)[0], np.array([2.0, 1.0, 0.0, 0.0, 1.5]), np.eye(5)[2]
+
+    def fn(x):
+        u, v = x
+        if u < -1.0:
+            return np.array([math.cosh(u) * math.cos(v), math.cosh(u) * math.sin(v),
+                             0.0, 0.0, math.sinh(u)])
+        if u < 1.0:
+            return np.array([math.cos(u) * math.cos(v), math.sin(u) * math.cos(v),
+                             math.sin(v), 0.0, 0.0])
+        return e1 + (u - 2.0) * a + (v - 0.3) * e3
+
+    return LiftedImmersion(amb, Chart(2, [-3.0, -1.0], [3.0, 1.0], (9, 9)), fn,
+                           name="patchwork")
+
+
+def test_mixed_batch_frame_failures_fail_their_rows_alone():
+    lift = _patchwork_desitter()
+    points = np.array([[-2.0, 0.1], [0.2, 0.4], [2.0, 0.3], [2.5, -0.2],
+                       [-1.5, -0.5], [0.5, -0.3]])
+    jets = jet2_of(lift.evaluate, points, chart=lift.chart)
+    frames = lorentz_frame_rows(lift, points, jets)
+    raised = []
+    for i, x in enumerate(points):
+        try:
+            one = lorentz_frame_at(lift, x)
+        except GeometryError as exc:
+            assert type(frames.errors[i]) is type(exc)
+            assert str(frames.errors[i]) == str(exc)
+            assert np.all(np.isnan(frames.null_pair[i]))
+            raised.append(exc)
+            continue
+        assert frames.errors[i] is None
+        for field in FRAME_FIELDS:
+            assert _close(getattr(frames.row(i), field), getattr(one, field)), field
+    assert [type(e) for e in raised] == [SpacelikeViolationError, FrameError,
+                                         FrameError, SpacelikeViolationError]
+    assert "normal plane metric is not Lorentzian" in str(raised[1])
+    assert "ambient constraint violated" in str(raised[2])
+
+    # the valid rows are unchanged by the failing rows beside them
+    good = [1, 5]
+    alone = lorentz_frame_rows(lift, points[good],
+                               jet2_of(lift.evaluate, points[good], chart=lift.chart))
+    for j, i in enumerate(good):
+        for field in FRAME_FIELDS:
+            assert np.array_equal(getattr(frames.row(i), field),
+                                  getattr(alone.row(j), field)), field
+    sff = second_form_rows(lift, frames)
+    hvec = mean_curvature_rows(frames, sff)
+    sff_alone = second_form_rows(lift, alone)
+    assert np.array_equal(sff[good], sff_alone)
+    assert np.array_equal(hvec[good], mean_curvature_rows(alone, sff_alone))
+    assert np.all(np.isnan(hvec[[0, 2, 3, 4]]))
+
+
+def test_cross_check_failures_are_counted():
+    torus = lift_minkowski(shapes.torus(2.0, 1.0))
+
+    def context(x):
+        if x[0] > 0.0:
+            raise FrameError(f"no context at {x}")
+        return torus.context(x)
+
+    lift = LiftedImmersion(torus.ambient, torus.chart, lambda x: torus(x),
+                           torus.null_normal, context, name="torus-partial-context")
+    report = assemble_report(lift, resolution=(6, 6))
+    failing = [r for r in report.records if r.x[0] > 0.0]
+    assert report.excluded_count == 0 and report.verdict == "marginally_trapped"
+    assert report.cross_check_failures == len(failing) == 18
+    for r in report.records:
+        residuals = (r.legendrian_residual, r.lemma_metric_residual,
+                     r.lemma_secondform_residual, r.eqH_residual)
+        if r.x[0] > 0.0:
+            assert residuals == (None,) * 4
+        else:
+            assert None not in residuals and max(residuals) <= 1e-5
+    assert "cross_check_failures: 18" in render_report(report)
+    assert assemble_report(torus, resolution=(6, 6)).cross_check_failures == 0

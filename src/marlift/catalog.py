@@ -23,10 +23,12 @@ from . import shapes
 from .constructor import (
     AmbientKind,
     LiftedImmersion,
+    LiftRows,
     LorentzAmbient,
     Provenance,
     SupportFunction,
     flat_slice,
+    lift_map,
     null_lift,
     spherical_slice,
 )
@@ -50,16 +52,14 @@ class ParameterError(GeometryError):
     pass
 
 
-_EXPR_NAMES = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
-    "abs": abs, "pi": math.pi, "e": math.e,
-}
+_EXPR_NAMES = {name: getattr(np, name) for name in (
+    "sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")}
+_EXPR_NAMES.update(pi=math.pi, e=math.e)
 
 
-def scalar_expr(expr: str, var: str = "x") -> Callable[[float], float]:
-    """Compile a one-variable math expression with a restricted namespace."""
+def scalar_expr(expr: str, var: str = "x") -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a one-variable math expression with a restricted namespace.
+    It evaluates elementwise on numpy arrays (NaN or inf off its domain)."""
     try:
         code = compile(str(expr), "<param>", "eval")
     except SyntaxError as exc:
@@ -67,15 +67,38 @@ def scalar_expr(expr: str, var: str = "x") -> Callable[[float], float]:
     for name in code.co_names:
         if name != var and name not in _EXPR_NAMES:
             raise ParameterError(f"name {name!r} not allowed in expression {expr!r}")
+    constant = var not in code.co_names     # broadcast to one value per element
 
-    def fn(value: float) -> float:
-        return float(eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, var: value}))
+    def fn(value):
+        out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, var: value})
+        return np.full(np.shape(value), out) if constant else out
 
     return fn
 
 
-def _second_derivative(fn, t, h=1e-5):
-    return (fn(t + h) - 2.0 * fn(t) + fn(t - h)) / h ** 2
+def _finite_on(f, sample: np.ndarray, entry: str, var: str = "x") -> np.ndarray:
+    """f on its chart sample; ParameterError unless every value is finite."""
+    try:
+        with np.errstate(all="ignore"):
+            values = np.asarray(f(sample), dtype=float)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{entry}: cannot evaluate f on its chart: {exc}")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ParameterError(f"{entry} needs f finite on its chart; it is not "
+                             f"at {var}={sample[bad][0]:.6g}")
+    return values
+
+
+def _check_profile(f, chart: Chart, entry: str, what: str, guard, h: float = 1e-5):
+    """ParameterError unless f is finite at 15 samples t of the chart's first
+    axis and at t -/+ h, and guard(f, f'') (by central differences) is not 0."""
+    t = np.linspace(chart.lower[0], chart.upper[0], 15)
+    fm, f0, fp = _finite_on(f, t[:, None] + np.array([-h, 0.0, h]), entry).T
+    flat = np.abs(guard(f0, (fp - 2.0 * f0 + fm) / h ** 2)) <= 1e-8
+    if flat.any():
+        raise ParameterError(
+            f"{entry} needs {what} nowhere zero; fails near x={t[flat][0]:.3f}")
 
 
 @dataclass(frozen=True)
@@ -104,61 +127,54 @@ class CatalogEntry:
 def _build_chen_l1(p):
     f = scalar_expr(p["f"])
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
-    for t in np.linspace(chart.lower[0], chart.upper[0], 15):
-        if abs(_second_derivative(f, t)) <= 1e-8:
-            raise ParameterError(
-                f"chen-l1 needs f'' nowhere zero; fails near x={t:.3f}")
-    lift = null_lift(flat_slice(chart), lambda x: f(x[0]), name="chen-l1")
-    return lift
+    _check_profile(f, chart, "chen-l1", "f''", lambda f0, d2: d2)
+    return null_lift(flat_slice(chart), stacked(lambda x: f(x[:, 0])), name="chen-l1")
 
 
 def _build_chen_l2(p):
     # q(x) = sin x, r(x) = 1: the plane is reparametrized in polar-like
     # coordinates around (-1, 0) and the height is (1+y) sin x
     chart = Chart(2, [-1.0, -0.4], [1.0, 0.4], (17, 17))
+    nu_bar = np.array([0.0, 0.0, 1.0, 1.0])
 
-    @stacked
-    def eval_fn(x):
+    @lift_map
+    def eval_fn(x, construction):
         c, s = np.cos(x[:, 0]), np.sin(x[:, 0])
         tau = (1.0 + x[:, 1]) * s
-        return np.stack([(x[:, 1] + 1.0) * c - 1.0, (x[:, 1] + 1.0) * s, tau, tau], 1)
+        values = np.stack([(x[:, 1] + 1.0) * c - 1.0, (x[:, 1] + 1.0) * s, tau, tau], 1)
+        return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, values.shape))
 
-    nu_bar = np.array([0.0, 0.0, 1.0, 1.0])
     prov = Provenance(family="null-second-form", source_name="chen-l2",
                       detail="height graph over a reparametrized plane")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
-                           chart, eval_fn, lambda x: nu_bar.copy(), None, prov,
-                           name="chen-l2")
+                           chart, eval_fn, prov, name="chen-l2")
 
 
 def _build_chen_l3(p):
     f = scalar_expr(p["f"])
     chart = Chart(2, [-1.0, -0.9], [1.0, 0.9], (17, 17))
-    for t in np.linspace(chart.lower[0], chart.upper[0], 15):
-        if abs(_second_derivative(f, t) + f(t)) <= 1e-8:
-            raise ParameterError(
-                f"chen-l3 needs f'' + f nowhere zero; fails near x={t:.3f}")
+    _check_profile(f, chart, "chen-l3", "f'' + f", lambda f0, d2: d2 + f0)
     return null_lift(spherical_slice(chart),
-                     lambda x: f(x[0]) * math.cos(x[1]), name="chen-l3")
+                     stacked(lambda x: f(x[:, 0]) * np.cos(x[:, 1])), name="chen-l3")
 
 
 def _build_chen_l4(p):
     chart = Chart(2, [-1.0, -0.8], [1.0, 0.8], (17, 17))
+    nu_bar = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
 
-    @stacked
-    def eval_fn(x):
+    @lift_map
+    def eval_fn(x, construction):
         ey, emy = np.exp(x[:, 1]), np.exp(-x[:, 1])
         xsq = x[:, 0] * x[:, 0]
-        return np.stack([emy, x[:, 0] * ey, (xsq - 0.5) * ey,
-                         0.5 * ey + emy, xsq * ey], axis=1)
+        values = np.stack([emy, x[:, 0] * ey, (xsq - 0.5) * ey,
+                           0.5 * ey + emy, xsq * ey], axis=1)
+        return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, values.shape))
 
-    nu_bar = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
     prov = Provenance(family="null-second-form", source_name="chen-l4",
                       detail="constant null normal; the null projection is "
                              "totally geodesic in hyperbolic space")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.ANTI_DE_SITTER, 2),
-                           chart, eval_fn, lambda x: nu_bar.copy(), None, prov,
-                           name="chen-l4")
+                           chart, eval_fn, prov, name="chen-l4")
 
 
 # --------------------------------------------------------- negative controls
@@ -167,15 +183,17 @@ def _build_l1_perturbed(p):
     f = scalar_expr(p["f"])
     eps = float(p["eps"])
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
+    _finite_on(f, np.linspace(chart.lower[0], chart.upper[0], 15), "l1-perturbed")
 
+    @stacked
     def eval_fn(x):
-        v = f(x[0])
-        return np.array([x[0], x[1], v + eps * x[1] ** 2, v])
+        v = f(x[:, 0])
+        return np.stack([x[:, 0], x[:, 1], v + eps * x[:, 1] ** 2, v], axis=1)
 
     prov = Provenance(family="control", source_name="l1-perturbed",
                       detail="third coordinate perturbed off the null direction")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
-                           chart, eval_fn, None, None, prov, name="l1-perturbed")
+                           chart, eval_fn, prov, name="l1-perturbed")
 
 
 def _build_spacelike_graph(p):
@@ -190,8 +208,7 @@ def _build_spacelike_graph(p):
     prov = Provenance(family="control", source_name="spacelike-graph",
                       detail="generic spatial graph, not marginally trapped")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
-                           chart, eval_fn, None, None, prov,
-                           name="spacelike-graph")
+                           chart, eval_fn, prov, name="spacelike-graph")
 
 
 # ------------------------------------------------------------ support entry
@@ -234,6 +251,8 @@ def _build_palmer_sphere(p):
         return SupportFunction(chart, f, grad, lap, name="palmer-quadric")
     if preset == "expr":
         f = scalar_expr(p["f"], var="u3")
+        u3 = shapes.sphere_chart_jets(chart.grid()).value[:, 2]
+        _finite_on(f, u3, "palmer-sphere", var="u3")
         return SupportFunction(chart, lambda u: f(u[2]), None, None,
                                name="palmer-expr")
     raise ParameterError(f"unknown palmer preset {preset!r}")

@@ -135,23 +135,24 @@ def _report_exit(report, expected: Optional[str]) -> int:
 
 
 def _mesh_rows(lift, report):
-    chart_pts, ambient_pts, residuals = [], [], []
+    chart_pts = np.array([rec.x for rec in report.records])
     width = lift.ambient.container_dim
-    for rec in report.records:
-        chart_pts.append(rec.x)
-        res = math.nan
-        pos = None
+    ambient_pts = np.full((len(chart_pts), width), math.nan)
+    residuals = np.full(len(chart_pts), math.nan)
+    fill = []
+    for i, rec in enumerate(report.records):
         if not rec.excluded:
-            res = min(rec.null_residual_primary, rec.null_residual_opposite)
-            pos = rec.position
-        if pos is None or len(pos) != width:
-            try:
-                pos = tuple(lift(np.asarray(rec.x)))
-            except GeometryError:
-                pos = (math.nan,) * width
-        ambient_pts.append(pos)
-        residuals.append(res)
-    return np.array(chart_pts), np.array(ambient_pts), np.array(residuals)
+            residuals[i] = min(rec.null_residual_primary, rec.null_residual_opposite)
+        if not rec.excluded and len(rec.position) == width:
+            ambient_pts[i] = rec.position
+        else:
+            fill.append(i)
+    if fill:
+        # the lift's own value where the record has none, NaN where it fails
+        rows = lift.evaluate(chart_pts[fill], construction=False)
+        ok = np.equal(rows.errors, None)
+        ambient_pts[np.array(fill)[ok]] = rows.values[ok]
+    return chart_pts, ambient_pts, residuals
 
 
 def _write_report_file(cfg: RunConfig, lift, report, root_index, entry_name,
@@ -261,10 +262,10 @@ def _verify_mesh(cfg: RunConfig) -> int:
     # ingest sanity: the stored coordinates must match the rebuilt lift
     sample = chart_pts[:: max(1, len(chart_pts) // 16)]
     stored = ambient_pts[:: max(1, len(chart_pts) // 16)]
-    for x, amb in zip(sample, stored):
-        if np.any(np.isnan(amb)):
-            continue
-        got = lift(x)
+    keep = ~np.isnan(stored).any(axis=1)
+    rows = lift.evaluate(sample[keep], construction=False)
+    for j, (x, amb) in enumerate(zip(sample[keep], stored[keep])):
+        got = rows.value(j)
         if np.max(np.abs(got - amb)) > 1e-8 * (1.0 + np.max(np.abs(amb))):
             raise IngestError(
                 f"mesh row at chart {tuple(x)} disagrees with the rebuilt "

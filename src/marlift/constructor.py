@@ -25,26 +25,24 @@ from .core import (
     Chart,
     DegenerateMetricError,
     DimensionMismatchError,
-    Jet2,
     Rows,
     Signature,
+    _call_rows,
     _fail,
     bilinear_rows,
     jet2_of,
     looped,
     shape_eigen_rows,
-    stacked,
 )
 from .hypersurface import (
     HypersurfaceImmersion,
     PointFrame,
-    ShapeSpectrum,
     SpaceForm,
     SpaceFormKind,
-    frame_at,
+    frame_at,  # unused here; bench/tracing.py wraps it on this module
     frame_rows,
     mean_gauss_at,  # unused here; bench/tracing.py wraps it on this module
-    spectrum_at,
+    spectrum_at,  # unused here; bench/tracing.py wraps it on this module
 )
 from .polynomial import (
     PRODUCT_FAMILY,
@@ -77,6 +75,7 @@ __all__ = [
     "LiftedImmersion",
     "LiftRows",
     "LiftContext",
+    "lift_map",
     "Provenance",
     "TotallyGeodesicSlice",
     "SupportFunction",
@@ -154,10 +153,6 @@ class LorentzAmbient:
         return Signature.of(n + 1, 2)
 
     @property
-    def is_product(self) -> bool:
-        return self.kind in PRODUCT_FAMILY
-
-    @property
     def quadric_constant(self) -> Optional[float]:
         return {
             AmbientKind.MINKOWSKI: None,
@@ -182,7 +177,7 @@ class LorentzAmbient:
         if self.quadric_constant is None:
             return np.zeros(points.shape[:-1] + (0, self.container_dim))
         z = points[..., None, :].copy()
-        if self.is_product:
+        if self.kind in PRODUCT_FAMILY:
             z[..., -1] = 0.0
         return z
 
@@ -206,84 +201,100 @@ class Provenance:
 @dataclass(frozen=True)
 class LiftContext:
     """Cross-check data the verifier may consult: the lemma identities are
-    expressed through the source frame, its raw curvatures and the height."""
+    expressed through the source frame, its raw curvatures and the height
+    (tau, and s = cot/coth tau in the products). A context of stacked points
+    holds stacked frame rows, `raw` (P, n), `tau` and `s` (P,), and `errors`,
+    one entry per point: None, or the GeometryError its context raised."""
 
     frame: PointFrame
-    spectrum: ShapeSpectrum
+    raw: np.ndarray
     tau: float
     s: Optional[float] = None
+    errors: tuple = ()
+
+    def row(self, i: int) -> "LiftContext":
+        """The context of stacked point i; raises that point's error."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return LiftContext(self.frame.row(i), self.raw[i], float(self.tau[i]),
+                           None if self.s is None else float(self.s[i]))
 
 
 class LiftRows(Rows):
-    """A lift evaluated at stacked chart points: `values` (P, N) and one
-    error slot per row, as in `Rows`, plus the construction's distinguished
-    null normal and cross-check context of each row (None when the lift
-    carries none)."""
+    """A lift evaluated at stacked chart points, its one record: `values`
+    (P, N) and one error slot per row, as in `Rows`, plus the construction
+    data: `nulls`, the distinguished null normals (P, N), NaN on failed
+    rows, and `contexts`, one LiftContext of the rows. Either is None when
+    the lift carries none or the rows were evaluated without it."""
 
-    __slots__ = ("null_at", "context_at")
+    __slots__ = ("nulls", "contexts")
 
-    def __init__(self, values, errors, null_at=None, context_at=None):
+    def __init__(self, values, errors, nulls=None, contexts=None):
         super().__init__(values, errors)
-        self.null_at = null_at
-        self.context_at = context_at
+        self.nulls, self.contexts = nulls, contexts
 
     def null_normal(self, i: int) -> Optional[np.ndarray]:
-        return None if self.null_at is None else self.null_at(i)
+        """Null normal of point i, or None; raises that point's error."""
+        self.value(i)
+        return None if self.nulls is None else self.nulls[i]
 
     def context(self, i: int) -> Optional[LiftContext]:
-        return None if self.context_at is None else self.context_at(i)
+        """Context of point i, or None; raises that point's error."""
+        self.value(i)
+        return None if self.contexts is None else self.contexts.row(i)
+
+
+def _context_rows(frame: PointFrame, tau, s=None) -> LiftContext:
+    """Context of a frame of stacked points, with raw curvatures from one
+    stacked eigen solve."""
+    spectra = shape_eigen_rows(frame.metric, frame.second_form, errors=frame.errors)
+    return LiftContext(frame, spectra.values, tau, s, tuple(spectra.errors))
+
+
+def lift_map(fn):
+    """Mark `fn` as a lift map: fn(x, construction) takes stacked chart
+    points (P, n) to a LiftRows, with construction data unless asked not."""
+    fn.lift_map = True
+    return fn
 
 
 @dataclass(frozen=True)
 class LiftedImmersion:
     """Evaluatable spacelike map into a Lorentzian ambient.
 
-    Array contract: `evaluate(x)` takes stacked chart points (P, n) to a
-    `LiftRows`. The normal-shift lifts built here pass an array map as
-    `eval_fn` (marked with `core.stacked`, returning LiftRows), whose rows,
-    null normals and contexts all come from one array pick of frame,
-    spectrum and height. Any other `eval_fn` is an array map returning
-    plain values (P, N) or a `Rows`, or a one-point map that `evaluate`
-    loops over the rows through `core.looped`; either way a row's null
-    normal and context come from `null_normal_fn` and `context_fn` at its
-    point.
-    A row whose evaluation raises GeometryError holds NaN and that error,
-    and the rows beside it are unaffected. Calling the lift at one point
+    `evaluate(x)` takes stacked chart points (P, n) to a `LiftRows`. The
+    builders here and the catalog's lifts with a null normal pass a
+    `lift_map`, which gives values and construction data in one pass; any
+    other map (an array map marked `core.stacked`, or a one-point map looped
+    through `core.looped`) gives values alone. `construction=False` asks for
+    values alone, all a stencil row needs. A row whose evaluation raises
+    GeometryError holds NaN and that error, and the rows beside it are
+    unaffected. Calling the lift, `null_normal` or `context` at one point
     evaluates one row and raises that row's error.
     """
 
     ambient: LorentzAmbient
     chart: Chart
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    null_normal_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    context_fn: Optional[Callable[[np.ndarray], LiftContext]] = None
     provenance: Provenance = Provenance(family="unspecified")
     name: str = ""
 
-    def evaluate(self, x) -> LiftRows:
+    def evaluate(self, x, construction: bool = True) -> LiftRows:
         """Rows of the lift at stacked chart points (P, n)."""
         x = np.asarray(x, dtype=float)
-        rows = looped(self.eval_fn)(x)
-        if isinstance(rows, LiftRows):
-            return rows
-        if not isinstance(rows, Rows):
-            rows = Rows(np.asarray(rows, dtype=float), [None] * len(x))
-        return LiftRows(rows.values, rows.errors,
-                        null_at=lambda i: self.null_normal(x[i]),
-                        context_at=lambda i: self.context(x[i]))
+        if getattr(self.eval_fn, "lift_map", False):
+            return self.eval_fn(x, construction)
+        values, errors = _call_rows(looped(self.eval_fn), x)
+        return LiftRows(values, errors or [None] * len(x))
 
     def __call__(self, x) -> np.ndarray:
-        return self.evaluate(np.asarray(x, dtype=float)[None]).value(0)
+        return self.evaluate(np.asarray(x, dtype=float)[None], False).value(0)
 
     def null_normal(self, x) -> Optional[np.ndarray]:
-        if self.null_normal_fn is None:
-            return None
-        return np.asarray(self.null_normal_fn(np.asarray(x, dtype=float)), dtype=float)
+        return self.evaluate(np.asarray(x, dtype=float)[None]).null_normal(0)
 
     def context(self, x) -> Optional[LiftContext]:
-        if self.context_fn is None:
-            return None
-        return self.context_fn(np.asarray(x, dtype=float))
+        return self.evaluate(np.asarray(x, dtype=float)[None]).context(0)
 
 
 def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -327,9 +338,10 @@ def _constraint_sanity(ambient: LorentzAmbient, rows: LiftRows):
             f"lift violates the {ambient.kind.value} constraint by {res:.3e}")
 
 
-# Rows a normal-shift lift picks and places at once: a whole-grid stencil is
-# split into blocks of this many rows, which bounds the memory of the frames,
-# spectra and root solves it holds.
+# Rows a normal-shift lift picks and places at once for values alone: a
+# whole-grid stencil is split into blocks of this many rows, which bounds the
+# memory of the frames, spectra and root solves it holds. Rows with
+# construction data (the grid points) keep their frames in the contexts.
 _BLOCK = 1024
 
 
@@ -355,12 +367,12 @@ _PLACEMENT = {
 
 
 def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
-                context: bool = True, centre=None, **provenance) -> LiftedImmersion:
+                centre=None, **provenance) -> LiftedImmersion:
     """Normal-shift lift placed by the row of its ambient family.
 
     pick(x) maps stacked chart points (P, n) to (frame, spectra, heights,
-    errors): a frame of stacked points (`point` and `normal` (P, N), `row(i)`
-    for the cross-check context), their spectra (None: computed from the
+    errors): a frame of stacked points (`point` and `normal` (P, N); a
+    PointFrame gives the contexts), their spectra (None: computed from the
     frame when a context needs one), heights (P,) and one error slot per
     point. Each row is placed from its source point, unit normal and height.
     `centre` is a pick whose first row is the chart centre, when the caller
@@ -371,7 +383,7 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
     spatial, time, null = _PLACEMENT[family]
     ambient = LorentzAmbient.for_kind(kind, chart.dim)
 
-    def place(picked) -> LiftRows:
+    def place(picked, construction: bool) -> LiftRows:
         frame, spectra, height, errors = picked
         failed = np.array([e is not None for e in errors], dtype=bool)
         tau = np.full(len(height), np.nan)
@@ -382,47 +394,30 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
             values = np.concatenate([spatial(point, normal, s), tau[:, None]], axis=1)
             nulls = np.concatenate([null(point, normal, s),
                                     np.ones((len(s), 1))], axis=1)
-        values[failed] = np.nan
-        nulls[failed] = np.nan
+        values[failed] = nulls[failed] = np.nan
+        if not construction:
+            return LiftRows(values, errors)
+        if not isinstance(frame, PointFrame):
+            return LiftRows(values, errors, nulls)
+        s_rows = None if family == "flat-family" else height
+        context = (_context_rows(frame, tau, s_rows) if spectra is None
+                   else LiftContext(frame, spectra.raw, tau, s_rows, tuple(errors)))
+        return LiftRows(values, errors, nulls, context)
 
-        def null_at(i):
-            if errors[i] is not None:
-                raise errors[i]
-            return nulls[i]
-
-        def context_at(i):
-            if errors[i] is not None:
-                raise errors[i]
-            source = frame.row(i)
-            spectrum = spectrum_at(source) if spectra is None else spectra.row(i)
-            return LiftContext(frame=source, spectrum=spectrum, tau=float(tau[i]),
-                               s=None if family == "flat-family" else float(height[i]))
-
-        return LiftRows(values, errors, null_at, context_at if context else None)
-
-    @stacked
-    def eval_rows(x) -> LiftRows:
-        if len(x) <= _BLOCK:
-            return place(pick(x))
-        parts = [place(pick(x[k:k + _BLOCK])) for k in range(0, len(x), _BLOCK)]
+    @lift_map
+    def eval_rows(x, construction: bool) -> LiftRows:
+        if construction or len(x) <= _BLOCK:
+            return place(pick(x), construction)
+        parts = [place(pick(x[k:k + _BLOCK]), False) for k in range(0, len(x), _BLOCK)]
         return LiftRows(np.concatenate([part.values for part in parts]),
-                        [e for part in parts for e in part.errors],
-                        lambda i: parts[i // _BLOCK].null_normal(i % _BLOCK),
-                        lambda i: parts[i // _BLOCK].context(i % _BLOCK))
-
-    def null_fn(x):
-        return eval_rows(np.asarray(x, dtype=float)[None]).null_normal(0)
-
-    def context_fn(x):
-        return eval_rows(np.asarray(x, dtype=float)[None]).context(0)
+                        [e for part in parts for e in part.errors])
 
     if centre is None:
         centre = pick(0.5 * (chart.lower + chart.upper)[None])
-    _constraint_sanity(ambient, place(centre))
+    _constraint_sanity(ambient, place(centre, construction=False))
     provenance.setdefault("family", family)
-    return LiftedImmersion(ambient, chart, eval_rows, null_fn,
-                           context_fn if context else None,
-                           Provenance(**provenance), name=name)
+    return LiftedImmersion(ambient, chart, eval_rows, Provenance(**provenance),
+                           name=name)
 
 
 def _root_lift(imm, kind, family, root_index, offset=0.0,
@@ -527,8 +522,7 @@ def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
     def pick(x):
         frame = frame_rows(imm, x)
         height = tau_fn(frame)
-        errors = [f if f is not None else e
-                  for f, e in zip(frame.errors, height.errors)]
+        errors = [f if f is not None else e for f, e in zip(frame.errors, height.errors)]
         return frame, None, height.values, errors
 
     return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph",
@@ -541,28 +535,33 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
 
     A control object: it is marginally trapped only if the height matches a
     root of the product polynomial through the s = cot/coth correspondence.
+    Its null normal (normal, 1) and context come from the source frame, so a
+    row whose frame fails fails when construction data is asked for.
     """
     _check_source(imm, kind, PRODUCT_FAMILY)
     ambient = LorentzAmbient.for_kind(kind, imm.chart.dim)
+    s = (1.0 / math.tan(height) if kind is AmbientKind.SPHERE_PRODUCT
+         else 1.0 / math.tanh(height))
 
-    def eval_fn(x):
-        return np.append(imm(x), height)
-
-    def null_fn(x):
-        frame = frame_at(imm, x)
-        return np.append(frame.normal, 1.0)
-
-    def context_fn(x):
-        frame = frame_at(imm, x)
-        s = (1.0 / math.tan(height) if kind is AmbientKind.SPHERE_PRODUCT
-             else 1.0 / math.tanh(height))
-        return LiftContext(frame=frame, spectrum=spectrum_at(frame),
-                           tau=height, s=s)
+    @lift_map
+    def eval_rows(x, construction: bool) -> LiftRows:
+        points, errors = _call_rows(looped(imm.eval_fn), x)
+        errors = errors or [None] * len(x)
+        values = np.concatenate([points, np.full((len(x), 1), height)], axis=1)
+        if not construction:
+            return LiftRows(values, errors)
+        frame = frame_rows(imm, x)
+        errors = [e if e is not None else f for e, f in zip(errors, frame.errors)]
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        nulls = np.concatenate([frame.normal, np.ones((len(x), 1))], axis=1)
+        values[failed] = nulls[failed] = np.nan
+        context = _context_rows(frame, np.full(len(x), height), np.full(len(x), s))
+        return LiftRows(values, errors, nulls, context)
 
     prov = Provenance(family=kind.value, source_name=imm.name,
                       detail=f"constant height {height}")
-    return LiftedImmersion(ambient, imm.chart, eval_fn, null_fn, context_fn,
-                           prov, name=f"{imm.name}:height{height:g}")
+    return LiftedImmersion(ambient, imm.chart, eval_rows, prov,
+                           name=f"{imm.name}:height{height:g}")
 
 
 # --------------------------------------------------------------- null lifts
@@ -576,9 +575,6 @@ class TotallyGeodesicSlice:
     chart: Chart
     eval_fn: Callable[[np.ndarray], np.ndarray]
     normal0: np.ndarray
-
-    def __call__(self, x):
-        return self.eval_fn(np.asarray(x, dtype=float)[None])[0]
 
 
 class _SlicePoint(NamedTuple):
@@ -634,19 +630,19 @@ def null_lift(slice_: TotallyGeodesicSlice,
     so the lift is marginally trapped for every C^2 height field. Only the
     flat family carries such lifts (the product ambients admit none besides
     the totally geodesic one), so every slice targets a flat-family ambient.
-    `tau_fn` takes one chart point and is looped over the rows.
+    `tau_fn` is an array map (`core.stacked`) of stacked chart points (P, n)
+    to heights (P,), or a one-point map, looped over the rows.
     """
     kind = slice_.kind
     heights = looped(tau_fn)
 
     def pick(x):
         point = slice_.eval_fn(x)
-        tau = heights(x)
+        tau, errors = _call_rows(heights, x)
         normal = np.broadcast_to(slice_.normal0, point.shape)
-        return _SlicePoint(point, normal), None, tau.values[:, 0], tau.errors
+        return _SlicePoint(point, normal), None, tau[:, 0], errors or [None] * len(x)
 
-    return _shift_lift(kind, slice_.chart, pick,
-                       name or f"null-lift:{kind.value}", context=False,
+    return _shift_lift(kind, slice_.chart, pick, name or f"null-lift:{kind.value}",
                        family="null-second-form", source_name=name or "slice",
                        detail="height graph along the constant null direction")
 
@@ -668,10 +664,6 @@ class SupportFunction:
     lap: Optional[Callable[[np.ndarray], float]] = None
     name: str = ""
 
-    def _chart_jet(self, x) -> Jet2:
-        from .shapes import sphere_chart_jet
-        return sphere_chart_jet(np.asarray(x, dtype=float))
-
     def point(self, x) -> np.ndarray:
         from .shapes import sphere_chart
         return sphere_chart(np.asarray(x, dtype=float))
@@ -680,7 +672,8 @@ class SupportFunction:
         return float(self.f(self.point(x)))
 
     def _chart_data(self, x):
-        ju = self._chart_jet(x)
+        from .shapes import sphere_chart_jet
+        ju = sphere_chart_jet(np.asarray(x, dtype=float))
         jf = jet2_of(lambda y: np.array([self.f(self.point(y))]),
                      np.asarray(x, dtype=float), h=DEFAULTS.step_h)
         g = ju.d1 @ ju.d1.T
@@ -726,31 +719,32 @@ def lift_palmer(sf: SupportFunction, name: str = "") -> LiftedImmersion:
     The height is -(f + Laplacian(f)/2), the surface-curvature ratio of the
     reconstructed front, and the spatial part is the front shifted to the
     focal position: grad f - (Laplacian(f)/2) u. The distinguished null
-    normal is (u, 1).
+    normal is (u, 1); the context is the frame of the reconstructed front.
     """
     ambient = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
+    recon = sf.reconstruction()
 
-    def eval_fn(x):
+    def value_and_u(x):
         u = sf.point(x)
         lap = sf.laplacian(x)
         spatial = sf.gradient(x) - 0.5 * lap * u
-        return np.append(spatial, -sf.value(x) - 0.5 * lap)
+        return np.concatenate([spatial, [-sf.value(x) - 0.5 * lap], u])
 
-    def null_fn(x):
-        return np.append(sf.point(x), 1.0)
-
-    recon = sf.reconstruction()
-
-    def context_fn(x):
-        frame = frame_at(recon, x)
-        return LiftContext(frame=frame, spectrum=spectrum_at(frame),
-                           tau=-sf.value(x) - 0.5 * sf.laplacian(x))
+    @lift_map
+    def eval_rows(x, construction: bool) -> LiftRows:
+        rows = looped(value_and_u)(x)
+        values, u = rows.values[:, :4], rows.values[:, 4:]
+        if not construction:
+            return LiftRows(values, rows.errors)
+        nulls = np.concatenate([u, np.ones((len(x), 1))], axis=1)
+        context = _context_rows(frame_rows(recon, x), values[:, -1])
+        return LiftRows(values, rows.errors, nulls, context)
 
     prov = Provenance(family="flat-family", source_name=sf.name or "support",
                       detail="support-function route; equals the normal-shift "
                              "lift of the reconstructed front")
-    return LiftedImmersion(ambient, sf.chart, eval_fn, null_fn, context_fn,
-                           prov, name=name or f"palmer:{sf.name}")
+    return LiftedImmersion(ambient, sf.chart, eval_rows, prov,
+                           name=name or f"palmer:{sf.name}")
 
 
 def support_route_lift(sf: SupportFunction) -> LiftedImmersion:
@@ -804,9 +798,7 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
     if not usable:
         raise ConstructionError("no usable grid points for root threading")
     _, spectra, roots = _root_rows(imm, kind, grid[usable])
-    pattern = None
-    count = None
-    values = None
+    pattern = count = values = None
     last_jump = {}
     for j, idx in enumerate(usable):
         x = grid[idx]

@@ -12,6 +12,9 @@ Row contract: `assemble_report` takes the grid's stencil in one `jet2_of`
 call and runs every later stage on those stacked rows. A point that fails
 fails alone, with the error its one-row call `lorentz_frame_at` raises; the
 `*_at` and `check_*_identity` functions are one-row calls of the same code.
+The construction data comes from the one lift record, the `LiftRows` of the
+grid points: their null normals and stacked context are read as arrays, by
+row mask; the stencil rows are evaluated without them.
 
 Mean curvature convention: the averaged trace (1/n) g^ij h_ij. The verdict
 is insensitive to the normalization, but the closed-form identities are not,
@@ -196,8 +199,9 @@ def lorentz_frame_at(lift: LiftedImmersion, x,
     it is taken from one stencil of lift evaluations at the default step.
     """
     x = np.asarray(x, dtype=float)[None]
-    jets = (jet2_of(lift.evaluate, x, chart=lift.chart) if jet is None
-            else Jet2(jet.value[None], jet.d1[None], jet.d2[None]))
+    jets = (jet2_of(lambda p: lift.evaluate(p, construction=False), x,
+                    chart=lift.chart)
+            if jet is None else Jet2(jet.value[None], jet.d1[None], jet.d2[None]))
     return lorentz_frame_rows(lift, x, jets).row(0)
 
 
@@ -295,9 +299,7 @@ def _context(lift: LiftedImmersion, x, ctx: Optional[LiftContext]) -> LiftContex
 
 def check_mean_curvature_identity(lift: LiftedImmersion, x,
                                   ctx: Optional[LiftContext] = None,
-                                  frame: Optional[LorentzFrame] = None,
-                                  hvec: Optional[np.ndarray] = None,
-                                  nu: Optional[np.ndarray] = None) -> float:
+                                  hvec: Optional[np.ndarray] = None) -> float:
     """|<H, nu> - closed form| with the construction's null normal.
 
     The closed form sums kappa/(1 - tau kappa) over the raw curvatures for
@@ -306,9 +308,8 @@ def check_mean_curvature_identity(lift: LiftedImmersion, x,
     """
     ctx = _context(lift, x, ctx)
     if hvec is None:
-        hvec = mean_curvature_at(lift, x, frame=frame)
-    nu = nu if nu is not None else lift.null_normal(x)
-    return float(_mean_gap(lift, hvec, nu, ctx.spectrum.raw, ctx.tau, ctx.s))
+        hvec = mean_curvature_at(lift, x)
+    return float(_mean_gap(lift, hvec, lift.null_normal(x), ctx.raw, ctx.tau, ctx.s))
 
 
 def check_metric_identity(lift: LiftedImmersion, x,
@@ -325,16 +326,14 @@ def check_metric_identity(lift: LiftedImmersion, x,
 def check_second_form_identity(lift: LiftedImmersion, x,
                                ctx: Optional[LiftContext] = None,
                                frame: Optional[LorentzFrame] = None,
-                               sff: Optional[np.ndarray] = None,
-                               nu: Optional[np.ndarray] = None) -> float:
+                               sff: Optional[np.ndarray] = None) -> float:
     """Max-norm gap between <h(.,.), nu> and its closed form."""
     ctx = _context(lift, x, ctx)
     if sff is None:
         sff = second_form_at(lift, x, frame=frame)
-    nu = nu if nu is not None else lift.null_normal(x)
     _, closed = _closed_forms(lift.ambient.kind, ctx.frame.metric,
                               ctx.frame.second_form, ctx.tau)
-    return float(_second_form_gap(lift, sff, nu, closed))
+    return float(_second_form_gap(lift, sff, lift.null_normal(x), closed))
 
 
 # ----------------------------------------------------------------- reports
@@ -386,43 +385,35 @@ def _match_primary(pair: np.ndarray, stored: np.ndarray, sig):
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def _legendrian_from_context(ctx: LiftContext) -> float:
+def _legendrian_from_context(ctx: LiftContext):
+    """max |<d phi_i, normal>| of the source frame, of one point or per row."""
     fr = ctx.frame
-    signs = fr.space.signature.signs
-    return float(np.max(np.abs(fr.tangent @ (signs * fr.normal))))
+    gnormal = fr.space.signature.signs * fr.normal
+    return np.max(np.abs(fr.tangent @ gnormal[..., :, None]), axis=(-2, -1))
 
 
-def _cross_check_rows(lift: LiftedImmersion, rows, live, frame: LorentzFrame,
-                      sff, hvec, nu):
+def _cross_check_rows(lift: LiftedImmersion, ctx: LiftContext, live,
+                      frame: LorentzFrame, sff, hvec, nu):
     """Legendrian, metric, second-form and eqH residuals (P, 4) of the live
-    rows, NaN where not computed, and the number of live rows whose context
-    raised GeometryError or, on a product ambient, carries no s."""
+    rows, from the stacked context `ctx` of the same rows; NaN where not
+    computed. Also the number of live rows whose context row failed or, on a
+    product ambient, carries no s."""
     out = np.full((len(live), 4), np.nan)
-    found = {}
-    for j in np.flatnonzero(live):
-        try:
-            found[j] = rows.context(j)
-        except GeometryError:
-            pass
-    failures = int(np.count_nonzero(live)) - len(found)
-    if not found:
+    ok = live & np.equal(ctx.errors, None)
+    failures = int(np.count_nonzero(live & ~ok))
+    if not ok.any():
         return out, failures
-    at, ctxs = list(found), list(found.values())
-    fr = [c.frame for c in ctxs]
-    tangent, normal, g, b = (np.array([getattr(f, name) for f in fr]) for name in
-                             ("tangent", "normal", "metric", "second_form"))
-    raw = np.array([c.spectrum.raw for c in ctxs])
-    tau = np.array([c.tau for c in ctxs])
-    gnormal = fr[0].space.signature.signs * normal
-    out[at, 0] = np.max(np.abs(tangent @ gnormal[:, :, None]), axis=(-2, -1))
-    closed_g, closed_h = _closed_forms(lift.ambient.kind, g, b, tau)
-    out[at, 1] = np.max(np.abs(frame.metric[at] - closed_g), axis=(-2, -1))
-    out[at, 2] = _second_form_gap(lift, sff[at], nu[at], closed_h)
+    fr, tau = ctx.frame, ctx.tau[ok]
+    out[ok, 0] = _legendrian_from_context(ctx)[ok]
+    closed_g, closed_h = _closed_forms(lift.ambient.kind, fr.metric[ok],
+                                       fr.second_form[ok], tau)
+    out[ok, 1] = np.max(np.abs(frame.metric[ok] - closed_g), axis=(-2, -1))
+    out[ok, 2] = _second_form_gap(lift, sff[ok], nu[ok], closed_h)
     s = None
     if lift.ambient.kind not in SPACE_FORM_FAMILY:
-        s = np.array([math.nan if c.s is None else c.s for c in ctxs])
+        s = np.full(len(tau), np.nan) if ctx.s is None else ctx.s[ok]
         failures += int(np.count_nonzero(np.isnan(s)))
-    out[at, 3] = _mean_gap(lift, hvec[at], nu[at], raw, tau, s)
+    out[ok, 3] = _mean_gap(lift, hvec[ok], nu[ok], ctx.raw[ok], tau, s)
     return out, failures
 
 
@@ -451,29 +442,25 @@ def assemble_report(lift: LiftedImmersion,
     records = [None] * len(points)
     spacelike_failures = cross_check_failures = 0
     if kept:
-        # One stencil for the whole grid: jet2_of evaluates the lift once, the
-        # grid points first, so the null normals and cross-check contexts
-        # below come from the same rows as the stencil centres.
-        evaluations = []
+        # One stencil for the whole grid: jet2_of evaluates the grid points
+        # first, and only that call carries the null normals and contexts.
+        grid = []
 
         def evaluate(rows):
-            evaluations.append(lift.evaluate(rows))
-            return evaluations[-1]
+            if grid:
+                return lift.evaluate(rows, construction=False)
+            grid.append(lift.evaluate(rows))
+            return grid[0]
 
         x = points[kept]
         frame = lorentz_frame_rows(lift, x, jet2_of(evaluate, x, h=step, chart=lift.chart))
         sff = second_form_rows(lift, frame)
         hvec = mean_curvature_rows(frame, sff)
-        rows, errors = evaluations[0], list(frame.errors)
+        rows, errors = grid[0], frame.errors
+        live = np.equal(errors, None)
         nu = np.full(hvec.shape, np.nan)
-        for j in np.flatnonzero(np.equal(frame.errors, None)):
-            try:
-                stored = rows.null_normal(j)
-            except GeometryError as exc:
-                errors[j] = exc
-                continue
-            if stored is not None:
-                nu[j] = stored
+        if rows.nulls is not None:
+            nu[live] = rows.nulls[live]
         primary, opposite = _match_primary(frame.null_pair, nu, sig)
         norm = 1.0 + np.max(np.abs(hvec), axis=-1)
         ghvec = (hvec * sig.signs)[:, None, :]
@@ -481,9 +468,9 @@ def assemble_report(lift: LiftedImmersion,
         res_o = np.abs(ghvec @ opposite[:, :, None])[:, 0, 0] / norm
         hsq = (ghvec @ hvec[:, :, None])[:, 0, 0]
         checks = [(None,) * 4] * len(x)
-        if cross_checks and lift.context_fn is not None:
+        if cross_checks and rows.contexts is not None:
             found, cross_check_failures = _cross_check_rows(
-                lift, rows, np.equal(errors, None), frame, sff, hvec, nu)
+                lift, rows.contexts, live, frame, sff, hvec, nu)
             checks = [[None if math.isnan(v) else v for v in row] for row in found.tolist()]
         # PointRecord fields in order: x, position, min_eig_g, the two null
         # residuals, hvec_norm_sq, then the four cross-check residuals

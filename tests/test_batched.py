@@ -5,6 +5,7 @@ gives, and a failing row must fail alone with the error its one-row call
 raises.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -29,6 +30,7 @@ from marlift.constructor import (
     AmbientKind,
     ConstructionError,
     LiftedImmersion,
+    LiftRows,
     LorentzAmbient,
     PatternChangeError,
     flat_slice,
@@ -36,9 +38,12 @@ from marlift.constructor import (
     lift_antidesitter,
     lift_desitter,
     lift_hyperbolic_product,
+    lift_map,
     lift_minkowski,
+    lift_palmer,
     lift_sphere_product,
     null_lift,
+    product_height_lift,
     product_lifts,
     thread_root_fields,
 )
@@ -102,8 +107,14 @@ LIFTS = {
                                      _mean_over_gauss),
     "null-lift": lambda: null_lift(flat_slice(Chart(2, [-1.0, -1.0], [1.0, 1.0], (9, 9))),
                                    lambda x: x[0] ** 2 + x[0] * x[1]),
+    "chen-l1": lambda: catalog_lookup("chen-l1")[1],
     "chen-l2": lambda: catalog_lookup("chen-l2")[1],
+    "chen-l3": lambda: catalog_lookup("chen-l3")[1],
     "chen-l4": lambda: catalog_lookup("chen-l4")[1],
+    "l1-perturbed": lambda: catalog_lookup("l1-perturbed")[1],
+    "product-height": lambda: product_height_lift(shapes.clifford_torus(1.0), 0.4,
+                                                  AmbientKind.SPHERE_PRODUCT),
+    "palmer-quadric": lambda: lift_palmer(catalog_lookup("palmer-sphere")[1]),
 }
 
 
@@ -133,13 +144,17 @@ def test_array_evaluation_equals_one_row_calls(name, fractions):
     for i, x in enumerate(points):
         assert rows.errors[i] is None
         assert _close(rows.values[i], lift(x))
-        assert _close(rows.null_normal(i), lift.null_normal(x))
+        nu, one_nu = rows.null_normal(i), lift.null_normal(x)
+        assert (nu is None) == (one_nu is None)
+        if one_nu is not None:
+            assert _close(nu, one_nu)
         ctx, one = rows.context(i), lift.context(x)
         assert (ctx is None) == (one is None)
         if one is not None:
             assert _close(ctx.tau, one.tau)
             assert (ctx.s is None and one.s is None) or _close(ctx.s, one.s)
             assert _close(ctx.frame.normal, one.frame.normal)
+            assert _close(ctx.raw, one.raw)
 
 
 def _check_mixed(lift, points):
@@ -322,10 +337,10 @@ def test_row_verifier_equals_one_row_calls(name):
         assert _close(record.null_residual_primary, abs(bilinear(sig, hvec1, primary)) / norm)
         assert _close(record.null_residual_opposite, abs(bilinear(sig, hvec1, opposite)) / norm)
         assert _close(record.hvec_norm_sq, bilinear(sig, hvec1, hvec1))
-        if lift.context_fn is None:
+        ctx = lift.context(x)
+        if ctx is None:
             assert record.lemma_metric_residual is None
             continue
-        ctx = lift.context(x)
         assert _close(record.lemma_metric_residual,
                       check_metric_identity(lift, x, ctx=ctx, frame=one))
         assert _close(record.lemma_secondform_residual,
@@ -402,13 +417,18 @@ def test_mixed_batch_frame_failures_fail_their_rows_alone():
 def test_cross_check_failures_are_counted():
     torus = lift_minkowski(shapes.torus(2.0, 1.0))
 
-    def context(x):
-        if x[0] > 0.0:
-            raise FrameError(f"no context at {x}")
-        return torus.context(x)
+    @lift_map
+    def partial_context(x, construction):
+        rows = torus.evaluate(x, construction)
+        if rows.contexts is None:
+            return rows
+        errors = tuple(FrameError(f"no context at {p}") if p[0] > 0.0 else e
+                       for p, e in zip(x, rows.contexts.errors))
+        return LiftRows(rows.values, rows.errors, rows.nulls,
+                        dataclasses.replace(rows.contexts, errors=errors))
 
-    lift = LiftedImmersion(torus.ambient, torus.chart, lambda x: torus(x),
-                           torus.null_normal, context, name="torus-partial-context")
+    lift = dataclasses.replace(torus, eval_fn=partial_context,
+                               name="torus-partial-context")
     report = assemble_report(lift, resolution=(6, 6))
     failing = [r for r in report.records if r.x[0] > 0.0]
     assert report.excluded_count == 0 and report.verdict == "marginally_trapped"
@@ -422,3 +442,21 @@ def test_cross_check_failures_are_counted():
             assert None not in residuals and max(residuals) <= 1e-5
     assert "cross_check_failures: 18" in render_report(report)
     assert assemble_report(torus, resolution=(6, 6)).cross_check_failures == 0
+
+
+@pytest.mark.parametrize("name", ["torus-minkowski", "sphere-torus-product-0",
+                                  "chen-l2", "product-height", "palmer-quadric"])
+def test_report_reads_construction_data_from_rows(name, monkeypatch):
+    # the report takes null normals and contexts from the LiftRows of its
+    # grid points, never from one-row calls of the lift
+    lift = _lift(name)
+    expected = assemble_report(lift, resolution=(5, 5))
+
+    def one_row(*args):
+        raise AssertionError("one-row construction data call")
+
+    monkeypatch.setattr(LiftedImmersion, "null_normal", one_row)
+    monkeypatch.setattr(LiftedImmersion, "context", one_row)
+    report = assemble_report(lift, resolution=(5, 5))
+    assert report.records == expected.records
+    assert report.cross_check_failures == expected.cross_check_failures

@@ -109,6 +109,17 @@ def test_verify_hypersurface_entry_is_usage_error():
     assert main(["verify", "--entry", "torus"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("entry,params", [
+    ("chen-l1", "f=log(x)"),
+    ("chen-l3", "f=sqrt(x)"),
+    ("palmer-sphere", "preset=expr,f=log(u3-0.5)"),
+])
+def test_expression_outside_its_domain_is_usage_error(tmp_path, capsys, entry, params):
+    assert main(["verify", "--entry", entry, "--params", params, "--grid", "5x5",
+                 "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert "needs f finite on its chart" in capsys.readouterr().err
+
+
 def test_mesh_round_trip(tmp_path, capsys):
     assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
                  "--grid", "5x5", "--out-dir", str(tmp_path)]) == EXIT_PASS

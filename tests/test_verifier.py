@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -226,9 +227,7 @@ def test_report_inconclusive_when_mostly_excluded():
     ch = lift.chart
     bad = Chart(ch.dim, ch.lower, ch.upper, ch.resolution,
                 excluded=lambda x: x[0] > -0.9)
-    shadowed = LiftedImmersion(lift.ambient, bad, lift.eval_fn,
-                               lift.null_normal_fn, lift.context_fn,
-                               lift.provenance, lift.name)
+    shadowed = dataclasses.replace(lift, chart=bad)
     rep = assemble_report(shadowed, resolution=(6, 6))
     assert rep.verdict == "inconclusive"
 

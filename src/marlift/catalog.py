@@ -8,12 +8,15 @@ through the support-function route.
 
 Function-valued parameters (the height profiles of the chen families, the
 support field) are given as expressions in x over a restricted math
-namespace, e.g. ``f="x**2"`` or ``f="2+sin(x)"``.
+namespace, e.g. ``f="x**2"`` or ``f="2+sin(x)"``. They evaluate on numpy
+arrays and on `Taylor` numbers, which give their exact first and second
+derivatives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,6 +44,9 @@ __all__ = [
     "catalog_names",
     "UnknownEntryError",
     "ParameterError",
+    "Taylor",
+    "scalar_expr",
+    "taylor2",
 ]
 
 
@@ -57,9 +63,139 @@ _EXPR_NAMES = {name: getattr(np, name) for name in (
 _EXPR_NAMES.update(pi=math.pi, e=math.e)
 
 
+def _tan(v):
+    t = np.tan(v)
+    sec2 = 1.0 + t * t
+    return t, sec2, 2.0 * t * sec2
+
+
+def _tanh(v):
+    t = np.tanh(v)
+    sech2 = 1.0 - t * t
+    return t, sech2, -2.0 * t * sech2
+
+
+def _sqrt(v):
+    s = np.sqrt(v)
+    return s, 0.5 / s, -0.25 / (s * v)
+
+
+# phi(v), phi'(v) and phi''(v) of the functions of _EXPR_NAMES
+_CHAIN = {
+    np.sin: lambda v: (np.sin(v), np.cos(v), -np.sin(v)),
+    np.cos: lambda v: (np.cos(v), -np.sin(v), -np.cos(v)),
+    np.tan: _tan,
+    np.sinh: lambda v: (np.sinh(v), np.cosh(v), np.sinh(v)),
+    np.cosh: lambda v: (np.cosh(v), np.sinh(v), np.cosh(v)),
+    np.tanh: _tanh,
+    np.exp: lambda v: (np.exp(v),) * 3,
+    np.log: lambda v: (np.log(v), 1.0 / v, -1.0 / (v * v)),
+    np.sqrt: _sqrt,
+    np.absolute: lambda v: (np.abs(v), np.sign(v), np.zeros_like(v)),
+}
+# numpy scalars (constant subexpressions such as sin(1)) meet a Taylor
+# number through these ufuncs
+_BINARY = {np.add: operator.add, np.subtract: operator.sub,
+           np.multiply: operator.mul, np.true_divide: operator.truediv,
+           np.power: operator.pow}
+
+
+def _taylor(c) -> "Taylor":
+    """c as a Taylor number: a number is a constant."""
+    return c if isinstance(c, Taylor) else Taylor(c, 0.0, 0.0)
+
+
+class Taylor:
+    """Truncated Taylor number of order 2: the value g and the derivatives
+    g' and g'' of an expression in one variable, each an array.
+
+    Arithmetic, `**` and the numpy functions of `_EXPR_NAMES` carry the
+    derivatives by the chain rule. Numbers are constants. The value is the
+    same numpy operation as on a plain array, so it keeps that array's bits.
+    """
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    @classmethod
+    def variable(cls, x) -> "Taylor":
+        x = np.asarray(x, dtype=float)
+        return cls(x, np.ones_like(x), np.zeros_like(x))
+
+    def _chain(self, value, slope, curve) -> "Taylor":
+        """phi of self, given phi, phi' and phi'' at self's value."""
+        return Taylor(value, slope * self.d1,
+                      curve * self.d1 * self.d1 + slope * self.d2)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _CHAIN:
+            (x,) = inputs
+            return x._chain(*_CHAIN[ufunc](x.v))
+        if ufunc in _BINARY:
+            return _BINARY[ufunc](*map(_taylor, inputs))
+        return NotImplemented
+
+    def __pos__(self):
+        return self
+
+    def __neg__(self):
+        return Taylor(-self.v, -self.d1, -self.d2)
+
+    def __add__(self, o):
+        o = _taylor(o)
+        return Taylor(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
+
+    def __sub__(self, o):
+        o = _taylor(o)
+        return Taylor(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
+
+    def __mul__(self, o):
+        o = _taylor(o)
+        return Taylor(self.v * o.v, self.d1 * o.v + self.v * o.d1,
+                      self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
+
+    def __truediv__(self, o):
+        o = _taylor(o)
+        q = self.v / o.v
+        q1 = (self.d1 - q * o.d1) / o.v
+        return Taylor(q, q1, (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v)
+
+    def __pow__(self, o):
+        if isinstance(o, Taylor):
+            # exp(w) with w = o log(self)
+            value, w = self.v ** o.v, o * np.log(self)
+            return Taylor(value, value * w.d1, value * (w.d2 + w.d1 * w.d1))
+        # a constant exponent keeps negative bases; the terms of c' = 0 and
+        # c'' = 0 drop out, so x**1 and x**0 stay finite at x = 0
+        zero = np.zeros_like(self.v)
+        slope = o * self.v ** (o - 1) if o != 0 else zero
+        curve = o * (o - 1) * self.v ** (o - 2) if o * (o - 1) != 0 else zero
+        return self._chain(self.v ** o, slope, curve)
+
+    def __radd__(self, o):
+        return _taylor(o) + self
+
+    def __rsub__(self, o):
+        return _taylor(o) - self
+
+    def __rmul__(self, o):
+        return _taylor(o) * self
+
+    def __rtruediv__(self, o):
+        return _taylor(o) / self
+
+    def __rpow__(self, o):
+        return _taylor(o) ** self
+
+
 def scalar_expr(expr: str, var: str = "x") -> Callable[[np.ndarray], np.ndarray]:
     """Compile a one-variable math expression with a restricted namespace.
-    It evaluates elementwise on numpy arrays (NaN or inf off its domain)."""
+    It evaluates elementwise on numpy arrays (NaN or inf off its domain),
+    and on a `Taylor` number, which gives its first two derivatives too."""
     try:
         code = compile(str(expr), "<param>", "eval")
     except SyntaxError as exc:
@@ -71,31 +207,50 @@ def scalar_expr(expr: str, var: str = "x") -> Callable[[np.ndarray], np.ndarray]
 
     def fn(value):
         out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, var: value})
-        return np.full(np.shape(value), out) if constant else out
+        if not constant:
+            return out
+        if isinstance(value, Taylor):
+            zero = np.zeros_like(value.v)
+            return Taylor(np.full(zero.shape, out), zero, zero)
+        return np.full(np.shape(value), out)
 
     return fn
 
 
-def _finite_on(f, sample: np.ndarray, entry: str, var: str = "x") -> np.ndarray:
-    """f on its chart sample; ParameterError unless every value is finite."""
+def taylor2(f, x) -> tuple:
+    """g, g' and g'' of a `scalar_expr` g at the points x (an array), from
+    one Taylor evaluation."""
+    out = f(Taylor.variable(x))
+    shape = np.shape(x)
+    return tuple(np.broadcast_to(c, shape) for c in (out.v, out.d1, out.d2))
+
+
+def _finite_on(f, sample: np.ndarray, entry: str, var: str = "x",
+               derivatives: bool = False):
+    """f on its chart sample, or (g, g', g'') there with `derivatives`;
+    ParameterError unless every value is finite."""
     try:
         with np.errstate(all="ignore"):
-            values = np.asarray(f(sample), dtype=float)
+            values = taylor2(f, sample) if derivatives else f(sample)
+            values = np.asarray(values, dtype=float)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise ParameterError(f"{entry}: cannot evaluate f on its chart: {exc}")
     bad = ~np.isfinite(values)
+    if derivatives:
+        bad = bad.any(axis=0)
     if bad.any():
-        raise ParameterError(f"{entry} needs f finite on its chart; it is not "
-                             f"at {var}={sample[bad][0]:.6g}")
+        which = " with its first two derivatives" if derivatives else ""
+        raise ParameterError(f"{entry} needs f finite on its chart{which}; "
+                             f"it is not at {var}={sample[bad][0]:.6g}")
     return values
 
 
-def _check_profile(f, chart: Chart, entry: str, what: str, guard, h: float = 1e-5):
-    """ParameterError unless f is finite at 15 samples t of the chart's first
-    axis and at t -/+ h, and guard(f, f'') (by central differences) is not 0."""
+def _check_profile(f, chart: Chart, entry: str, what: str, guard):
+    """ParameterError unless f, f' and f'' are finite at 15 samples t of the
+    chart's first axis and guard(f, f'') is not 0 there."""
     t = np.linspace(chart.lower[0], chart.upper[0], 15)
-    fm, f0, fp = _finite_on(f, t[:, None] + np.array([-h, 0.0, h]), entry).T
-    flat = np.abs(guard(f0, (fp - 2.0 * f0 + fm) / h ** 2)) <= 1e-8
+    f0, _, f2 = _finite_on(f, t, entry, derivatives=True)
+    flat = np.abs(guard(f0, f2)) <= 1e-8
     if flat.any():
         raise ParameterError(
             f"{entry} needs {what} nowhere zero; fails near x={t[flat][0]:.3f}")
@@ -213,22 +368,48 @@ def _build_spacelike_graph(p):
 
 # ------------------------------------------------------------ support entry
 
+def _dot_rows(a, b):
+    """Row-wise dot products of two (P, 3) arrays, each with the bits of
+    `a[i] @ b[i]` (a stacked matmul sums as the one-pair product does)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _quadric_support(ax, ay, az):
     m2 = np.array([ax, ay, az], dtype=float) ** 2
 
     def f(u):
-        return math.sqrt(float(u @ (m2 * u)))
+        return np.sqrt(_dot_rows(u, m2 * u))
 
     def grad(u):
-        fv = f(u)
+        fv = f(u)[:, None]
         return m2 * u / fv - fv * u
 
     def lap(u):
         fv = f(u)
         m2u = m2 * u
-        return float(np.sum(m2)) / fv - float(m2u @ m2u) / fv ** 3 - 2.0 * fv
+        # float_power rounds as the C library's pow, as a float's ** does;
+        # numpy's power may differ from it in the last bit
+        cube = np.float_power(fv, 3)
+        return float(np.sum(m2)) / fv - _dot_rows(m2u, m2u) / cube - 2.0 * fv
 
     return f, grad, lap
+
+
+def _expr_support(g):
+    """f(u) = g(u3): gradient g'(u3)(e3 - u3 u) and Laplacian
+    (1 - u3^2) g''(u3) - 2 u3 g'(u3), from one Taylor evaluation each."""
+    e3 = np.array([0.0, 0.0, 1.0])
+
+    def grad(u):
+        u3 = u[:, 2:]
+        return taylor2(g, u3)[1] * (e3 - u3 * u)
+
+    def lap(u):
+        u3 = u[:, 2]
+        _, g1, g2 = taylor2(g, u3)
+        return (1.0 - u3 * u3) * g2 - 2.0 * u3 * g1
+
+    return lambda u: g(u[:, 2]), grad, lap
 
 
 def _build_palmer_sphere(p):
@@ -236,25 +417,24 @@ def _build_palmer_sphere(p):
     chart = Chart(2, [-0.8, 0.25], [0.8, 0.9], (17, 17))
     if preset == "round":
         c = float(p["c"])
-        return SupportFunction(chart, lambda u: c, lambda u: np.zeros(3),
-                               lambda u: 0.0, name="palmer-round")
+        return SupportFunction(chart, lambda u: np.full(len(u), c), np.zeros_like,
+                               lambda u: np.zeros(len(u)), name="palmer-round")
     if preset == "offset":
         c, eps = float(p["c"]), float(p["eps"])
         e3 = np.array([0.0, 0.0, 1.0])
         return SupportFunction(
-            chart, lambda u: c + eps * u[2],
-            lambda u: eps * (e3 - u[2] * u),
-            lambda u: -2.0 * eps * u[2], name="palmer-offset")
+            chart, lambda u: c + eps * u[:, 2],
+            lambda u: eps * (e3 - u[:, 2:] * u),
+            lambda u: -2.0 * eps * u[:, 2], name="palmer-offset")
     if preset == "quadric":
         f, grad, lap = _quadric_support(float(p["ax"]), float(p["ay"]),
                                         float(p["az"]))
         return SupportFunction(chart, f, grad, lap, name="palmer-quadric")
     if preset == "expr":
-        f = scalar_expr(p["f"], var="u3")
-        u3 = shapes.sphere_chart_jets(chart.grid()).value[:, 2]
-        _finite_on(f, u3, "palmer-sphere", var="u3")
-        return SupportFunction(chart, lambda u: f(u[2]), None, None,
-                               name="palmer-expr")
+        g = scalar_expr(p["f"], var="u3")
+        _finite_on(g, shapes.sphere_chart(chart.grid())[:, 2], "palmer-sphere",
+                   var="u3", derivatives=True)
+        return SupportFunction(chart, *_expr_support(g), name="palmer-expr")
     raise ParameterError(f"unknown palmer preset {preset!r}")
 
 

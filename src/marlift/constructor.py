@@ -30,9 +30,10 @@ from .core import (
     _call_rows,
     _fail,
     bilinear_rows,
-    jet2_of,
+    jet2_of,  # unused here; bench/tracing.py wraps it on this module
     looped,
     shape_eigen_rows,
+    stacked,
 )
 from .hypersurface import (
     HypersurfaceImmersion,
@@ -66,6 +67,7 @@ from .polynomial import (
     solve_roots,
     sphere_product_closed_roots,
 )
+from .shapes import sphere_chart
 
 __all__ = [
     "AmbientKind",
@@ -651,63 +653,44 @@ def null_lift(slice_: TotallyGeodesicSlice,
 
 @dataclass(frozen=True)
 class SupportFunction:
-    """Scalar field on a chart of S^2 with round-metric gradient and Laplacian.
+    """Scalar field f on a chart of S^2 with its round-metric gradient and
+    Laplacian.
 
-    Analytic providers take a unit vector u in R^3; when absent, both are
-    computed from chart jets of f and of the chart map (the Laplacian through
-    the metric and Christoffel data of the chart).
+    `f`, `grad` and `lap` are array maps: they take stacked unit vectors u
+    (P, 3) to values (P,), tangent gradients (P, 3) and Laplacians (P,).
+    `point`, `value`, `gradient` and `laplacian` take one chart point (n,)
+    or stacked chart points (P, n).
     """
 
     chart: Chart
-    f: Callable[[np.ndarray], float]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    lap: Optional[Callable[[np.ndarray], float]] = None
+    f: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray], np.ndarray]
+    lap: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
+    def _at(self, fn, x):
+        x = np.asarray(x, dtype=float)
+        out = fn(sphere_chart(x if x.ndim == 2 else x[None]))
+        return out if x.ndim == 2 else out[0]
+
     def point(self, x) -> np.ndarray:
-        from .shapes import sphere_chart
-        return sphere_chart(np.asarray(x, dtype=float))
+        return self._at(lambda u: u, x)
 
-    def value(self, x) -> float:
-        return float(self.f(self.point(x)))
-
-    def _chart_data(self, x):
-        from .shapes import sphere_chart_jet
-        ju = sphere_chart_jet(np.asarray(x, dtype=float))
-        jf = jet2_of(lambda y: np.array([self.f(self.point(y))]),
-                     np.asarray(x, dtype=float), h=DEFAULTS.step_h)
-        g = ju.d1 @ ju.d1.T
-        ginv = np.linalg.inv(g)
-        return ju, jf, g, ginv
+    def value(self, x):
+        return self._at(self.f, x)
 
     def gradient(self, x) -> np.ndarray:
-        u = self.point(x)
-        if self.grad is not None:
-            return np.asarray(self.grad(u), dtype=float)
-        ju, jf, _, ginv = self._chart_data(x)
-        df = jf.d1[:, 0]
-        return (ginv @ df) @ ju.d1
+        return self._at(self.grad, x)
 
-    def laplacian(self, x) -> float:
-        u = self.point(x)
-        if self.lap is not None:
-            return float(self.lap(u))
-        ju, jf, g, ginv = self._chart_data(x)
-        df = jf.d1[:, 0]
-        hess = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                # Christoffel contraction via <d2 u_ij, du_l>
-                gamma = ginv @ (ju.d1 @ ju.d2[i, j])
-                hess[i, j] = jf.d2[i, j, 0] - float(gamma @ df)
-        return float(np.sum(ginv * hess))
+    def laplacian(self, x):
+        return self._at(self.lap, x)
 
     def reconstruction(self) -> HypersurfaceImmersion:
         """The convex-front surface with this support data: f u + grad f."""
 
+        @stacked
         def fn(x):
-            u = self.point(x)
-            return float(self.f(u)) * u + self.gradient(x)
+            return self.value(x)[:, None] * self.point(x) + self.gradient(x)
 
         return HypersurfaceImmersion(SpaceForm.euclidean(3), self.chart, fn,
                                      name=f"{self.name or 'support'}-front")
@@ -724,21 +707,17 @@ def lift_palmer(sf: SupportFunction, name: str = "") -> LiftedImmersion:
     ambient = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
     recon = sf.reconstruction()
 
-    def value_and_u(x):
-        u = sf.point(x)
-        lap = sf.laplacian(x)
-        spatial = sf.gradient(x) - 0.5 * lap * u
-        return np.concatenate([spatial, [-sf.value(x) - 0.5 * lap], u])
-
     @lift_map
     def eval_rows(x, construction: bool) -> LiftRows:
-        rows = looped(value_and_u)(x)
-        values, u = rows.values[:, :4], rows.values[:, 4:]
+        u, half_lap = sf.point(x), 0.5 * sf.laplacian(x)
+        values = np.concatenate([sf.gradient(x) - half_lap[:, None] * u,
+                                 (-sf.value(x) - half_lap)[:, None]], axis=1)
+        errors = [None] * len(x)
         if not construction:
-            return LiftRows(values, rows.errors)
+            return LiftRows(values, errors)
         nulls = np.concatenate([u, np.ones((len(x), 1))], axis=1)
         context = _context_rows(frame_rows(recon, x), values[:, -1])
-        return LiftRows(values, rows.errors, nulls, context)
+        return LiftRows(values, errors, nulls, context)
 
     prov = Provenance(family="flat-family", source_name=sf.name or "support",
                       detail="support-function route; equals the normal-shift "

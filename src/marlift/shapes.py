@@ -64,10 +64,12 @@ def _immersion(space, chart, jets, name) -> HypersurfaceImmersion:
 # ------------------------------------------------------------ S^2 charts
 
 def sphere_chart(x):
-    """Angular chart of S^2 at one point: (x, y) -> (sin x cos y, sin y, cos x cos y)."""
-    sx, cx = math.sin(x[0]), math.cos(x[0])
-    sy, cy = math.sin(x[1]), math.cos(x[1])
-    return np.array([sx * cy, sy, cx * cy])
+    """Angular chart of S^2: (x, y) -> (sin x cos y, sin y, cos x cos y), at
+    one point (2,) or at stacked points (P, 2)."""
+    x = np.asarray(x, dtype=float)
+    sx, cx = np.sin(x[..., 0]), np.cos(x[..., 0])
+    sy, cy = np.sin(x[..., 1]), np.cos(x[..., 1])
+    return np.stack([sx * cy, sy, cx * cy], axis=-1)
 
 
 def sphere_chart_jet(x):
@@ -83,11 +85,8 @@ def sphere_chart_jet(x):
 
 
 def sphere_chart_jets(x):
-    """Stacked analytic jets of `sphere_chart` at points (P, 2).
-
-    `sphere_chart` and `sphere_chart_jet` stay one-point maps for
-    SupportFunction, whose nested jets evaluate them point by point.
-    """
+    """Stacked analytic jets of `sphere_chart` at points (P, 2);
+    `sphere_chart_jet` is the same jet at one point."""
     sx, cx = np.sin(x[:, 0]), np.cos(x[:, 0])
     sy, cy = np.sin(x[:, 1]), np.cos(x[:, 1])
     zero = np.zeros_like(sx)

@@ -7,8 +7,10 @@ from marlift.catalog import (
     CATALOG,
     ParameterError,
     UnknownEntryError,
+    Taylor,
     catalog_lookup,
     scalar_expr,
+    taylor2,
 )
 from marlift.constructor import LiftedImmersion, SupportFunction, lift_palmer
 from marlift.hypersurface import HypersurfaceImmersion, frame_at, spectrum_at
@@ -43,6 +45,100 @@ def test_scalar_expr_restricted_namespace():
         scalar_expr("__import__('os')")
     with pytest.raises(ParameterError):
         scalar_expr("open('x')")
+
+
+# expression, and its first and second derivative in closed form; inner
+# functions of the form a*x+b also exercise the chain rule
+C1 = 0.7
+TAYLOR_CASES = [
+    ("sin(0.7*x+0.2)", lambda x: C1 * np.cos(C1 * x + 0.2),
+     lambda x: -C1 ** 2 * np.sin(C1 * x + 0.2)),
+    ("cos(0.7*x+0.2)", lambda x: -C1 * np.sin(C1 * x + 0.2),
+     lambda x: -C1 ** 2 * np.cos(C1 * x + 0.2)),
+    ("tan(x)", lambda x: 1.0 / np.cos(x) ** 2,
+     lambda x: 2.0 * np.tan(x) / np.cos(x) ** 2),
+    ("sinh(0.7*x)", lambda x: C1 * np.cosh(C1 * x),
+     lambda x: C1 ** 2 * np.sinh(C1 * x)),
+    ("cosh(0.7*x)", lambda x: C1 * np.sinh(C1 * x),
+     lambda x: C1 ** 2 * np.cosh(C1 * x)),
+    ("tanh(x)", lambda x: 1.0 / np.cosh(x) ** 2,
+     lambda x: -2.0 * np.tanh(x) / np.cosh(x) ** 2),
+    ("exp(0.7*x)", lambda x: C1 * np.exp(C1 * x),
+     lambda x: C1 ** 2 * np.exp(C1 * x)),
+    ("log(x)", lambda x: 1.0 / x, lambda x: -1.0 / x ** 2),
+    ("sqrt(x)", lambda x: 0.5 / np.sqrt(x), lambda x: -0.25 * x ** -1.5),
+    ("abs(x-2)", lambda x: -np.ones_like(x), lambda x: np.zeros_like(x)),
+    ("x+x", lambda x: 2.0 + 0 * x, lambda x: 0 * x),
+    ("x+2", lambda x: 1.0 + 0 * x, lambda x: 0 * x),
+    ("2+x", lambda x: 1.0 + 0 * x, lambda x: 0 * x),
+    ("x-2*x*x", lambda x: 1.0 - 4.0 * x, lambda x: -4.0 + 0 * x),
+    ("x-2", lambda x: 1.0 + 0 * x, lambda x: 0 * x),
+    ("2-x", lambda x: -1.0 + 0 * x, lambda x: 0 * x),
+    ("-x", lambda x: -1.0 + 0 * x, lambda x: 0 * x),
+    ("+x", lambda x: 1.0 + 0 * x, lambda x: 0 * x),
+    ("x*sin(x)", lambda x: np.sin(x) + x * np.cos(x),
+     lambda x: 2.0 * np.cos(x) - x * np.sin(x)),
+    ("3*x", lambda x: 3.0 + 0 * x, lambda x: 0 * x),
+    ("x*3", lambda x: 3.0 + 0 * x, lambda x: 0 * x),
+    ("x/(1+x)", lambda x: 1.0 / (1 + x) ** 2, lambda x: -2.0 / (1 + x) ** 3),
+    ("x/4", lambda x: 0.25 + 0 * x, lambda x: 0 * x),
+    ("3/x", lambda x: -3.0 / x ** 2, lambda x: 6.0 / x ** 3),
+    ("x**3", lambda x: 3.0 * x ** 2, lambda x: 6.0 * x),
+    ("x**-1.5", lambda x: -1.5 * x ** -2.5, lambda x: 3.75 * x ** -3.5),
+    ("x**1", lambda x: 1.0 + 0 * x, lambda x: 0 * x),
+    ("x**0", lambda x: 0 * x, lambda x: 0 * x),
+    ("x**x", lambda x: x ** x * (np.log(x) + 1.0),
+     lambda x: x ** x * ((np.log(x) + 1.0) ** 2 + 1.0 / x)),
+    ("2**x", lambda x: math.log(2.0) * 2.0 ** x,
+     lambda x: math.log(2.0) ** 2 * 2.0 ** x),
+    # numpy scalars meet the Taylor number through numpy's ufuncs
+    ("sin(1.0)*x", lambda x: math.sin(1.0) + 0 * x, lambda x: 0 * x),
+    ("cos(0.0)-x", lambda x: -1.0 + 0 * x, lambda x: 0 * x),
+    ("sin(1.0)/x", lambda x: -math.sin(1.0) / x ** 2,
+     lambda x: 2.0 * math.sin(1.0) / x ** 3),
+    ("exp(1.0)**x", lambda x: np.exp(x), lambda x: np.exp(x)),
+    ("3.5", lambda x: 0 * x, lambda x: 0 * x),
+]
+SAMPLES = np.linspace(0.3, 0.9, 7)
+
+
+@pytest.mark.parametrize("expr,d1,d2", TAYLOR_CASES, ids=[c[0] for c in TAYLOR_CASES])
+def test_taylor_derivatives_match_closed_forms(expr, d1, d2):
+    f = scalar_expr(expr)
+    g, g1, g2 = taylor2(f, SAMPLES)
+    # the value keeps the bits of the array evaluation
+    assert np.array_equal(g, f(SAMPLES))
+    np.testing.assert_allclose(g1, d1(SAMPLES), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(g2, d2(SAMPLES), rtol=1e-12, atol=0.0)
+
+
+def test_scalar_expr_float_and_array_bits():
+    # floats and arrays evaluate in numpy's namespace, as they did before
+    # the expressions learnt Taylor numbers
+    names = {n: getattr(np, n) for n in ("sin", "cos", "exp", "log", "sqrt", "abs")}
+    x = np.linspace(0.2, 1.7, 11)
+    for expr in ("x**2", "2+sin(x)", "exp(x)/sqrt(x)+abs(log(x))", "2**x"):
+        expected = eval(expr, {"__builtins__": {}}, {**names, "x": x})
+        assert np.array_equal(scalar_expr(expr)(x), expected)
+        for v in x[:3]:
+            one = scalar_expr(expr)(float(v))
+            assert one == eval(expr, {"__builtins__": {}}, {**names, "x": float(v)})
+    assert np.array_equal(scalar_expr("1.5")(x), np.full(11, 1.5))
+    assert scalar_expr("1.5")(0.3) == 1.5
+
+
+def test_taylor_constant_expression_broadcasts():
+    g = scalar_expr("2*pi")(Taylor.variable(SAMPLES))
+    assert isinstance(g, Taylor)
+    assert np.array_equal(g.v, np.full(7, 2 * math.pi))
+    assert not g.d1.any() and not g.d2.any()
+
+
+@pytest.mark.parametrize("f", ["2*x+1", "100*x+50"])
+def test_flat_profile_named_at_its_first_sample(f):
+    # f'' = 0 exactly: the first sample of the chart, x = -1, is named
+    with pytest.raises(ParameterError, match=r"fails near x=-1\.000"):
+        catalog_lookup("chen-l1", {"f": f})
 
 
 def test_chen_l1_requires_convex_profile():

@@ -113,6 +113,8 @@ def test_verify_hypersurface_entry_is_usage_error():
     ("chen-l1", "f=log(x)"),
     ("chen-l3", "f=sqrt(x)"),
     ("palmer-sphere", "preset=expr,f=log(u3-0.5)"),
+    # finite value, NaN exact slope
+    ("palmer-sphere", "preset=expr,f=1+sqrt(u3-u3)"),
 ])
 def test_expression_outside_its_domain_is_usage_error(tmp_path, capsys, entry, params):
     assert main(["verify", "--entry", entry, "--params", params, "--grid", "5x5",

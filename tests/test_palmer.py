@@ -5,7 +5,6 @@ import pytest
 
 from marlift.catalog import catalog_lookup
 from marlift.constructor import (
-    SupportFunction,
     lift_palmer,
     support_route_lift,
 )
@@ -17,15 +16,42 @@ def chart():
     return Chart(2, [-0.8, 0.25], [0.8, 0.9], (7, 7))
 
 
-def test_finite_difference_gradient_matches_analytic():
+def test_expr_preset_gradient_matches_analytic():
     # f = u3 is a first spherical harmonic: grad = e3 - u3 u, lap = -2 u3
-    sf_fd = SupportFunction(chart(), lambda u: u[2], name="fd")
+    _, sf = catalog_lookup("palmer-sphere", {"preset": "expr", "f": "u3"})
     e3 = np.array([0.0, 0.0, 1.0])
     for x in chart().grid(margin=0.01)[::7]:
-        u = sf_fd.point(x)
-        grad = sf_fd.gradient(x)
-        assert np.allclose(grad, e3 - u[2] * u, atol=1e-7)
-        assert sf_fd.laplacian(x) == pytest.approx(-2.0 * u[2], abs=1e-6)
+        u = sf.point(x)
+        grad = sf.gradient(x)
+        assert np.allclose(grad, e3 - u[2] * u, rtol=0.0, atol=1e-12)
+        assert sf.laplacian(x) == pytest.approx(-2.0 * u[2], abs=1e-12)
+
+
+def test_support_function_takes_one_or_stacked_points():
+    _, sf = catalog_lookup("palmer-sphere", {"preset": "expr",
+                                             "f": "1+0.2*sin(u3)*exp(u3)"})
+    points = chart().grid()
+    for method in (sf.point, sf.value, sf.gradient, sf.laplacian):
+        rows = method(points)
+        assert len(rows) == len(points)
+        for x, row in zip(points, rows):
+            assert np.array_equal(method(x), row)
+
+
+def test_quadric_rows_keep_the_one_point_arithmetic():
+    # the one-point formulas on Python floats, as the preset had them before
+    # it took stacked vectors: the rows must keep their bits
+    _, sf = catalog_lookup("palmer-sphere")   # quadric preset, axes 1.3/1.0/0.8
+    m2 = np.array([1.3, 1.0, 0.8]) ** 2
+    points = sf.chart.grid()
+    rows = zip(sf.point(points), sf.value(points), sf.gradient(points),
+               sf.laplacian(points))
+    for u, f, grad, lap in rows:
+        fv = math.sqrt(float(u @ (m2 * u)))
+        m2u = m2 * u
+        assert f == fv
+        assert np.array_equal(grad, m2 * u / fv - fv * u)
+        assert lap == float(np.sum(m2)) / fv - float(m2u @ m2u) / fv ** 3 - 2.0 * fv
 
 
 def test_quadric_support_reconstructs_ellipsoid():
@@ -97,3 +123,21 @@ def test_constant_support_route_height():
     val = route(np.array([0.2, 0.5]))
     assert val[-1] == pytest.approx(-2.0, abs=1e-7)
     assert np.allclose(val[:3], 0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("field", ["1.06+0.136136*u3**2", "1.0+0.1*u3**2"])
+@pytest.mark.parametrize("grid", [(9, 9), (17, 17)])
+def test_both_routes_verify_trapped_on_expr_fields(field, grid):
+    # with finite differences of f nested under the verifier's, lift_palmer
+    # on the first field (both grids) and the route on the second (17x17)
+    # went over tol_marginal; exact support derivatives trap both
+    _, sf = catalog_lookup("palmer-sphere", {"preset": "expr", "f": field})
+    direct, route = lift_palmer(sf), support_route_lift(sf)
+    rep1 = assemble_report(direct, resolution=grid)
+    rep2 = assemble_report(route, resolution=grid, cross_checks=False)
+    for rep in (rep1, rep2):
+        assert rep.verdict == "marginally_trapped"
+        assert rep.excluded_count == 0
+    gap = max(np.max(np.abs(np.array(r1.position) - np.array(r2.position)))
+              for r1, r2 in zip(rep1.records, rep2.records))
+    assert gap <= 1e-5

@@ -74,7 +74,7 @@ from .verifier import (
     mean_curvature_at,
     second_form_at,
 )
-from .catalog import CATALOG, catalog_lookup, catalog_names
+from .catalog import CATALOG, catalog_lookup
 from . import shapes
 
 __version__ = "0.1.0"

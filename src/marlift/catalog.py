@@ -28,7 +28,6 @@ from .constructor import (
     LiftedImmersion,
     LiftRows,
     LorentzAmbient,
-    Provenance,
     SupportFunction,
     flat_slice,
     lift_map,
@@ -41,7 +40,6 @@ __all__ = [
     "CatalogEntry",
     "CATALOG",
     "catalog_lookup",
-    "catalog_names",
     "UnknownEntryError",
     "ParameterError",
     "Taylor",
@@ -299,10 +297,8 @@ def _build_chen_l2(p):
         values = np.stack([(x[:, 1] + 1.0) * c - 1.0, (x[:, 1] + 1.0) * s, tau, tau], 1)
         return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, values.shape))
 
-    prov = Provenance(family="null-second-form", source_name="chen-l2",
-                      detail="height graph over a reparametrized plane")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
-                           chart, eval_fn, prov, name="chen-l2")
+                           chart, eval_fn, name="chen-l2")
 
 
 def _build_chen_l3(p):
@@ -325,11 +321,8 @@ def _build_chen_l4(p):
                            0.5 * ey + emy, xsq * ey], axis=1)
         return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, values.shape))
 
-    prov = Provenance(family="null-second-form", source_name="chen-l4",
-                      detail="constant null normal; the null projection is "
-                             "totally geodesic in hyperbolic space")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.ANTI_DE_SITTER, 2),
-                           chart, eval_fn, prov, name="chen-l4")
+                           chart, eval_fn, name="chen-l4")
 
 
 # --------------------------------------------------------- negative controls
@@ -345,10 +338,8 @@ def _build_l1_perturbed(p):
         v = f(x[:, 0])
         return np.stack([x[:, 0], x[:, 1], v + eps * x[:, 1] ** 2, v], axis=1)
 
-    prov = Provenance(family="control", source_name="l1-perturbed",
-                      detail="third coordinate perturbed off the null direction")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
-                           chart, eval_fn, prov, name="l1-perturbed")
+                           chart, eval_fn, name="l1-perturbed")
 
 
 def _build_spacelike_graph(p):
@@ -360,10 +351,8 @@ def _build_spacelike_graph(p):
         return np.stack([x[:, 0], x[:, 1], amp * np.sin(x[:, 0]) * np.sin(x[:, 1]),
                          np.zeros(len(x))], axis=1)
 
-    prov = Provenance(family="control", source_name="spacelike-graph",
-                      detail="generic spatial graph, not marginally trapped")
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
-                           chart, eval_fn, prov, name="spacelike-graph")
+                           chart, eval_fn, name="spacelike-graph")
 
 
 # ------------------------------------------------------------ support entry
@@ -506,10 +495,6 @@ CATALOG = {e.name: e for e in [
                  "amplitude", (("amplitude", 0.1),),
                  expected_verdict="not_marginal"),
 ]}
-
-
-def catalog_names():
-    return list(CATALOG)
 
 
 def catalog_lookup(name: str, params: Optional[dict] = None):

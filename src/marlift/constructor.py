@@ -6,10 +6,13 @@ moved along the constant null direction (normal, 1). All other lifts shift a
 hypersurface along its own normal congruence by a root of a curvature
 polynomial (`polynomial`, whose names this module re-exports).
 
-Both branches are placed in the ambient by one table, `_PLACEMENT`: per
-ambient family it takes a source point, its unit normal and a height to the
-lift and its distinguished null normal. It is the one place the lift
-formulas live.
+Every normal-shift lift is placed in the ambient by one table, `_PLACEMENT`:
+per ambient family it takes a source point, its unit normal and a height to
+the lift and its distinguished null normal. Both branches go through it, and
+so does the support-function route (`lift_palmer`), the flat-family shift of
+the reconstructed front f u + grad f along u. It is the one place the lift
+formulas live; only the constant-height product embedding
+(`product_height_lift`), which is not a normal shift, writes its own.
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ __all__ = [
     "LiftRows",
     "LiftContext",
     "lift_map",
-    "Provenance",
     "TotallyGeodesicSlice",
     "SupportFunction",
     "curvature_polynomial",
@@ -191,16 +193,6 @@ class LorentzAmbient:
 # ------------------------------------------------------------------- lifts
 
 @dataclass(frozen=True)
-class Provenance:
-    family: str
-    source_name: str = ""
-    root_index: Optional[int] = None
-    root_count: Optional[int] = None
-    pattern: Optional[tuple] = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class LiftContext:
     """Cross-check data the verifier may consult: the lemma identities are
     expressed through the source frame, its raw curvatures and the height
@@ -278,7 +270,6 @@ class LiftedImmersion:
     ambient: LorentzAmbient
     chart: Chart
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    provenance: Provenance = Provenance(family="unspecified")
     name: str = ""
 
     def evaluate(self, x, construction: bool = True) -> LiftRows:
@@ -368,58 +359,71 @@ _PLACEMENT = {
 }
 
 
+class _Source(NamedTuple):
+    """What a normal-shift lift places, at stacked chart points: source
+    points and their unit normals (P, N), heights (P,) and one error slot per
+    row (None: no row failed). `frame`, the source frame of the rows, gives
+    the contexts, with its raw curvatures `raw` (None: solved from the
+    frame); without it the rows carry no context."""
+
+    point: np.ndarray
+    normal: np.ndarray
+    height: np.ndarray
+    errors: Optional[list] = None
+    frame: Optional[PointFrame] = None
+    raw: Optional[np.ndarray] = None
+
+
 def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
-                centre=None, **provenance) -> LiftedImmersion:
+                centre=None) -> LiftedImmersion:
     """Normal-shift lift placed by the row of its ambient family.
 
-    pick(x) maps stacked chart points (P, n) to (frame, spectra, heights,
-    errors): a frame of stacked points (`point` and `normal` (P, N); a
-    PointFrame gives the contexts), their spectra (None: computed from the
-    frame when a context needs one), heights (P,) and one error slot per
-    point. Each row is placed from its source point, unit normal and height.
-    `centre` is a pick whose first row is the chart centre, when the caller
-    has one; the build-time constraint check reads it. `provenance` holds
-    the Provenance fields; the family defaults to the placement row.
+    pick(x, construction) maps stacked chart points (P, n) to their
+    `_Source`; it may leave out the frame when `construction` is False.
+    Each row is placed from its source point, unit normal and height.
+    `centre` is a `_Source` whose first row is the chart centre, when the
+    caller has one; the build-time constraint check reads it.
     """
     family = "flat-family" if kind in SPACE_FORM_FAMILY else kind.value
     spatial, time, null = _PLACEMENT[family]
     ambient = LorentzAmbient.for_kind(kind, chart.dim)
 
-    def place(picked, construction: bool) -> LiftRows:
-        frame, spectra, height, errors = picked
+    def place(src: _Source, construction: bool) -> LiftRows:
+        height = src.height
+        errors = src.errors or [None] * len(height)
         failed = np.array([e is not None for e in errors], dtype=bool)
         tau = np.full(len(height), np.nan)
         tau[~failed] = time(height[~failed])
         s = height[:, None]
-        point, normal = frame.point, frame.normal
+        point, normal = src.point, src.normal
         with np.errstate(invalid="ignore", divide="ignore"):
             values = np.concatenate([spatial(point, normal, s), tau[:, None]], axis=1)
+            values[failed] = np.nan
+            if not construction:
+                return LiftRows(values, errors)
             nulls = np.concatenate([null(point, normal, s),
                                     np.ones((len(s), 1))], axis=1)
-        values[failed] = nulls[failed] = np.nan
-        if not construction:
-            return LiftRows(values, errors)
-        if not isinstance(frame, PointFrame):
+        nulls[failed] = np.nan
+        if src.frame is None:
             return LiftRows(values, errors, nulls)
         s_rows = None if family == "flat-family" else height
-        context = (_context_rows(frame, tau, s_rows) if spectra is None
-                   else LiftContext(frame, spectra.raw, tau, s_rows, tuple(errors)))
+        context = (_context_rows(src.frame, tau, s_rows) if src.raw is None
+                   else LiftContext(src.frame, src.raw, tau, s_rows, tuple(errors)))
         return LiftRows(values, errors, nulls, context)
 
     @lift_map
     def eval_rows(x, construction: bool) -> LiftRows:
         if construction or len(x) <= _BLOCK:
-            return place(pick(x), construction)
-        parts = [place(pick(x[k:k + _BLOCK]), False) for k in range(0, len(x), _BLOCK)]
+            return place(pick(x, construction), construction)
+        parts = [place(pick(x[k:k + _BLOCK], False), False)
+                 for k in range(0, len(x), _BLOCK)]
         return LiftRows(np.concatenate([part.values for part in parts]),
                         [e for part in parts for e in part.errors])
 
     if centre is None:
-        centre = pick(0.5 * (chart.lower + chart.upper)[None])
+        centre = pick(0.5 * (chart.lower + chart.upper)[None], False)
     _constraint_sanity(ambient, place(centre, construction=False))
-    provenance.setdefault("family", family)
-    return LiftedImmersion(ambient, chart, eval_rows, Provenance(**provenance),
-                           name=name)
+    return LiftedImmersion(ambient, chart, eval_rows, name=name)
 
 
 def _root_lift(imm, kind, family, root_index, offset=0.0,
@@ -430,7 +434,7 @@ def _root_lift(imm, kind, family, root_index, offset=0.0,
         raise FilteredRootError(
             f"root index {root_index} out of range: {count} root(s) available")
 
-    def select(x, solved):
+    def select(x, solved) -> _Source:
         frame, spectra, roots = solved
         errors = list(roots.errors)
         changed = np.zeros(len(x), dtype=bool)
@@ -446,14 +450,13 @@ def _root_lift(imm, kind, family, root_index, offset=0.0,
             _fail(errors, roots.degenerate[:, root_index],
                   lambda i: DegenerateMetricError(
                       f"root {float(root[i])} hits a breakpoint at chart {x[i]}"))
-        return frame, spectra, root + offset, errors
+        return _Source(frame.point, frame.normal, root + offset, errors, frame,
+                       spectra.raw)
 
-    return _shift_lift(kind, imm.chart, lambda x: select(x, _root_rows(imm, kind, x)),
+    return _shift_lift(kind, imm.chart,
+                       lambda x, construction: select(x, _root_rows(imm, kind, x)),
                        f"{imm.name}:{kind.value}[{root_index}]",
-                       centre=select(candidates, solved),
-                       source_name=imm.name, root_index=root_index,
-                       root_count=count, pattern=pattern,
-                       detail="height offset %g" % offset if offset else "")
+                       centre=select(candidates, solved))
 
 
 def _all_lifts(imm, kind, family) -> list:
@@ -521,14 +524,13 @@ def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
     """
     _check_source(imm, kind, SPACE_FORM_FAMILY)
 
-    def pick(x):
+    def pick(x, construction) -> _Source:
         frame = frame_rows(imm, x)
         height = tau_fn(frame)
         errors = [f if f is not None else e for f, e in zip(frame.errors, height.errors)]
-        return frame, None, height.values, errors
+        return _Source(frame.point, frame.normal, height.values, errors, frame)
 
-    return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph",
-                       source_name=imm.name, detail="explicit height field")
+    return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph")
 
 
 def product_height_lift(imm: HypersurfaceImmersion, height: float,
@@ -560,9 +562,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
         context = _context_rows(frame, np.full(len(x), height), np.full(len(x), s))
         return LiftRows(values, errors, nulls, context)
 
-    prov = Provenance(family=kind.value, source_name=imm.name,
-                      detail=f"constant height {height}")
-    return LiftedImmersion(ambient, imm.chart, eval_rows, prov,
+    return LiftedImmersion(ambient, imm.chart, eval_rows,
                            name=f"{imm.name}:height{height:g}")
 
 
@@ -577,11 +577,6 @@ class TotallyGeodesicSlice:
     chart: Chart
     eval_fn: Callable[[np.ndarray], np.ndarray]
     normal0: np.ndarray
-
-
-class _SlicePoint(NamedTuple):
-    point: np.ndarray
-    normal: np.ndarray
 
 
 def flat_slice(chart: Chart) -> TotallyGeodesicSlice:
@@ -638,15 +633,13 @@ def null_lift(slice_: TotallyGeodesicSlice,
     kind = slice_.kind
     heights = looped(tau_fn)
 
-    def pick(x):
+    def pick(x, construction) -> _Source:
         point = slice_.eval_fn(x)
         tau, errors = _call_rows(heights, x)
-        normal = np.broadcast_to(slice_.normal0, point.shape)
-        return _SlicePoint(point, normal), None, tau[:, 0], errors or [None] * len(x)
+        return _Source(point, np.broadcast_to(slice_.normal0, point.shape), tau[:, 0],
+                       errors)
 
-    return _shift_lift(kind, slice_.chart, pick, name or f"null-lift:{kind.value}",
-                       family="null-second-form", source_name=name or "slice",
-                       detail="height graph along the constant null direction")
+    return _shift_lift(kind, slice_.chart, pick, name or f"null-lift:{kind.value}")
 
 
 # --------------------------------------------------------- support functions
@@ -699,31 +692,21 @@ class SupportFunction:
 def lift_palmer(sf: SupportFunction, name: str = "") -> LiftedImmersion:
     """Marginally trapped lift from support data alone.
 
-    The height is -(f + Laplacian(f)/2), the surface-curvature ratio of the
-    reconstructed front, and the spatial part is the front shifted to the
-    focal position: grad f - (Laplacian(f)/2) u. The distinguished null
-    normal is (u, 1); the context is the frame of the reconstructed front.
+    The flat-family normal shift of the reconstructed front f u + grad f
+    along its unit normal u by the height -(f + Laplacian(f)/2), the
+    surface-curvature ratio of the front: the spatial part is the focal
+    position grad f - (Laplacian(f)/2) u. The distinguished null normal is
+    (u, 1); the context is the frame of the front, solved only for rows
+    with construction data.
     """
-    ambient = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
     recon = sf.reconstruction()
 
-    @lift_map
-    def eval_rows(x, construction: bool) -> LiftRows:
-        u, half_lap = sf.point(x), 0.5 * sf.laplacian(x)
-        values = np.concatenate([sf.gradient(x) - half_lap[:, None] * u,
-                                 (-sf.value(x) - half_lap)[:, None]], axis=1)
-        errors = [None] * len(x)
-        if not construction:
-            return LiftRows(values, errors)
-        nulls = np.concatenate([u, np.ones((len(x), 1))], axis=1)
-        context = _context_rows(frame_rows(recon, x), values[:, -1])
-        return LiftRows(values, errors, nulls, context)
+    def pick(x, construction) -> _Source:
+        u, f = sf.point(x), sf.value(x)
+        return _Source(f[:, None] * u + sf.gradient(x), u, -(f + 0.5 * sf.laplacian(x)),
+                       frame=frame_rows(recon, x) if construction else None)
 
-    prov = Provenance(family="flat-family", source_name=sf.name or "support",
-                      detail="support-function route; equals the normal-shift "
-                             "lift of the reconstructed front")
-    return LiftedImmersion(ambient, sf.chart, eval_rows, prov,
-                           name=name or f"palmer:{sf.name}")
+    return _shift_lift(AmbientKind.MINKOWSKI, sf.chart, pick, name or f"palmer:{sf.name}")
 
 
 def support_route_lift(sf: SupportFunction) -> LiftedImmersion:

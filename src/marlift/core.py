@@ -76,11 +76,11 @@ class Tolerances:
 
     The one place tolerances are set: every module reads `DEFAULTS` where it
     uses a tolerance. Callers override only the verifier's finite-difference
-    step (`assemble_report(h)`, `jet2_of(h)`, `marlift --step`), its
-    marginality threshold (`tol_marginal`) and the clustering gap of
-    `spectrum_rows`. The default step balances O(h^2) truncation against
-    eps/h^2 round-off in second differences at double precision; the
-    construction differentiates hypersurfaces without analytic jets at it.
+    step (`assemble_report(h)`, `jet2_of(h)`, `marlift --step`) and its
+    marginality threshold (`tol_marginal`). The default step balances O(h^2)
+    truncation against eps/h^2 round-off in second differences at double
+    precision; the construction differentiates hypersurfaces without
+    analytic jets at it.
     """
 
     step_h: float = 1e-4
@@ -91,7 +91,6 @@ class Tolerances:
     tol_root: float = 1e-10      # bisection bracket width before Newton polish
     tol_marginal: float = 1e-5   # normalized null component of the mean curvature
     tol_quadric: float = 1e-8    # hyperquadric / product factor constraint residual
-    tol_null: float = 1e-8       # |<v,v>| for an extracted null direction
     tol_minimal: float = 1e-7    # |sum m_i kappa_i| below this counts as minimal
     tol_degenerate: float = 1e-6 # root within this of a breakpoint is flagged
 

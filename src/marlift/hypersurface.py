@@ -191,7 +191,6 @@ class ShapeSpectrum:
     kappas: tuple
     mults: tuple
     raw: tuple
-    cluster_tol: float
 
     def __post_init__(self):
         if len(self.kappas) != len(self.mults):
@@ -214,15 +213,14 @@ class ShapeSpectrum:
         return (self.p, self.mults)
 
 
-def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
+def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
     """Frame of stacked chart points (P, n): tangent frames, oriented unit
     normals, induced metrics and second forms.
 
     The normal is fixed by requiring (d phi_1, ..., d phi_n, normal) to be a
     positively oriented container basis, with the position vector appended for
-    the hyperquadrics. Pass flip=True to select the opposite normal. Each
-    point runs the checks of `frame_at` in its order; the first that fails is
-    that point's error.
+    the hyperquadrics. Each point runs the checks of `frame_at` in its order;
+    the first that fails is that point's error.
     """
     x = np.asarray(x, dtype=float)
     space = imm.space
@@ -270,10 +268,7 @@ def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
             basis.append(point[:, None, :])
         mat = np.concatenate(basis, axis=1)
         det = np.linalg.det(mat)    # only its sign is read
-        sign = np.where(det < 0, -1.0, 1.0)
-        if flip:
-            sign = -sign
-        normal = normal * sign[:, None]
+        normal = normal * np.where(det < 0, -1.0, 1.0)[:, None]
 
         gnormal = gsigns * normal
         b = (jet.d2 @ gnormal[:, None, :, None])[..., 0]
@@ -289,10 +284,10 @@ def frame_rows(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
                       metric=g, second_form=b, errors=tuple(errors))
 
 
-def frame_at(imm: HypersurfaceImmersion, x, flip: bool = False) -> PointFrame:
+def frame_at(imm: HypersurfaceImmersion, x) -> PointFrame:
     """Tangent frame, oriented unit normal, induced metric and second form at
     one chart point: one row of `frame_rows`."""
-    return frame_rows(imm, np.asarray(x, dtype=float)[None], flip=flip).row(0)
+    return frame_rows(imm, np.asarray(x, dtype=float)[None]).row(0)
 
 
 class SpectrumRows:
@@ -304,11 +299,11 @@ class SpectrumRows:
     -1 where the row failed with errors[i].
     """
 
-    __slots__ = ("raw", "kappas", "code", "patterns", "cluster_tol", "errors")
+    __slots__ = ("raw", "kappas", "code", "patterns", "errors")
 
-    def __init__(self, raw, kappas, code, patterns, cluster_tol, errors):
+    def __init__(self, raw, kappas, code, patterns, errors):
         self.raw, self.kappas, self.code = raw, kappas, code
-        self.patterns, self.cluster_tol, self.errors = patterns, cluster_tol, errors
+        self.patterns, self.errors = patterns, errors
 
     def pattern(self, i: int) -> tuple:
         mults = self.patterns[int(self.code[i])]
@@ -320,26 +315,22 @@ class SpectrumRows:
             raise self.errors[i]
         mults = self.patterns[int(self.code[i])]
         return ShapeSpectrum(kappas=tuple(float(k) for k in self.kappas[i, :len(mults)]),
-                             mults=mults, raw=tuple(float(r) for r in self.raw[i]),
-                             cluster_tol=self.cluster_tol)
+                             mults=mults, raw=tuple(float(r) for r in self.raw[i]))
 
 
 def spectrum_rows(metric: np.ndarray, second_form: np.ndarray,
-                  cluster_tol: Optional[float] = None,
                   errors: Optional[list] = None) -> SpectrumRows:
     """Principal curvatures of stacked metric / second-form pairs, merged by
     single linkage.
 
-    Raw eigenvalues closer than cluster_tol are one principal curvature with
-    summed multiplicity; the stored value is the cluster mean. Rows already
-    failed in `errors` stay failed.
+    Raw eigenvalues closer than `DEFAULTS.tol_cluster` are one principal
+    curvature with summed multiplicity; the stored value is the cluster mean.
+    Rows already failed in `errors` stay failed.
     """
-    if cluster_tol is None:
-        cluster_tol = DEFAULTS.tol_cluster
     eig = shape_eigen_rows(metric, second_form, errors=errors)
     raw, errors = eig.values, eig.errors
     count, n = raw.shape
-    gaps = raw[:, 1:] - raw[:, :-1] > cluster_tol
+    gaps = raw[:, 1:] - raw[:, :-1] > DEFAULTS.tol_cluster
     code = gaps.astype(np.int64) @ (1 << np.arange(n - 1, dtype=np.int64))
     code[[e is not None for e in errors]] = -1
     kappas = np.full((count, n), np.nan)
@@ -358,13 +349,12 @@ def spectrum_rows(metric: np.ndarray, second_form: np.ndarray,
             start = end
         patterns[c] = tuple(mults)
     return SpectrumRows(raw=raw, kappas=kappas, code=code, patterns=patterns,
-                        cluster_tol=cluster_tol, errors=errors)
+                        errors=errors)
 
 
-def spectrum_at(frame: PointFrame, cluster_tol: Optional[float] = None) -> ShapeSpectrum:
+def spectrum_at(frame: PointFrame) -> ShapeSpectrum:
     """Principal curvatures of one frame: one row of `spectrum_rows`."""
-    return spectrum_rows(frame.metric[None], frame.second_form[None],
-                         cluster_tol=cluster_tol).row(0)
+    return spectrum_rows(frame.metric[None], frame.second_form[None]).row(0)
 
 
 def mean_gauss_at(frame: PointFrame):

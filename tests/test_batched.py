@@ -27,6 +27,7 @@ from marlift.core import (
     looped,
 )
 from marlift.constructor import (
+    _BLOCK,
     AmbientKind,
     ConstructionError,
     LiftedImmersion,
@@ -45,6 +46,7 @@ from marlift.constructor import (
     null_lift,
     product_height_lift,
     product_lifts,
+    support_route_lift,
     thread_root_fields,
 )
 from marlift.hypersurface import (
@@ -155,6 +157,22 @@ def test_array_evaluation_equals_one_row_calls(name, fractions):
             assert (ctx.s is None and one.s is None) or _close(ctx.s, one.s)
             assert _close(ctx.frame.normal, one.frame.normal)
             assert _close(ctx.raw, one.raw)
+
+
+@pytest.mark.parametrize("name", ["torus-minkowski", "sphere-torus-product-0",
+                                  "support-route", "chen-l1", "palmer-quadric"])
+def test_values_alone_over_blocks_equal_values_with_construction(name):
+    # values alone are picked and placed block by block, the last block
+    # partial; with construction data all rows go in one pass
+    lift = (support_route_lift(catalog_lookup("palmer-sphere")[1])
+            if name == "support-route" else _lift(name))
+    fractions = np.random.default_rng(5).random((2 * _BLOCK + 100, 3))
+    points = _interior(lift.chart, fractions)
+    alone = lift.evaluate(points, construction=False)
+    full = lift.evaluate(points)
+    assert alone.nulls is None and alone.contexts is None
+    assert np.array_equal(alone.values, full.values, equal_nan=True)
+    assert [type(e) for e in alone.errors] == [type(e) for e in full.errors]
 
 
 def _check_mixed(lift, points):

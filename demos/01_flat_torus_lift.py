@@ -48,6 +48,6 @@ print("worst closed-form identity gaps:",
 
 # A height offset breaks marginality immediately; this is the negative control.
 control = lift_minkowski(torus, offset=0.1)
-bad = assemble_report(control, resolution=(12, 12), cross_checks=False)
+bad = assemble_report(control, resolution=(12, 12))
 print("\nwith the height offset by 0.1:", bad.verdict,
       f"(residual {bad.summary['null_residual']['max']:.3e})")

@@ -19,7 +19,7 @@ for name, params in [("chen-l1", {"f": "x**2"}),
                      ("l1-perturbed", None),
                      ("spacelike-graph", None)]:
     entry, lift = catalog_lookup(name, params)
-    report = assemble_report(lift, resolution=(16, 16), cross_checks=False)
+    report = assemble_report(lift, resolution=(16, 16))
     print(f"{name:<16} ambient={report.ambient:<18} verdict={report.verdict:<18}"
           f" worst residual={report.summary['null_residual']['max']:.3e}")
 

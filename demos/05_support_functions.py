@@ -31,7 +31,7 @@ print("max pointwise gap between the two routes:", f"{gap:.3e}")
 rep = assemble_report(direct, resolution=(12, 12))
 print("direct route verdict:", rep.verdict)
 print("route via the curvature pipeline:",
-      assemble_report(route, resolution=(12, 12), cross_checks=False).verdict)
+      assemble_report(route, resolution=(12, 12)).verdict)
 
 # ---------------------------------------------------------------------------
 # The degenerate family: f = 1 + 0.1 u3.
@@ -43,5 +43,5 @@ print("\noffset support field: image spread over the chart =",
       f"{np.max(vals.max(axis=0) - vals.min(axis=0)):.2e}")
 print("every point maps to the focal point", np.round(vals[0], 12))
 print("verdict:",
-      assemble_report(lift, resolution=(8, 8), cross_checks=False).verdict,
+      assemble_report(lift, resolution=(8, 8)).verdict,
       "(the induced metric degenerates identically)")

@@ -25,9 +25,7 @@ from .hypersurface import (
     SpaceForm,
     SpaceFormKind,
     frame_at,
-    legendrian_residual,
     mean_gauss_at,
-    pattern_sweep,
     spectrum_at,
 )
 from .constructor import (

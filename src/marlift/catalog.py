@@ -366,39 +366,30 @@ def _dot_rows(a, b):
 def _quadric_support(ax, ay, az):
     m2 = np.array([ax, ay, az], dtype=float) ** 2
 
-    def f(u):
-        return np.sqrt(_dot_rows(u, m2 * u))
-
-    def grad(u):
-        fv = f(u)[:, None]
-        return m2 * u / fv - fv * u
-
-    def lap(u):
-        fv = f(u)
+    def data(u):
+        f = np.sqrt(_dot_rows(u, m2 * u))
         m2u = m2 * u
         # float_power rounds as the C library's pow, as a float's ** does;
         # numpy's power may differ from it in the last bit
-        cube = np.float_power(fv, 3)
-        return float(np.sum(m2)) / fv - _dot_rows(m2u, m2u) / cube - 2.0 * fv
+        cube = np.float_power(f, 3)
+        return (f, m2u / f[:, None] - f[:, None] * u,
+                float(np.sum(m2)) / f - _dot_rows(m2u, m2u) / cube - 2.0 * f)
 
-    return f, grad, lap
+    return data
 
 
 def _expr_support(g):
     """f(u) = g(u3): gradient g'(u3)(e3 - u3 u) and Laplacian
-    (1 - u3^2) g''(u3) - 2 u3 g'(u3), from one Taylor evaluation each."""
+    (1 - u3^2) g''(u3) - 2 u3 g'(u3), from one Taylor evaluation."""
     e3 = np.array([0.0, 0.0, 1.0])
 
-    def grad(u):
-        u3 = u[:, 2:]
-        return taylor2(g, u3)[1] * (e3 - u3 * u)
-
-    def lap(u):
+    def data(u):
         u3 = u[:, 2]
-        _, g1, g2 = taylor2(g, u3)
-        return (1.0 - u3 * u3) * g2 - 2.0 * u3 * g1
+        g0, g1, g2 = taylor2(g, u3)
+        return (g0, g1[:, None] * (e3 - u3[:, None] * u),
+                (1.0 - u3 * u3) * g2 - 2.0 * u3 * g1)
 
-    return lambda u: g(u[:, 2]), grad, lap
+    return data
 
 
 def _build_palmer_sphere(p):
@@ -406,24 +397,24 @@ def _build_palmer_sphere(p):
     chart = Chart(2, [-0.8, 0.25], [0.8, 0.9], (17, 17))
     if preset == "round":
         c = float(p["c"])
-        return SupportFunction(chart, lambda u: np.full(len(u), c), np.zeros_like,
-                               lambda u: np.zeros(len(u)), name="palmer-round")
+        return SupportFunction(
+            chart, lambda u: (np.full(len(u), c), np.zeros_like(u), np.zeros(len(u))),
+            name="palmer-round")
     if preset == "offset":
         c, eps = float(p["c"]), float(p["eps"])
         e3 = np.array([0.0, 0.0, 1.0])
         return SupportFunction(
-            chart, lambda u: c + eps * u[:, 2],
-            lambda u: eps * (e3 - u[:, 2:] * u),
-            lambda u: -2.0 * eps * u[:, 2], name="palmer-offset")
+            chart, lambda u: (c + eps * u[:, 2], eps * (e3 - u[:, 2:] * u),
+                              -2.0 * eps * u[:, 2]), name="palmer-offset")
     if preset == "quadric":
-        f, grad, lap = _quadric_support(float(p["ax"]), float(p["ay"]),
-                                        float(p["az"]))
-        return SupportFunction(chart, f, grad, lap, name="palmer-quadric")
+        return SupportFunction(chart, _quadric_support(float(p["ax"]), float(p["ay"]),
+                                                       float(p["az"])),
+                               name="palmer-quadric")
     if preset == "expr":
         g = scalar_expr(p["f"], var="u3")
         _finite_on(g, shapes.sphere_chart(chart.grid())[:, 2], "palmer-sphere",
                    var="u3", derivatives=True)
-        return SupportFunction(chart, *_expr_support(g), name="palmer-expr")
+        return SupportFunction(chart, _expr_support(g), name="palmer-expr")
     raise ParameterError(f"unknown palmer preset {preset!r}")
 
 

@@ -136,17 +136,15 @@ def _report_exit(report, expected: Optional[str]) -> int:
 
 def _mesh_rows(lift, report):
     chart_pts = np.array([rec.x for rec in report.records])
-    width = lift.ambient.container_dim
-    ambient_pts = np.full((len(chart_pts), width), math.nan)
+    ambient_pts = np.full((len(chart_pts), lift.ambient.container_dim), math.nan)
     residuals = np.full(len(chart_pts), math.nan)
     fill = []
     for i, rec in enumerate(report.records):
-        if not rec.excluded:
-            residuals[i] = min(rec.null_residual_primary, rec.null_residual_opposite)
-        if not rec.excluded and len(rec.position) == width:
-            ambient_pts[i] = rec.position
-        else:
+        if rec.excluded:
             fill.append(i)
+        else:
+            residuals[i] = rec.null_residual
+            ambient_pts[i] = rec.position
     if fill:
         # the lift's own value where the record has none, NaN where it fails
         rows = lift.evaluate(chart_pts[fill], construction=False)
@@ -155,12 +153,14 @@ def _mesh_rows(lift, report):
     return chart_pts, ambient_pts, residuals
 
 
-def _write_report_file(cfg: RunConfig, lift, report, root_index, entry_name,
-                       stem=None):
+def _stem(entry_name: str, lift, root_index) -> str:
+    """Output file stem of a lift built from a catalog entry."""
+    suffix = "" if root_index is None else f"-root{root_index}"
+    return f"{entry_name}-{lift.ambient.kind.value}{suffix}"
+
+
+def _write_report_file(cfg: RunConfig, report, root_index, entry_name, stem):
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if stem is None:
-        suffix = "" if root_index is None else f"-root{root_index}"
-        stem = f"{entry_name}-{lift.ambient.kind.value}{suffix}"
     report_path = cfg.out_dir / f"{stem}.report.txt"
     echo = _config_echo(cfg, root_index)
     report_path.write_text(render_report(report, echo, entry=entry_name))
@@ -168,17 +168,15 @@ def _write_report_file(cfg: RunConfig, lift, report, root_index, entry_name,
 
 
 def _write_outputs(cfg: RunConfig, lift, report, root_index, entry_name):
-    report_path = _write_report_file(cfg, lift, report, root_index, entry_name)
-    ambient = lift.ambient.kind.value
-    suffix = "" if root_index is None else f"-root{root_index}"
-    mesh_path = cfg.out_dir / f"{entry_name}-{ambient}{suffix}.mesh.txt"
-    grid = report_grid(cfg, lift)
+    stem = _stem(entry_name, lift, root_index)
+    report_path = _write_report_file(cfg, report, root_index, entry_name, stem)
+    mesh_path = cfg.out_dir / f"{stem}.mesh.txt"
     metadata = {
         "entry": entry_name,
-        "ambient": ambient,
+        "ambient": lift.ambient.kind.value,
         "params": ",".join(f"{k}={v}" for k, v in sorted(cfg.params.items())),
         "root_index": "" if root_index is None else str(root_index),
-        "grid": "x".join(str(g) for g in grid),
+        "grid": "x".join(str(g) for g in cfg.grid or lift.chart.resolution),
         "step": f"{cfg.step if cfg.step is not None else DEFAULTS.step_h:g}",
         "verdict": report.verdict,
     }
@@ -187,18 +185,24 @@ def _write_outputs(cfg: RunConfig, lift, report, root_index, entry_name):
     return report_path, mesh_path
 
 
-def report_grid(cfg: RunConfig, lift) -> tuple:
-    return cfg.grid if cfg.grid is not None else tuple(lift.chart.resolution)
-
-
-def _lifts_for(cfg: RunConfig, entry, built):
+def _lifts_for(cfg: RunConfig, entry, built, verify: bool = False):
+    """The (root index, lift) pairs of a catalog entry: a lifted entry as it
+    is (for `verify` only), the support route of a support entry, and the
+    root lifts of a hypersurface entry (for `construct`, or `verify` of a
+    mesh), all of them or the one `cfg.root_index` names."""
+    if entry.kind == "lift":
+        if not verify:
+            raise UsageError(
+                f"entry {entry.name!r} is already a lift; use 'verify' instead")
+        return [(None, built)]
     if entry.kind == "support":
         if cfg.ambient not in (None, AmbientKind.MINKOWSKI):
             raise UsageError("support entries lift into the flat Lorentzian space")
         return [(None, lift_palmer(built))]
-    if entry.kind != "hypersurface":
+    if verify and cfg.mesh is None:
         raise UsageError(
-            f"entry {entry.name!r} is already a lift; use 'verify' instead")
+            f"entry {entry.name!r} is a hypersurface; 'verify' checks lifted "
+            "entries (use 'construct' to build and check its lifts)")
     if cfg.ambient is None:
         raise UsageError("construct needs --ambient for hypersurface entries")
     # jump guard: the lifts' own per-point guard checks the multiplicity
@@ -249,16 +253,10 @@ def _verify_mesh(cfg: RunConfig) -> int:
                     root_index=int(metadata["root_index"])
                     if metadata.get("root_index") else None,
                     mesh=mesh_path)
-    if entry.kind == "lift":
-        lift = built
-    elif entry.kind == "support":
-        lift = lift_palmer(built)
-    else:
-        indexed = _lifts_for(cfg, entry, built)
-        wanted = cfg.root_index if cfg.root_index is not None else 0
-        lift = dict(indexed).get(wanted)
-        if lift is None:
-            raise IngestError(f"mesh names root {wanted} but the entry has none")
+    indexed = _lifts_for(cfg, entry, built, verify=True)
+    if not indexed:
+        raise IngestError("mesh names root 0 but the entry has none")
+    lift = indexed[0][1]
     # ingest sanity: the stored coordinates must match the rebuilt lift
     sample = chart_pts[:: max(1, len(chart_pts) // 16)]
     stored = ambient_pts[:: max(1, len(chart_pts) // 16)]
@@ -272,9 +270,8 @@ def _verify_mesh(cfg: RunConfig) -> int:
                 f"entry by {np.max(np.abs(got - amb)):.3e}")
     report = assemble_report(lift, resolution=cfg.grid, h=cfg.step,
                              tol_marginal=cfg.tol_marginal)
-    _write_report_file(cfg, lift, report, cfg.root_index, name,
-                       stem=f"{cfg.mesh.stem}.verify")
-    print(f"verdict={report.verdict} (round-trip of {cfg.mesh})")
+    _write_report_file(cfg, report, cfg.root_index, name, f"{mesh_path.stem}.verify")
+    print(f"verdict={report.verdict} (round-trip of {mesh_path})")
     return _report_exit(report, metadata.get("verdict") or entry.expected_verdict)
 
 
@@ -282,17 +279,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.mesh is not None:
         return _verify_mesh(cfg)
     entry, built = catalog_lookup(cfg.entry, cfg.params)
-    if entry.kind == "lift":
-        lift = built
-    elif entry.kind == "support":
-        lift = lift_palmer(built)
-    else:
-        raise UsageError(
-            f"entry {cfg.entry!r} is a hypersurface; 'verify' checks lifted "
-            "entries (use 'construct' to build and check its lifts)")
+    ((_, lift),) = _lifts_for(cfg, entry, built, verify=True)
     report = assemble_report(lift, resolution=cfg.grid, h=cfg.step,
                              tol_marginal=cfg.tol_marginal)
-    rpath = _write_report_file(cfg, lift, report, cfg.root_index, cfg.entry)
+    rpath = _write_report_file(cfg, report, cfg.root_index, cfg.entry,
+                               _stem(cfg.entry, lift, cfg.root_index))
     print(f"entry={cfg.entry} verdict={report.verdict} "
           f"expected={entry.expected_verdict or 'n/a'} report={rpath}")
     return _report_exit(report, entry.expected_verdict)

@@ -305,14 +305,12 @@ def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind,
 def _reference(imm, kind):
     """Roots at the chart centre and the first eight grid points, in one
     call, with the multiplicity pattern and root count of the first of them
-    the chart does not exclude and whose roots solve."""
+    whose roots solve."""
     candidates = np.vstack([0.5 * (imm.chart.lower + imm.chart.upper),
                             imm.chart.grid(margin=4.0 * DEFAULTS.step_h)[:8]])
     solved = _root_rows(imm, kind, candidates)
     _, spectra, roots = solved
-    err = None
-    for i in imm.chart.usable(candidates):
-        err = roots.errors[i]
+    for i, err in enumerate(roots.errors):
         if err is None:
             return candidates, solved, spectra.pattern(i), int(roots.counts[i])
     raise ConstructionError(f"no usable reference point on the chart: {err}")
@@ -382,7 +380,8 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
     `_Source`; it may leave out the frame when `construction` is False.
     Each row is placed from its source point, unit normal and height.
     `centre` is a `_Source` whose first row is the chart centre, when the
-    caller has one; the build-time constraint check reads it.
+    caller has one; the build-time constraint check reads it. Flat space has
+    no constraint, so there the check and its centre pick are skipped.
     """
     family = "flat-family" if kind in SPACE_FORM_FAMILY else kind.value
     spatial, time, null = _PLACEMENT[family]
@@ -420,9 +419,10 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
         return LiftRows(np.concatenate([part.values for part in parts]),
                         [e for part in parts for e in part.errors])
 
-    if centre is None:
-        centre = pick(0.5 * (chart.lower + chart.upper)[None], False)
-    _constraint_sanity(ambient, place(centre, construction=False))
+    if ambient.quadric_constant is not None:
+        if centre is None:
+            centre = pick(0.5 * (chart.lower + chart.upper)[None], False)
+        _constraint_sanity(ambient, place(centre, construction=False))
     return LiftedImmersion(ambient, chart, eval_rows, name=name)
 
 
@@ -649,41 +649,46 @@ class SupportFunction:
     """Scalar field f on a chart of S^2 with its round-metric gradient and
     Laplacian.
 
-    `f`, `grad` and `lap` are array maps: they take stacked unit vectors u
-    (P, 3) to values (P,), tangent gradients (P, 3) and Laplacians (P,).
-    `point`, `value`, `gradient` and `laplacian` take one chart point (n,)
-    or stacked chart points (P, n).
+    `data` is an array map: it takes stacked unit vectors u (P, 3) to the
+    values f (P,), the tangent gradients (P, 3) and the Laplacians (P,), in
+    one call. `at` gives u and all three at stacked chart points (P, n);
+    `point`, `value`, `gradient` and `laplacian` are views of it that take
+    one chart point (n,) or stacked chart points (P, n).
     """
 
     chart: Chart
-    f: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    lap: Callable[[np.ndarray], np.ndarray]
+    data: Callable[[np.ndarray], tuple]
     name: str = ""
 
-    def _at(self, fn, x):
+    def at(self, x) -> tuple:
+        """u, f, grad f and Laplacian f at stacked chart points (P, n)."""
+        u = sphere_chart(x)
+        return (u, *self.data(u))
+
+    def _view(self, k, x):
         x = np.asarray(x, dtype=float)
-        out = fn(sphere_chart(x if x.ndim == 2 else x[None]))
+        out = self.at(x if x.ndim == 2 else x[None])[k]
         return out if x.ndim == 2 else out[0]
 
     def point(self, x) -> np.ndarray:
-        return self._at(lambda u: u, x)
+        return self._view(0, x)
 
     def value(self, x):
-        return self._at(self.f, x)
+        return self._view(1, x)
 
     def gradient(self, x) -> np.ndarray:
-        return self._at(self.grad, x)
+        return self._view(2, x)
 
     def laplacian(self, x):
-        return self._at(self.lap, x)
+        return self._view(3, x)
 
     def reconstruction(self) -> HypersurfaceImmersion:
         """The convex-front surface with this support data: f u + grad f."""
 
         @stacked
         def fn(x):
-            return self.value(x)[:, None] * self.point(x) + self.gradient(x)
+            u, f, grad, _ = self.at(x)
+            return f[:, None] * u + grad
 
         return HypersurfaceImmersion(SpaceForm.euclidean(3), self.chart, fn,
                                      name=f"{self.name or 'support'}-front")
@@ -702,8 +707,8 @@ def lift_palmer(sf: SupportFunction, name: str = "") -> LiftedImmersion:
     recon = sf.reconstruction()
 
     def pick(x, construction) -> _Source:
-        u, f = sf.point(x), sf.value(x)
-        return _Source(f[:, None] * u + sf.gradient(x), u, -(f + 0.5 * sf.laplacian(x)),
+        u, f, grad, lap = sf.at(x)
+        return _Source(f[:, None] * u + grad, u, -(f + 0.5 * lap),
                        frame=frame_rows(recon, x) if construction else None)
 
     return _shift_lift(AmbientKind.MINKOWSKI, sf.chart, pick, name or f"palmer:{sf.name}")
@@ -756,17 +761,13 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
     chart = imm.chart if resolution is None else imm.chart.with_resolution(resolution)
     grid = chart.grid(margin=4.0 * DEFAULTS.step_h)
     shape = chart.resolution
-    usable = chart.usable(grid)
-    if not usable:
-        raise ConstructionError("no usable grid points for root threading")
-    _, spectra, roots = _root_rows(imm, kind, grid[usable])
+    _, spectra, roots = _root_rows(imm, kind, grid)
     pattern = count = values = None
     last_jump = {}
-    for j, idx in enumerate(usable):
-        x = grid[idx]
-        if roots.errors[j] is not None:
-            raise roots.errors[j]
-        found, n_roots = spectra.pattern(j), int(roots.counts[j])
+    for idx, x in enumerate(grid):
+        if roots.errors[idx] is not None:
+            raise roots.errors[idx]
+        found, n_roots = spectra.pattern(idx), int(roots.counts[idx])
         if pattern is None:
             pattern = found
             count = n_roots
@@ -775,7 +776,7 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
             raise PatternChangeError(
                 f"pattern changed from {pattern}/{count} roots to "
                 f"{found}/{n_roots} at chart {x}")
-        values[idx] = roots.values[j, :count]
+        values[idx] = roots.values[idx, :count]
 
         multi = np.unravel_index(idx, shape)
         for axis in range(len(shape) - 1, -1, -1):
@@ -784,8 +785,6 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
             prev_multi = list(multi)
             prev_multi[axis] -= 1
             pidx = int(np.ravel_multi_index(prev_multi, shape))
-            if np.any(np.isnan(values[pidx])):
-                break
             jump = np.abs(values[idx] - values[pidx])
             base = last_jump.get(axis)
             if base is not None:

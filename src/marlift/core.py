@@ -147,15 +147,14 @@ def bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class Chart:
     """Sampled open box in R^n.
 
-    `excluded` marks points to skip (singular or umbilic loci); it is honored
-    by grid sweeps, not by point evaluation itself.
+    Grid sweeps visit every sample point; a point that the construction or
+    the verifier cannot handle fails alone, with its own reason.
     """
 
     dim: int
     lower: np.ndarray
     upper: np.ndarray
     resolution: tuple
-    excluded: Optional[Callable[[np.ndarray], bool]] = None
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -174,13 +173,7 @@ class Chart:
         object.__setattr__(self, "resolution", res)
 
     def with_resolution(self, resolution) -> "Chart":
-        return Chart(self.dim, self.lower, self.upper, resolution, self.excluded)
-
-    def usable(self, points) -> list:
-        """Indices of the points that `excluded` does not mark."""
-        if self.excluded is None:
-            return list(range(len(points)))
-        return [i for i, x in enumerate(points) if not self.excluded(x)]
+        return Chart(self.dim, self.lower, self.upper, resolution)
 
     def axes(self, margin: float = 0.0):
         return [np.linspace(lo + margin, hi - margin, k)

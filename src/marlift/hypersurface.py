@@ -52,7 +52,6 @@ __all__ = [
     "spectrum_rows",
     "spectrum_at",
     "mean_gauss_at",
-    "legendrian_residual",
     "ImmersionError",
     "QuadricConstraintError",
 ]
@@ -365,39 +364,3 @@ def mean_gauss_at(frame: PointFrame):
     h = 0.5 * float(raw[0] + raw[1])
     k = float(raw[0] * raw[1])
     return h, k
-
-
-def legendrian_residual(imm: HypersurfaceImmersion, x, nu=None) -> float:
-    """Max over chart directions of |<d phi_i, nu>|.
-
-    Vanishes for any valid frame; a deliberately perturbed normal is detected.
-    """
-    frame = frame_at(imm, x)
-    if nu is None:
-        nu = frame.normal
-    nu = np.asarray(nu, dtype=float)
-    gsigns = imm.space.signature.signs
-    return float(np.max(np.abs(frame.tangent @ (gsigns * nu))))
-
-
-def pattern_sweep(imm: HypersurfaceImmersion, points):
-    """Multiplicity pattern (p, mults) per sample, warning on changes.
-
-    The lift constructions assume one pattern across the chart; a change
-    marks umbilic crossings or clustering-threshold effects.
-    """
-    points = np.asarray(points, dtype=float)
-    keep = imm.chart.usable(points)
-    patterns = [None] * len(points)
-    if keep:
-        frames = frame_rows(imm, points[keep])
-        spectra = spectrum_rows(frames.metric, frames.second_form,
-                                errors=frames.errors)
-        for j, i in enumerate(keep):
-            patterns[i] = spectra.row(j).pattern
-    seen = {p for p in patterns if p is not None}
-    if len(seen) > 1:
-        warnings.warn(
-            f"multiplicity pattern changes across the chart: {sorted(seen)}",
-            RuntimeWarning)
-    return patterns

@@ -65,12 +65,11 @@ def render_report(report: MarginalityReport, config_echo: str = "",
 
     usable = [r for r in report.records if not r.excluded]
     if usable:
-        worst = max(usable, key=lambda r: min(r.null_residual_primary,
-                                              r.null_residual_opposite))
+        worst = max(usable, key=lambda r: r.null_residual)
         coords = " ".join(_fmt(c) for c in worst.x)
         lines.append(
             f"worst_point: x=({coords}) "
-            f"null_residual={_fmt(min(worst.null_residual_primary, worst.null_residual_opposite))} "
+            f"null_residual={_fmt(worst.null_residual)} "
             f"min_eig_g={_fmt(worst.min_eig_g)} "
             f"hvec_norm_sq={_fmt(worst.hvec_norm_sq)}")
         lines.append(

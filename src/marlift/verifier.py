@@ -14,7 +14,10 @@ fails alone, with the error its one-row call `lorentz_frame_at` raises; the
 `*_at` and `check_*_identity` functions are one-row calls of the same code.
 The construction data comes from the one lift record, the `LiftRows` of the
 grid points: their null normals and stacked context are read as arrays, by
-row mask; the stencil rows are evaluated without them.
+row mask; the stencil rows are evaluated without them. The per-point
+results form one table, a row per grid point and a column per value of
+`PointRecord`; the summary and the verdict read its live rows, and the
+records are built from it once.
 
 Mean curvature convention: the averaged trace (1/n) g^ij h_ij. The verdict
 is insensitive to the normalization, but the closed-form identities are not,
@@ -353,6 +356,11 @@ class PointRecord:
     excluded: bool = False
     reason: str = ""
 
+    @property
+    def null_residual(self) -> float:
+        """The verdict's residual: the smaller normalized null component of H."""
+        return min(self.null_residual_primary, self.null_residual_opposite)
+
 
 @dataclass(frozen=True)
 class MarginalityReport:
@@ -368,11 +376,11 @@ class MarginalityReport:
     convention: str = CONVENTION_NOTE
 
 
-def _stat(values):
-    vals = [v for v in values if v is not None and not math.isnan(v)]
-    if not vals:
+def _stat(column: np.ndarray):
+    vals = column[~np.isnan(column)]
+    if not len(vals):
         return None
-    return {"max": max(vals), "median": float(np.median(vals))}
+    return {"max": float(np.max(vals)), "median": float(np.median(vals))}
 
 
 def _match_primary(pair: np.ndarray, stored: np.ndarray, sig):
@@ -417,107 +425,99 @@ def _cross_check_rows(lift: LiftedImmersion, ctx: LiftContext, live,
     return out, failures
 
 
+def _excluded_record(x, err) -> PointRecord:
+    kind = ("spacelike violation" if isinstance(err, SpacelikeViolationError)
+            else type(err).__name__)
+    return PointRecord(x, excluded=True, reason=f"{kind}: {err}")
+
+
 def assemble_report(lift: LiftedImmersion,
                     resolution=None,
                     h: Optional[float] = None,
-                    tol_marginal: Optional[float] = None,
-                    cross_checks: bool = True) -> MarginalityReport:
+                    tol_marginal: Optional[float] = None) -> MarginalityReport:
     """Sweep the chart grid and classify the lift.
 
-    Verdict: marginally trapped iff at every usable sample the smaller of the
+    Verdict: marginally trapped iff at every live sample the smaller of the
     two normalized null components of the mean curvature is at most
     tol_marginal and the induced metric stays positive definite. A majority
-    of excluded points makes the run inconclusive. `cross_check_failures`
-    counts the usable points whose cross-checks could not run (their
-    residuals stay None).
+    of excluded points makes the run inconclusive. The lemma cross-checks
+    run wherever the lift carries contexts; `cross_check_failures` counts
+    the live points whose cross-checks could not run (their residuals stay
+    None).
     """
     if tol_marginal is None:
         tol_marginal = DEFAULTS.tol_marginal
     step = h if h is not None else DEFAULTS.step_h
     chart = lift.chart if resolution is None else lift.chart.with_resolution(resolution)
-    points = chart.grid(margin=4.0 * step)
+    x = chart.grid(margin=4.0 * step)
     sig = lift.ambient.signature
 
-    kept = chart.usable(points)
-    records = [None] * len(points)
-    spacelike_failures = cross_check_failures = 0
-    if kept:
-        # One stencil for the whole grid: jet2_of evaluates the grid points
-        # first, and only that call carries the null normals and contexts.
-        grid = []
+    # One stencil for the whole grid: jet2_of evaluates the grid points
+    # first, and only that call carries the null normals and contexts.
+    grid = []
 
-        def evaluate(rows):
-            if grid:
-                return lift.evaluate(rows, construction=False)
-            grid.append(lift.evaluate(rows))
-            return grid[0]
+    def evaluate(rows):
+        if grid:
+            return lift.evaluate(rows, construction=False)
+        grid.append(lift.evaluate(rows))
+        return grid[0]
 
-        x = points[kept]
-        frame = lorentz_frame_rows(lift, x, jet2_of(evaluate, x, h=step, chart=lift.chart))
-        sff = second_form_rows(lift, frame)
-        hvec = mean_curvature_rows(frame, sff)
-        rows, errors = grid[0], frame.errors
-        live = np.equal(errors, None)
-        nu = np.full(hvec.shape, np.nan)
-        if rows.nulls is not None:
-            nu[live] = rows.nulls[live]
-        primary, opposite = _match_primary(frame.null_pair, nu, sig)
-        norm = 1.0 + np.max(np.abs(hvec), axis=-1)
-        ghvec = (hvec * sig.signs)[:, None, :]
-        res_p = np.abs(ghvec @ primary[:, :, None])[:, 0, 0] / norm
-        res_o = np.abs(ghvec @ opposite[:, :, None])[:, 0, 0] / norm
-        hsq = (ghvec @ hvec[:, :, None])[:, 0, 0]
-        checks = [(None,) * 4] * len(x)
-        if cross_checks and rows.contexts is not None:
-            found, cross_check_failures = _cross_check_rows(
-                lift, rows.contexts, live, frame, sff, hvec, nu)
-            checks = [[None if math.isnan(v) else v for v in row] for row in found.tolist()]
-        # PointRecord fields in order: x, position, min_eig_g, the two null
-        # residuals, hvec_norm_sq, then the four cross-check residuals
-        columns = zip(kept, errors, x.tolist(), frame.position.tolist(),
-                      frame.min_eig.tolist(), res_p.tolist(), res_o.tolist(),
-                      hsq.tolist(), checks)
-        for i, err, xi, pos, *values, check in columns:
-            if err is None:
-                records[i] = PointRecord(tuple(xi), tuple(pos), *values, *check)
-            elif isinstance(err, SpacelikeViolationError):
-                spacelike_failures += 1
-                records[i] = PointRecord(tuple(xi), excluded=True,
-                                         reason=f"spacelike violation: {err}")
-            else:
-                records[i] = PointRecord(tuple(xi), excluded=True,
-                                         reason=f"{type(err).__name__}: {err}")
-    for i, x in enumerate(points.tolist()):
-        if records[i] is None:
-            records[i] = PointRecord(x=tuple(x), excluded=True, reason="chart exclusion")
+    frame = lorentz_frame_rows(lift, x, jet2_of(evaluate, x, h=step, chart=lift.chart))
+    sff = second_form_rows(lift, frame)
+    hvec = mean_curvature_rows(frame, sff)
+    rows, errors = grid[0], frame.errors
+    live = np.equal(errors, None)
+    nu = np.full(hvec.shape, np.nan)
+    if rows.nulls is not None:
+        nu[live] = rows.nulls[live]
+    primary, opposite = _match_primary(frame.null_pair, nu, sig)
+    norm = 1.0 + np.max(np.abs(hvec), axis=-1)
+    ghvec = (hvec * sig.signs)[:, None, :]
 
-    usable = [r for r in records if not r.excluded]
-    excluded_count = len(records) - len(usable)
+    # The per-point table: one row per grid point, one column per value
+    # field of PointRecord in its order, NaN where a value was not computed.
+    table = np.full((len(x), 8), np.nan)
+    table[:, 0] = frame.min_eig
+    table[:, 1] = np.abs(ghvec @ primary[:, :, None])[:, 0, 0] / norm
+    table[:, 2] = np.abs(ghvec @ opposite[:, :, None])[:, 0, 0] / norm
+    table[:, 3] = (ghvec @ hvec[:, :, None])[:, 0, 0]
+    cross_check_failures = 0
+    if rows.contexts is not None:
+        table[:, 4:], cross_check_failures = _cross_check_rows(
+            lift, rows.contexts, live, frame, sff, hvec, nu)
+    table[~live] = np.nan
+
+    records = tuple(
+        PointRecord(tuple(xi), tuple(pos), *values[:4],
+                    *(None if math.isnan(v) else v for v in values[4:]))
+        if err is None else _excluded_record(tuple(xi), err)
+        for xi, pos, err, values in zip(x.tolist(), frame.position.tolist(), errors,
+                                        table.tolist()))
+
+    ok = table[live]
+    residual = np.minimum(ok[:, 1], ok[:, 2])
     summary = {
-        "min_eig_g": _stat([r.min_eig_g for r in usable]),
-        "null_residual": _stat(
-            [min(r.null_residual_primary, r.null_residual_opposite) for r in usable]),
-        "null_residual_primary": _stat([r.null_residual_primary for r in usable]),
-        "hvec_norm_sq": _stat([abs(r.hvec_norm_sq) for r in usable]),
-        "legendrian_residual": _stat([r.legendrian_residual for r in usable]),
-        "lemma_metric_residual": _stat([r.lemma_metric_residual for r in usable]),
-        "lemma_secondform_residual": _stat(
-            [r.lemma_secondform_residual for r in usable]),
-        "eqH_residual": _stat([r.eqH_residual for r in usable]),
+        "min_eig_g": _stat(ok[:, 0]),
+        "null_residual": _stat(residual),
+        "null_residual_primary": _stat(ok[:, 1]),
+        "hvec_norm_sq": _stat(np.abs(ok[:, 3])),
+        "legendrian_residual": _stat(ok[:, 4]),
+        "lemma_metric_residual": _stat(ok[:, 5]),
+        "lemma_secondform_residual": _stat(ok[:, 6]),
+        "eqH_residual": _stat(ok[:, 7]),
     }
 
-    if not usable or excluded_count > 0.5 * len(records):
+    spacelike_failures = sum(isinstance(e, SpacelikeViolationError) for e in errors)
+    excluded_count = len(x) - len(ok)
+    if not len(ok) or excluded_count > 0.5 * len(x):
         verdict = VERDICT_INCONCLUSIVE
     else:
-        worst = max(min(r.null_residual_primary, r.null_residual_opposite)
-                    for r in usable)
-        ok_metric = (spacelike_failures == 0
-                     and min(r.min_eig_g for r in usable) > DEFAULTS.tol_pd)
-        verdict = VERDICT_TRAPPED if (worst <= tol_marginal and ok_metric) \
+        ok_metric = spacelike_failures == 0 and np.min(ok[:, 0]) > DEFAULTS.tol_pd
+        verdict = VERDICT_TRAPPED if (np.max(residual) <= tol_marginal and ok_metric) \
             else VERDICT_NOT
 
     return MarginalityReport(
-        name=lift.name, ambient=lift.ambient.kind.value, records=tuple(records),
+        name=lift.name, ambient=lift.ambient.kind.value, records=records,
         verdict=verdict, excluded_count=excluded_count,
         spacelike_failures=spacelike_failures, total=len(records),
         summary=summary, cross_check_failures=cross_check_failures)

@@ -72,7 +72,7 @@ def test_criterion_2_flat_family_end_to_end():
           and rep.summary["null_residual"]["max"] <= 1e-5)
 
     neg = lift_minkowski(shapes.torus(2.0, 1.0), offset=0.1)
-    rep_neg = assemble_report(neg, resolution=(64, 64), cross_checks=False)
+    rep_neg = assemble_report(neg, resolution=(64, 64))
     _cache["torus64_neg"] = rep_neg
     ok_neg = (rep_neg.verdict == "not_marginal"
               and rep_neg.summary["null_residual"]["max"] >= 1e-3)
@@ -167,7 +167,7 @@ def test_criterion_6_example_corpus():
     for name, params in [("chen-l1", {"f": "x**2"}), ("chen-l2", None),
                          ("chen-l3", {"f": "2+sin(x)"}), ("chen-l4", None)]:
         _, lift = catalog_lookup(name, params)
-        rep = assemble_report(lift, resolution=(64, 64), cross_checks=False)
+        rep = assemble_report(lift, resolution=(64, 64))
         _cache[f"c6:{name}"] = rep
         verdicts[name] = rep.verdict
         residuals[name] = rep.summary["null_residual"]["max"]
@@ -213,10 +213,8 @@ def test_criterion_7_support_route_agreement():
     "can verify marginally_trapped for this field"))
 def test_criterion_7_support_route_marginality():
     sf = _offset_support()
-    rep1 = assemble_report(lift_palmer(sf), resolution=(16, 16),
-                           cross_checks=False)
-    rep2 = assemble_report(support_route_lift(sf), resolution=(16, 16),
-                           cross_checks=False)
+    rep1 = assemble_report(lift_palmer(sf), resolution=(16, 16))
+    rep2 = assemble_report(support_route_lift(sf), resolution=(16, 16))
     _note("7 (marginality clauses)",
           rep1.verdict == "marginally_trapped"
           and rep2.verdict == "marginally_trapped",
@@ -231,7 +229,7 @@ def test_criterion_7_support_route_on_nondegenerate_field():
     gap = max(np.max(np.abs(direct(x) - route(x)))
               for x in sf.chart.grid(margin=0.01)[::5])
     rep1 = assemble_report(direct, resolution=(12, 12))
-    rep2 = assemble_report(route, resolution=(12, 12), cross_checks=False)
+    rep2 = assemble_report(route, resolution=(12, 12))
     _note("7 (nondegenerate reference)",
           gap <= 1e-6 and rep1.verdict == rep2.verdict == "marginally_trapped",
           f"(gap {gap:.3e}, verdicts {rep1.verdict}/{rep2.verdict})")
@@ -261,10 +259,8 @@ def test_criterion_9_refinement_robustness():
     checks = []
 
     def refined_verdicts(make_lift, label):
-        fine = assemble_report(make_lift(), resolution=(128, 128),
-                               cross_checks=False)
-        halved = assemble_report(make_lift(), resolution=(64, 64), h=5e-5,
-                                 cross_checks=False)
+        fine = assemble_report(make_lift(), resolution=(128, 128))
+        halved = assemble_report(make_lift(), resolution=(64, 64), h=5e-5)
         return [(label + " 128x128", fine.verdict),
                 (label + " h/2", halved.verdict)]
 
@@ -273,10 +269,10 @@ def test_criterion_9_refinement_robustness():
     base_neg = _cache.get("torus64_neg")
     neg_fine = assemble_report(
         lift_minkowski(shapes.torus(2.0, 1.0), offset=0.1),
-        resolution=(128, 128), cross_checks=False)
+        resolution=(128, 128))
     neg_halved = assemble_report(
         lift_minkowski(shapes.torus(2.0, 1.0), offset=0.1),
-        resolution=(64, 64), h=5e-5, cross_checks=False)
+        resolution=(64, 64), h=5e-5)
     ok_neg = {neg_fine.verdict, neg_halved.verdict} == {"not_marginal"} and \
         (base_neg is None or base_neg.verdict == "not_marginal")
 

@@ -25,6 +25,7 @@ from marlift.core import (
     bilinear,
     jet2_of,
     looped,
+    stacked,
 )
 from marlift.constructor import (
     _BLOCK,
@@ -252,14 +253,20 @@ def test_point_with_its_whole_stencil_outside_the_chart():
 
 
 def test_a_chart_with_every_point_excluded_has_no_rows_to_solve():
-    ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (5, 5), excluded=lambda x: True)
-    torus = shapes.torus(2.0, 1.0)
-    for imm in (shapes.torus(2.0, 1.0, chart=ch),
-                HypersurfaceImmersion(SpaceForm.euclidean(3), ch, lambda x: torus(x))):
-        with pytest.raises(ConstructionError, match="no usable grid points"):
-            thread_root_fields(imm, AmbientKind.MINKOWSKI)
-        with pytest.raises(ConstructionError, match="no usable reference point"):
-            lift_minkowski(imm)
+    # every row of the hypersurface fails, so no grid point is left to solve:
+    # threading raises the first row's error, the lift finds no reference
+    ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (5, 5))
+
+    @stacked
+    def no_points(x):
+        return Rows(np.full((len(x), 3), np.nan),
+                    [GeometryError(f"no point at {p}") for p in x])
+
+    imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, no_points)
+    with pytest.raises(GeometryError, match="no point at"):
+        thread_root_fields(imm, AmbientKind.MINKOWSKI)
+    with pytest.raises(ConstructionError, match="no usable reference point"):
+        lift_minkowski(imm)
 
 
 def test_frames_and_spectra_rows_equal_one_row_calls():
@@ -432,7 +439,8 @@ def test_mixed_batch_frame_failures_fail_their_rows_alone():
     assert np.all(np.isnan(hvec[[0, 2, 3, 4]]))
 
 
-def test_cross_check_failures_are_counted():
+def _partial_context_lift():
+    """The torus lift whose contexts fail at the chart points with x0 > 0."""
     torus = lift_minkowski(shapes.torus(2.0, 1.0))
 
     @lift_map
@@ -445,9 +453,13 @@ def test_cross_check_failures_are_counted():
         return LiftRows(rows.values, rows.errors, rows.nulls,
                         dataclasses.replace(rows.contexts, errors=errors))
 
-    lift = dataclasses.replace(torus, eval_fn=partial_context,
+    return dataclasses.replace(torus, eval_fn=partial_context,
                                name="torus-partial-context")
-    report = assemble_report(lift, resolution=(6, 6))
+
+
+def test_cross_check_failures_are_counted():
+    torus = lift_minkowski(shapes.torus(2.0, 1.0))
+    report = assemble_report(_partial_context_lift(), resolution=(6, 6))
     failing = [r for r in report.records if r.x[0] > 0.0]
     assert report.excluded_count == 0 and report.verdict == "marginally_trapped"
     assert report.cross_check_failures == len(failing) == 18
@@ -460,6 +472,55 @@ def test_cross_check_failures_are_counted():
             assert None not in residuals and max(residuals) <= 1e-5
     assert "cross_check_failures: 18" in render_report(report)
     assert assemble_report(torus, resolution=(6, 6)).cross_check_failures == 0
+
+
+def _stat_of_records(values):
+    vals = [v for v in values if v is not None and not math.isnan(v)]
+    if not vals:
+        return None
+    return {"max": max(vals), "median": float(np.median(vals))}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lift_minkowski(shapes.torus(2.0, 1.0)),
+    lambda: lift_minkowski(shapes.torus(2.0, 1.0), offset=0.1),
+    lambda: lift_palmer(catalog_lookup("palmer-sphere", {"preset": "round"})[1]),
+    _partial_context_lift,
+    lambda: catalog_lookup("l1-perturbed")[1],
+], ids=["torus", "torus-offset", "palmer-round", "partial-context", "l1-perturbed"])
+def test_summary_and_verdict_follow_the_records(make):
+    # the report's summary and verdict, recomputed one record at a time
+    report = assemble_report(make(), resolution=(6, 6))
+    records = report.records
+    usable = [r for r in records if not r.excluded]
+    residuals = [min(r.null_residual_primary, r.null_residual_opposite) for r in usable]
+    assert residuals == [r.null_residual for r in usable]
+    assert report.summary == {
+        "min_eig_g": _stat_of_records([r.min_eig_g for r in usable]),
+        "null_residual": _stat_of_records(residuals),
+        "null_residual_primary": _stat_of_records(
+            [r.null_residual_primary for r in usable]),
+        "hvec_norm_sq": _stat_of_records([abs(r.hvec_norm_sq) for r in usable]),
+        "legendrian_residual": _stat_of_records([r.legendrian_residual for r in usable]),
+        "lemma_metric_residual": _stat_of_records(
+            [r.lemma_metric_residual for r in usable]),
+        "lemma_secondform_residual": _stat_of_records(
+            [r.lemma_secondform_residual for r in usable]),
+        "eqH_residual": _stat_of_records([r.eqH_residual for r in usable]),
+    }
+    excluded = len(records) - len(usable)
+    assert (report.total, report.excluded_count) == (len(records), excluded)
+    assert report.spacelike_failures == sum(
+        r.reason.startswith("spacelike violation") for r in records)
+    if not usable or excluded > 0.5 * len(records):
+        verdict = "inconclusive"
+    else:
+        ok_metric = (report.spacelike_failures == 0
+                     and min(r.min_eig_g for r in usable) > DEFAULTS.tol_pd)
+        verdict = ("marginally_trapped"
+                   if max(residuals) <= DEFAULTS.tol_marginal and ok_metric
+                   else "not_marginal")
+    assert report.verdict == verdict
 
 
 @pytest.mark.parametrize("name", ["torus-minkowski", "sphere-torus-product-0",

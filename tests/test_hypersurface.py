@@ -10,7 +10,6 @@ from marlift.hypersurface import (
     ShapeSpectrum,
     SpaceForm,
     frame_at,
-    legendrian_residual,
     mean_gauss_at,
     spectrum_at,
 )
@@ -210,54 +209,3 @@ class PointFrameWithN3:
         self.metric = np.eye(3)
         self.second_form = np.zeros((3, 3))
         self.n = 3
-
-
-# ---------------------------------------------------------------- legendrian
-
-def test_legendrian_residual_valid_frame():
-    imm = shapes.torus(2.0, 1.0)
-    assert legendrian_residual(imm, [0.4, 0.9]) <= 1e-8
-
-
-def test_legendrian_residual_flags_perturbed_normal():
-    imm = shapes.torus(2.0, 1.0)
-    fr = frame_at(imm, [0.4, 0.9])
-    bad = fr.normal + 0.1 * fr.tangent[0]
-    bad = bad / np.linalg.norm(bad)
-    assert legendrian_residual(imm, [0.4, 0.9], nu=bad) > 1e-3
-
-
-def test_legendrian_residual_sphere_analytic_normal():
-    imm = shapes.round_sphere(1.0)
-    x = np.array([0.2, -0.4])
-    nu = imm(x)  # position is collinear with the normal on the unit sphere
-    assert legendrian_residual(imm, x, nu=nu) <= 1e-10
-
-
-# ---------------------------------------------------------------- patterns
-
-def test_pattern_sweep_constant_on_torus():
-    import warnings
-
-    from marlift.hypersurface import pattern_sweep
-
-    imm = shapes.torus(2.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pats = pattern_sweep(imm, imm.chart.grid(margin=0.01)[::41])
-    assert set(pats) == {(2, (1, 1))}
-
-
-def test_pattern_sweep_warns_on_mixed_spectra():
-    import warnings
-
-    from marlift.hypersurface import pattern_sweep
-
-    ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (5, 5))
-    t1 = shapes.torus(2.0, 1.0)
-    sph = shapes.round_sphere(1.0)
-    glued = HypersurfaceImmersion(
-        SpaceForm.euclidean(3), ch,
-        lambda x: t1(x) if x[1] < 1.5 else sph(x * 0.3))
-    with pytest.warns(RuntimeWarning):
-        pattern_sweep(glued, ch.grid(margin=0.01))

@@ -75,8 +75,7 @@ def test_routes_agree_on_convex_support():
 def test_both_routes_verify_trapped_on_convex_support():
     _, sf = catalog_lookup("palmer-sphere")
     rep1 = assemble_report(lift_palmer(sf), resolution=(5, 5))
-    rep2 = assemble_report(support_route_lift(sf), resolution=(5, 5),
-                           cross_checks=False)
+    rep2 = assemble_report(support_route_lift(sf), resolution=(5, 5))
     assert rep1.verdict == "marginally_trapped"
     assert rep2.verdict == "marginally_trapped"
 
@@ -101,7 +100,7 @@ def test_offset_support_lift_degenerates_to_focal_point():
     vals = np.array([lift(x) for x in sf.chart.grid(margin=0.01)[::5]])
     assert np.max(vals.max(axis=0) - vals.min(axis=0)) <= 1e-12
     assert np.allclose(vals[0], [0.0, 0.0, 0.1, -1.0], atol=1e-12)
-    rep = assemble_report(lift, resolution=(5, 5), cross_checks=False)
+    rep = assemble_report(lift, resolution=(5, 5))
     assert rep.verdict == "inconclusive"
     assert rep.excluded_count == rep.total
 
@@ -134,7 +133,7 @@ def test_both_routes_verify_trapped_on_expr_fields(field, grid):
     _, sf = catalog_lookup("palmer-sphere", {"preset": "expr", "f": field})
     direct, route = lift_palmer(sf), support_route_lift(sf)
     rep1 = assemble_report(direct, resolution=grid)
-    rep2 = assemble_report(route, resolution=grid, cross_checks=False)
+    rep2 = assemble_report(route, resolution=grid)
     for rep in (rep1, rep2):
         assert rep.verdict == "marginally_trapped"
         assert rep.excluded_count == 0

@@ -8,15 +8,17 @@ from marlift import shapes
 from marlift.constructor import (
     AmbientKind,
     LiftedImmersion,
+    LiftRows,
     LorentzAmbient,
     flat_slice,
     graph_lift,
+    lift_map,
     lift_minkowski,
     lift_sphere_product,
     null_lift,
     product_height_lift,
 )
-from marlift.core import Chart, Rows, bilinear
+from marlift.core import Chart, GeometryError, Rows, bilinear
 from marlift.hypersurface import HypersurfaceImmersion, SpaceForm
 from marlift.verifier import (
     SpacelikeViolationError,
@@ -223,13 +225,25 @@ def test_report_random_graph_not_marginal():
 
 
 def test_report_inconclusive_when_mostly_excluded():
-    lift = lift_minkowski(shapes.torus(2.0, 1.0))
-    ch = lift.chart
-    bad = Chart(ch.dim, ch.lower, ch.upper, ch.resolution,
-                excluded=lambda x: x[0] > -0.9)
-    shadowed = dataclasses.replace(lift, chart=bad)
-    rep = assemble_report(shadowed, resolution=(6, 6))
+    # the rows with x0 > -0.9 fail, and each point they reach is excluded
+    # with their error as its reason
+    torus = lift_minkowski(shapes.torus(2.0, 1.0))
+
+    @lift_map
+    def mostly_failing(x, construction):
+        rows = torus.evaluate(x, construction)
+        bad = x[:, 0] > -0.9
+        errors = [GeometryError(f"row fails at {p}") if b else e
+                  for p, b, e in zip(x, bad, rows.errors)]
+        values = np.where(bad[:, None], np.nan, rows.values)
+        return LiftRows(values, errors, rows.nulls, rows.contexts)
+
+    lift = dataclasses.replace(torus, eval_fn=mostly_failing, name="torus-mostly-failing")
+    rep = assemble_report(lift, resolution=(6, 6))
     assert rep.verdict == "inconclusive"
+    assert 0.5 * rep.total < rep.excluded_count < rep.total
+    assert all(r.reason.startswith("GeometryError: row fails at")
+               for r in rep.records if r.excluded)
 
 
 def test_verdict_scale_invariant_under_chart_rescaling():

@@ -9,7 +9,6 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,25 +133,6 @@ def _report_exit(report, expected: Optional[str]) -> int:
     return EXIT_PASS if report.verdict == "marginally_trapped" else EXIT_FAIL
 
 
-def _mesh_rows(lift, report):
-    chart_pts = np.array([rec.x for rec in report.records])
-    ambient_pts = np.full((len(chart_pts), lift.ambient.container_dim), math.nan)
-    residuals = np.full(len(chart_pts), math.nan)
-    fill = []
-    for i, rec in enumerate(report.records):
-        if rec.excluded:
-            fill.append(i)
-        else:
-            residuals[i] = rec.null_residual
-            ambient_pts[i] = rec.position
-    if fill:
-        # the lift's own value where the record has none, NaN where it fails
-        rows = lift.evaluate(chart_pts[fill], construction=False)
-        ok = np.equal(rows.errors, None)
-        ambient_pts[np.array(fill)[ok]] = rows.values[ok]
-    return chart_pts, ambient_pts, residuals
-
-
 def _stem(entry_name: str, lift, root_index) -> str:
     """Output file stem of a lift built from a catalog entry."""
     suffix = "" if root_index is None else f"-root{root_index}"
@@ -180,8 +160,7 @@ def _write_outputs(cfg: RunConfig, lift, report, root_index, entry_name):
         "step": f"{cfg.step if cfg.step is not None else DEFAULTS.step_h:g}",
         "verdict": report.verdict,
     }
-    chart_pts, ambient_pts, residuals = _mesh_rows(lift, report)
-    write_mesh(mesh_path, metadata, chart_pts, ambient_pts, residuals)
+    write_mesh(mesh_path, metadata, report.x, report.values, report.null_residual)
     return report_path, mesh_path
 
 

@@ -277,7 +277,7 @@ class LiftedImmersion:
         x = np.asarray(x, dtype=float)
         if getattr(self.eval_fn, "lift_map", False):
             return self.eval_fn(x, construction)
-        values, errors = _call_rows(looped(self.eval_fn), x)
+        values, errors = _call_rows(looped(self.eval_fn, self.ambient.container_dim), x)
         return LiftRows(values, errors or [None] * len(x))
 
     def __call__(self, x) -> np.ndarray:
@@ -549,7 +549,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
 
     @lift_map
     def eval_rows(x, construction: bool) -> LiftRows:
-        points, errors = _call_rows(looped(imm.eval_fn), x)
+        points, errors = _call_rows(looped(imm.eval_fn, imm.space.container_dim), x)
         errors = errors or [None] * len(x)
         values = np.concatenate([points, np.full((len(x), 1), height)], axis=1)
         if not construction:

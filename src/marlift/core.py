@@ -234,12 +234,13 @@ def stacked(fn):
     return fn
 
 
-def looped(fn: Callable[[np.ndarray], np.ndarray]):
+def looped(fn: Callable[[np.ndarray], np.ndarray], width: int = 1):
     """The adapter from a one-point map to an array map.
 
     Calls `fn` on each row in turn. A row whose call raises GeometryError is
     reported in the returned `Rows`, its values NaN; any other exception
-    propagates. An array map is returned as it is.
+    propagates. `width` is the value length the caller expects, which the
+    rows take when no call returns one. An array map is returned as it is.
     """
     if getattr(fn, "stacked", False):
         return fn
@@ -255,10 +256,10 @@ def looped(fn: Callable[[np.ndarray], np.ndarray]):
                 values.append(None)
                 errors[i] = exc
         if errors.count(None) < len(errors):
-            width = next((len(v) for v in values if v is not None), 1)
-            values = [np.full(width, np.nan) if v is None else v for v in values]
+            wide = next((len(v) for v in values if v is not None), width)
+            values = [np.full(wide, np.nan) if v is None else v for v in values]
         if not values:
-            return Rows(np.empty((0, 1)), errors)
+            return Rows(np.empty((0, width)), errors)
         return Rows(np.array(values).reshape(len(points), -1), errors)
 
     return rows_fn
@@ -328,15 +329,20 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
         outside = ((pts < chart.lower) | (pts > chart.upper)).any(axis=-1)
     inside = ~outside[1:]
     centre, centre_errors = _call_rows(fn, x)
-    rest_errors = None
+    rest, rest_errors = centre[:0], None
+    if inside.any():
+        rest, rest_errors = _call_rows(fn, pts[1:][inside])
+    # a call in which every row failed has no width of its own
+    if centre_errors and centre_errors.count(None) == 0:
+        centre = np.full((count, rest.shape[1]), np.nan)
+    elif rest_errors and rest_errors.count(None) == 0:
+        rest = np.full((len(rest), centre.shape[1]), np.nan)
     if inside.all():
-        rest, rest_errors = _call_rows(fn, pts[1:].reshape(-1, n))
         vals = np.concatenate([centre, rest]).reshape(len(off), count, centre.shape[1])
     else:
         vals = np.full((len(off), count, centre.shape[1]), np.nan)
         vals[0] = centre
-        if inside.any():
-            vals[1:][inside], rest_errors = _call_rows(fn, pts[1:][inside])
+        vals[1:][inside] = rest
 
     failed = outside | ~np.isfinite(vals).all(axis=-1)
     raised = None

@@ -136,7 +136,7 @@ class HypersurfaceImmersion:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = looped(self.eval_fn)(x[None])
+        out = looped(self.eval_fn, self.space.container_dim)(x[None])
         if isinstance(out, Rows):
             return out.value(0)
         return np.asarray(out, dtype=float)[0]
@@ -148,7 +148,8 @@ class HypersurfaceImmersion:
         if self.jets is not None:
             jet = self.jets(points)
         else:
-            jet = jet2_of(looped(self.eval_fn), points, h=h, chart=self.chart)
+            jet = jet2_of(looped(self.eval_fn, self.space.container_dim), points,
+                          h=h, chart=self.chart)
         return jet.row(0) if x.ndim == 1 else jet
 
 

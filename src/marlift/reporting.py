@@ -57,23 +57,20 @@ def render_report(report: MarginalityReport, config_echo: str = "",
         f"spacelike_failures: {report.spacelike_failures} "
         f"cross_check_failures: {report.cross_check_failures}",
     ]
-    order = ["min_eig_g", "null_residual", "null_residual_primary",
-             "hvec_norm_sq", "legendrian_residual", "lemma_metric_residual",
-             "lemma_secondform_residual", "eqH_residual"]
-    for key in order:
-        lines.append(_stat_line(key, report.summary.get(key)))
+    lines += [_stat_line(key, stat) for key, stat in report.summary.items()]
 
-    usable = [r for r in report.records if not r.excluded]
-    if usable:
-        worst = max(usable, key=lambda r: r.null_residual)
-        coords = " ".join(_fmt(c) for c in worst.x)
+    live, residual = report.live, report.null_residual
+    if live.any():
+        # the worst live point; ties go to the first
+        i = np.flatnonzero(live)[np.argmax(residual[live])]
+        min_eig, hvec_norm_sq = report.table[i, [0, 3]].tolist()
+        coords = " ".join(_fmt(c) for c in report.x[i].tolist())
         lines.append(
             f"worst_point: x=({coords}) "
-            f"null_residual={_fmt(worst.null_residual)} "
-            f"min_eig_g={_fmt(worst.min_eig_g)} "
-            f"hvec_norm_sq={_fmt(worst.hvec_norm_sq)}")
-        lines.append(
-            f"min_eig_g_min: {_fmt(min(r.min_eig_g for r in usable))}")
+            f"null_residual={_fmt(float(residual[i]))} "
+            f"min_eig_g={_fmt(min_eig)} "
+            f"hvec_norm_sq={_fmt(hvec_norm_sq)}")
+        lines.append(f"min_eig_g_min: {_fmt(float(np.min(report.table[live, 0])))}")
     else:
         lines.append("worst_point: n/a")
         lines.append("min_eig_g_min: n/a")

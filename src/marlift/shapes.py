@@ -19,7 +19,6 @@ from .hypersurface import HypersurfaceImmersion, SpaceForm
 
 __all__ = [
     "sphere_chart",
-    "sphere_chart_jet",
     "sphere_chart_jets",
     "torus",
     "round_sphere",
@@ -34,26 +33,11 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def _leaves(nested):
-    if isinstance(nested, list):
-        for item in nested:
-            yield from _leaves(item)
-    else:
-        yield nested
-
-
-def _jet(value, d1, d2):
-    """Stacked jet from nested lists of per-point coordinate arrays (P,)."""
-    def points_first(nested, shape):
-        out = np.empty((len(value[0]),) + shape)
-        flat = out.reshape(len(out), -1)
-        for k, leaf in enumerate(_leaves(nested)):
-            flat[:, k] = leaf
-        return out
-
-    n, m = len(d1), len(value)
-    return Jet2(value=points_first(value, (m,)), d1=points_first(d1, (n, m)),
-                d2=points_first(d2, (n, n, m)))
+def _jet(*parts):
+    """Stacked jet from the nested lists (value, d1, d2) of per-point
+    coordinate arrays (P,): the point axis moves to the front."""
+    return Jet2(*(np.ascontiguousarray(np.moveaxis(np.array(a, dtype=float), -1, 0))
+                  for a in parts))
 
 
 def _immersion(space, chart, jets, name) -> HypersurfaceImmersion:
@@ -72,21 +56,8 @@ def sphere_chart(x):
     return np.stack([sx * cy, sy, cx * cy], axis=-1)
 
 
-def sphere_chart_jet(x):
-    """Analytic jet of `sphere_chart` at one point."""
-    sx, cx = math.sin(x[0]), math.cos(x[0])
-    sy, cy = math.sin(x[1]), math.cos(x[1])
-    value = [sx * cy, sy, cx * cy]
-    d1 = [[cx * cy, 0.0, -sx * cy],
-          [-sx * sy, cy, -cx * sy]]
-    d2 = [[[-sx * cy, 0.0, -cx * cy], [-cx * sy, 0.0, sx * sy]],
-          [[-cx * sy, 0.0, sx * sy], [-sx * cy, -sy, -cx * cy]]]
-    return Jet2(value=np.asarray(value), d1=np.asarray(d1), d2=np.asarray(d2))
-
-
 def sphere_chart_jets(x):
-    """Stacked analytic jets of `sphere_chart` at points (P, 2);
-    `sphere_chart_jet` is the same jet at one point."""
+    """Stacked analytic jets of `sphere_chart` at points (P, 2)."""
     sx, cx = np.sin(x[:, 0]), np.cos(x[:, 0])
     sy, cy = np.sin(x[:, 1]), np.cos(x[:, 1])
     zero = np.zeros_like(sx)

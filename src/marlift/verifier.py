@@ -14,10 +14,11 @@ fails alone, with the error its one-row call `lorentz_frame_at` raises; the
 `*_at` and `check_*_identity` functions are one-row calls of the same code.
 The construction data comes from the one lift record, the `LiftRows` of the
 grid points: their null normals and stacked context are read as arrays, by
-row mask; the stencil rows are evaluated without them. The per-point
-results form one table, a row per grid point and a column per value of
-`PointRecord`; the summary and the verdict read its live rows, and the
-records are built from it once.
+row mask; the stencil rows are evaluated without them. The report is the
+per-point table, a row per grid point: the chart points, the lift's values,
+a column per value of `PointRecord` and the exclusion reasons. The summary,
+the verdict, the rendered report and the mesh read its columns; its
+`records` are built from them only when read.
 
 Mean curvature convention: the averaged trace (1/n) g^ij h_ij. The verdict
 is insensitive to the normalization, but the closed-form identities are not,
@@ -26,6 +27,7 @@ so the convention is recorded in every report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -71,6 +73,9 @@ CONVENTION_NOTE = "mean curvature = averaged trace (1/n) g^ij h_ij"
 VERDICT_TRAPPED = "marginally_trapped"
 VERDICT_NOT = "not_marginal"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# the reason prefix of points excluded by a SpacelikeViolationError
+SPACELIKE = "spacelike violation"
 
 
 class FrameError(GeometryError):
@@ -362,18 +367,62 @@ class PointRecord:
         return min(self.null_residual_primary, self.null_residual_opposite)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginalityReport:
+    """The verified lift as its per-point table, a row per grid point.
+
+    `x` (P, n) holds the chart points and `values` (P, N) the lift's values
+    there, NaN where the lift failed. `table` (P, 8) holds the value fields
+    of `PointRecord` in their order, NaN where a value was not computed and
+    on excluded points. `reasons` holds each point's exclusion reason, ""
+    on live points. `records` is the table as PointRecords, built when first
+    read.
+    """
+
     name: str
     ambient: str
-    records: tuple
     verdict: str
-    excluded_count: int
-    spacelike_failures: int
-    total: int
     summary: dict
+    x: np.ndarray
+    values: np.ndarray
+    table: np.ndarray
+    reasons: tuple
     cross_check_failures: int = 0
     convention: str = CONVENTION_NOTE
+
+    @property
+    def total(self) -> int:
+        return len(self.reasons)
+
+    @property
+    def excluded_count(self) -> int:
+        return self.total - self.reasons.count("")
+
+    @property
+    def spacelike_failures(self) -> int:
+        return sum(reason.startswith(SPACELIKE) for reason in self.reasons)
+
+    @property
+    def live(self) -> np.ndarray:
+        return np.array([not reason for reason in self.reasons], dtype=bool)
+
+    @property
+    def null_residual(self) -> np.ndarray:
+        return _null_residual(self.table)
+
+    @functools.cached_property
+    def records(self) -> tuple:
+        return tuple(
+            PointRecord(tuple(xi), tuple(pos), *row[:4],
+                        *(None if math.isnan(v) else v for v in row[4:]))
+            if not reason else PointRecord(tuple(xi), excluded=True, reason=reason)
+            for xi, pos, row, reason in zip(self.x.tolist(), self.values.tolist(),
+                                            self.table.tolist(), self.reasons))
+
+
+def _null_residual(table: np.ndarray) -> np.ndarray:
+    """The verdict's residual column, the rule of `PointRecord.null_residual`."""
+    return np.minimum(table[:, 1], table[:, 2])
 
 
 def _stat(column: np.ndarray):
@@ -425,10 +474,12 @@ def _cross_check_rows(lift: LiftedImmersion, ctx: LiftContext, live,
     return out, failures
 
 
-def _excluded_record(x, err) -> PointRecord:
-    kind = ("spacelike violation" if isinstance(err, SpacelikeViolationError)
-            else type(err).__name__)
-    return PointRecord(x, excluded=True, reason=f"{kind}: {err}")
+def _reason(err) -> str:
+    """The exclusion reason of a point's error, "" for none."""
+    if err is None:
+        return ""
+    kind = SPACELIKE if isinstance(err, SpacelikeViolationError) else type(err).__name__
+    return f"{kind}: {err}"
 
 
 def assemble_report(lift: LiftedImmersion,
@@ -487,15 +538,8 @@ def assemble_report(lift: LiftedImmersion,
             lift, rows.contexts, live, frame, sff, hvec, nu)
     table[~live] = np.nan
 
-    records = tuple(
-        PointRecord(tuple(xi), tuple(pos), *values[:4],
-                    *(None if math.isnan(v) else v for v in values[4:]))
-        if err is None else _excluded_record(tuple(xi), err)
-        for xi, pos, err, values in zip(x.tolist(), frame.position.tolist(), errors,
-                                        table.tolist()))
-
+    residual = _null_residual(table)[live]
     ok = table[live]
-    residual = np.minimum(ok[:, 1], ok[:, 2])
     summary = {
         "min_eig_g": _stat(ok[:, 0]),
         "null_residual": _stat(residual),
@@ -507,17 +551,15 @@ def assemble_report(lift: LiftedImmersion,
         "eqH_residual": _stat(ok[:, 7]),
     }
 
-    spacelike_failures = sum(isinstance(e, SpacelikeViolationError) for e in errors)
-    excluded_count = len(x) - len(ok)
-    if not len(ok) or excluded_count > 0.5 * len(x):
+    if not len(ok) or len(x) - len(ok) > 0.5 * len(x):
         verdict = VERDICT_INCONCLUSIVE
     else:
-        ok_metric = spacelike_failures == 0 and np.min(ok[:, 0]) > DEFAULTS.tol_pd
+        ok_metric = (not any(isinstance(e, SpacelikeViolationError) for e in errors)
+                     and np.min(ok[:, 0]) > DEFAULTS.tol_pd)
         verdict = VERDICT_TRAPPED if (np.max(residual) <= tol_marginal and ok_metric) \
             else VERDICT_NOT
 
     return MarginalityReport(
-        name=lift.name, ambient=lift.ambient.kind.value, records=records,
-        verdict=verdict, excluded_count=excluded_count,
-        spacelike_failures=spacelike_failures, total=len(records),
-        summary=summary, cross_check_failures=cross_check_failures)
+        name=lift.name, ambient=lift.ambient.kind.value, verdict=verdict,
+        summary=summary, x=x, values=rows.values, table=table,
+        reasons=tuple(map(_reason, errors)), cross_check_failures=cross_check_failures)

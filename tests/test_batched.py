@@ -8,6 +8,7 @@ raises.
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,21 +253,60 @@ def test_point_with_its_whole_stencil_outside_the_chart():
     assert isinstance(alone.errors[0], OutOfDomainError)
 
 
+def _no_point(x):
+    raise GeometryError(f"no point at {x}")
+
+
+@stacked
+def _no_points(x):
+    return Rows(np.full((len(x), 3), np.nan), [GeometryError(f"no point at {p}") for p in x])
+
+
 def test_a_chart_with_every_point_excluded_has_no_rows_to_solve():
     # every row of the hypersurface fails, so no grid point is left to solve:
-    # threading raises the first row's error, the lift finds no reference
+    # each frame row carries its error, threading raises the first row's
+    # error, the lift finds no reference; a one-point map that fails
+    # everywhere has no value width of its own and takes the container's
     ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (5, 5))
+    grid = ch.grid(margin=4.0 * DEFAULTS.step_h)
+    for fn in (_no_points, _no_point):
+        imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, fn)
+        frames = frame_rows(imm, grid)
+        assert [str(e) for e in frames.errors] == [f"no point at {p}" for p in grid]
+        with pytest.raises(GeometryError, match=re.escape(f"no point at {grid[0]}")):
+            thread_root_fields(imm, AmbientKind.MINKOWSKI)
+        with pytest.raises(ConstructionError, match="no usable reference point"):
+            lift_minkowski(imm)
 
-    @stacked
-    def no_points(x):
-        return Rows(np.full((len(x), 3), np.nan),
-                    [GeometryError(f"no point at {p}") for p in x])
 
-    imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, no_points)
-    with pytest.raises(GeometryError, match="no point at"):
-        thread_root_fields(imm, AmbientKind.MINKOWSKI)
-    with pytest.raises(ConstructionError, match="no usable reference point"):
-        lift_minkowski(imm)
+def test_a_lift_that_fails_at_every_row_is_inconclusive():
+    # a one-point map with no row to take the value width from
+    torus = _lift("torus-minkowski")
+    lift = LiftedImmersion(torus.ambient, torus.chart, _no_point, name="nowhere")
+    report = assemble_report(lift, resolution=(5, 5))
+    assert report.verdict == "inconclusive"
+    assert report.excluded_count == report.total == 25
+    assert report.reasons == tuple(f"GeometryError: no point at {p}" for p in report.x)
+    assert report.values.shape == (25, 4) and np.isnan(report.values).all()
+
+
+def test_a_one_point_jet_whose_centre_or_neighbours_all_fail_raises():
+    x0 = np.array([0.3, -0.2])
+
+    def centre_fails(p):
+        if np.array_equal(p, x0):
+            raise GeometryError("no centre")
+        return np.array([p[0] ** 2, p[1], 1.0])
+
+    def neighbours_fail(p):
+        if not np.array_equal(p, x0):
+            raise GeometryError("no neighbour")
+        return np.array([p[0] ** 2, p[1], 1.0])
+
+    with pytest.raises(GeometryError, match="no centre"):
+        jet2_of(centre_fails, x0, h=1e-3)
+    with pytest.raises(GeometryError, match="no neighbour"):
+        jet2_of(neighbours_fail, x0, h=1e-3)
 
 
 def test_frames_and_spectra_rows_equal_one_row_calls():
@@ -308,13 +348,14 @@ def test_stacked_jet_equals_single_point_jet_bitwise(fn, points, h):
 
 
 def test_stacked_sphere_chart_jets_match_the_one_point_jet():
+    # the analytic jets against central differences of the chart map itself
     points = np.array([[0.3, -0.2], [1.1, 0.4], [-0.7, 0.9]])
     jets = shapes.sphere_chart_jets(points)
     for i, x in enumerate(points):
-        one = shapes.sphere_chart_jet(x)
-        assert _close(jets.value[i], one.value)
-        assert _close(jets.d1[i], one.d1)
-        assert _close(jets.d2[i], one.d2)
+        one = jet2_of(shapes.sphere_chart, x, h=1e-4)
+        assert np.allclose(jets.value[i], one.value, rtol=0.0, atol=1e-6)
+        assert np.allclose(jets.d1[i], one.d1, rtol=0.0, atol=1e-6)
+        assert np.allclose(jets.d2[i], one.d2, rtol=0.0, atol=1e-6)
 
 
 # ------------------------------------------------------ the verifier on rows

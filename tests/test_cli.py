@@ -3,14 +3,19 @@ import re
 import numpy as np
 import pytest
 
+from marlift import shapes, verifier
 from marlift.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_PIPELINE,
     EXIT_USAGE,
+    RunConfig,
+    _write_outputs,
     main,
 )
-from marlift.reporting import read_mesh
+from marlift.constructor import AmbientKind, LiftedImmersion, LorentzAmbient, lift_minkowski
+from marlift.core import DEFAULTS, Chart, GeometryError
+from marlift.reporting import read_mesh, render_report
 
 
 def run(argv, capsys=None):
@@ -234,3 +239,74 @@ def test_construct_support_entry(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_PASS
     assert len(list(tmp_path.glob("*.mesh.txt"))) == 1
+
+
+def test_reports_build_no_records_unless_read(tmp_path, monkeypatch):
+    # the CLI and the report read the per-point table; PointRecords are a
+    # view built only when `records` is read
+    def no_record(*args, **kwargs):
+        raise AssertionError("a PointRecord was built")
+
+    monkeypatch.setattr(verifier, "PointRecord", no_record)
+    assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
+                 "--grid", "9x9", "--out-dir", str(tmp_path)]) == EXIT_PASS
+    assert main(["verify", "--entry", "chen-l1", "--out-dir", str(tmp_path)]) == EXIT_PASS
+    mesh = next(tmp_path.glob("*.mesh.txt"))
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == EXIT_PASS
+    lift = _spacelike_in_part()
+    report = verifier.assemble_report(lift, resolution=(9, 9))
+    render_report(report)
+    monkeypatch.undo()
+
+    records = report.records
+    assert records == verifier.assemble_report(lift, resolution=(9, 9)).records
+    assert len(records) == report.total == 81
+    assert report.excluded_count == report.spacelike_failures == 54
+    for r, x, value, row, reason in zip(records, report.x, report.values,
+                                        report.table, report.reasons):
+        assert r.x == tuple(x) and r.excluded == bool(reason) and r.reason == reason
+        if reason:
+            assert r.position is None and np.isnan(r.null_residual)
+        else:
+            assert r.position == tuple(value)
+            assert (r.min_eig_g, r.null_residual_primary, r.null_residual_opposite,
+                    r.hvec_norm_sq) == tuple(row[:4])
+
+
+def _spacelike_in_part():
+    # (x, y, 0, 0.9 x^2) in flat space: timelike where |x| > 1/1.8
+    chart = Chart(2, [-1.5, -1.0], [1.5, 1.0], (9, 9))
+    return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2), chart,
+                           lambda x: np.array([x[0], x[1], 0.0, 0.9 * x[0] ** 2]),
+                           name="spacelike-in-part")
+
+
+def _cut_torus():
+    # the torus lift as a one-point map that fails for x0 > 0.3
+    torus = lift_minkowski(shapes.torus(2.0, 1.0))
+
+    def fn(x):
+        if x[0] > 0.3:
+            raise GeometryError(f"cut at {x[0]}")
+        return torus(x)
+
+    return LiftedImmersion(torus.ambient, torus.chart, fn, name="cut-torus")
+
+
+@pytest.mark.parametrize("make", [_cut_torus, _spacelike_in_part],
+                         ids=["row-errors", "spacelike"])
+def test_mesh_rows_are_the_lifts_own_values(make, tmp_path):
+    lift = make()
+    report = verifier.assemble_report(lift, resolution=(9, 9))
+    assert 0 < report.excluded_count < report.total
+    _, mesh = _write_outputs(RunConfig(entry=lift.name, grid=(9, 9), out_dir=tmp_path),
+                             lift, report, None, lift.name)
+    _, chart_pts, ambient_pts, residuals = read_mesh(mesh)
+    grid = lift.chart.with_resolution((9, 9)).grid(margin=4.0 * DEFAULTS.step_h)
+    assert np.array_equal(chart_pts, grid)
+    assert np.array_equal(ambient_pts, lift.evaluate(grid, construction=False).values,
+                          equal_nan=True)
+    excluded = np.array(report.reasons) != ""
+    assert np.array_equal(np.isnan(residuals), excluded)
+    # excluded points keep the values the lift has there
+    assert not np.isnan(ambient_pts[excluded]).all()

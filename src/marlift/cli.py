@@ -224,29 +224,34 @@ def _verify_mesh(cfg: RunConfig) -> int:
     name = metadata.get("entry", "")
     params = _parse_params(metadata.get("params", ""))
     entry, built = catalog_lookup(name, params)
+    try:
+        step = float(metadata["step"]) if metadata.get("step") else None
+        root_index = int(metadata["root_index"]) if metadata.get("root_index") else None
+    except ValueError as exc:
+        raise IngestError(f"{mesh_path}: bad header value: {exc}") from None
     cfg = RunConfig(entry=name, params=params,
                     ambient=_parse_ambient(metadata.get("ambient") or None),
-                    grid=_parse_grid(metadata.get("grid") or None),
-                    step=float(metadata["step"]) if metadata.get("step") else None,
+                    grid=_parse_grid(metadata.get("grid") or None), step=step,
                     tol_marginal=cfg.tol_marginal, out_dir=cfg.out_dir,
-                    root_index=int(metadata["root_index"])
-                    if metadata.get("root_index") else None,
-                    mesh=mesh_path)
+                    root_index=root_index, mesh=mesh_path)
     indexed = _lifts_for(cfg, entry, built, verify=True)
     if not indexed:
         raise IngestError("mesh names root 0 but the entry has none")
     lift = indexed[0][1]
     # ingest sanity: the stored coordinates must match the rebuilt lift
-    sample = chart_pts[:: max(1, len(chart_pts) // 16)]
-    stored = ambient_pts[:: max(1, len(chart_pts) // 16)]
-    keep = ~np.isnan(stored).any(axis=1)
-    rows = lift.evaluate(sample[keep], construction=False)
-    for j, (x, amb) in enumerate(zip(sample[keep], stored[keep])):
-        got = rows.value(j)
-        if np.max(np.abs(got - amb)) > 1e-8 * (1.0 + np.max(np.abs(amb))):
-            raise IngestError(
-                f"mesh row at chart {tuple(x)} disagrees with the rebuilt "
-                f"entry by {np.max(np.abs(got - amb)):.3e}")
+    sampled = np.arange(0, len(chart_pts), max(1, len(chart_pts) // 16))
+    sampled = sampled[~np.isnan(ambient_pts[sampled]).any(axis=1)]
+    sample, stored = chart_pts[sampled], ambient_pts[sampled]
+    rows = lift.evaluate(sample, construction=False)
+    gap = np.max(np.abs(rows.values - stored), axis=1)
+    bad = np.not_equal(rows.errors, None) \
+        | (gap > 1e-8 * (1.0 + np.max(np.abs(stored), axis=1)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        rows.value(j)  # a sample that failed to rebuild raises its own error
+        raise IngestError(
+            f"mesh row at chart {tuple(sample[j])} disagrees with the rebuilt "
+            f"entry by {gap[j]:.3e}")
     report = assemble_report(lift, resolution=cfg.grid, h=cfg.step,
                              tol_marginal=cfg.tol_marginal)
     _write_report_file(cfg, report, cfg.root_index, name, f"{mesh_path.stem}.verify")
@@ -336,7 +341,7 @@ def main(argv=None) -> int:
         if not cfg.entry and cfg.mesh is None:
             raise UsageError("verify needs --entry or --mesh")
         return cmd_verify(cfg)
-    except (UsageError, UnknownEntryError, ParameterError) as exc:
+    except (UsageError, UnknownEntryError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IngestError as exc:

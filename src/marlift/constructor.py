@@ -316,6 +316,14 @@ def _reference(imm, kind):
     raise ConstructionError(f"no usable reference point on the chart: {err}")
 
 
+def _changes(spectra, roots, pattern, count):
+    """Masks of the rows whose multiplicity pattern, and whose root count,
+    differ from `pattern` and `count`. A failed row has no pattern, so only
+    its count (0) can differ."""
+    other = [c for c, mults in spectra.patterns.items() if (len(mults), mults) != pattern]
+    return np.isin(spectra.code, other), roots.counts != count
+
+
 def _constraint_sanity(ambient: LorentzAmbient, rows: LiftRows):
     """The lift formulas satisfy the ambient constraint identically; a failure
     here means inconsistent construction data, not a bad sample. `rows` is
@@ -437,13 +445,10 @@ def _root_lift(imm, kind, family, root_index, offset=0.0,
     def select(x, solved) -> _Source:
         frame, spectra, roots = solved
         errors = list(roots.errors)
-        changed = np.zeros(len(x), dtype=bool)
-        for c, mults in spectra.patterns.items():
-            if (len(mults), mults) != pattern:
-                changed |= spectra.code == c
+        changed, recounted = _changes(spectra, roots, pattern, count)
         _fail(errors, changed, lambda i: PatternChangeError(
             f"multiplicity pattern changed to {spectra.pattern(i)} at chart {x[i]}"))
-        _fail(errors, roots.counts != count, lambda i: PatternChangeError(
+        _fail(errors, recounted, lambda i: PatternChangeError(
             f"root count changed from {count} to {roots.counts[i]} at chart {x[i]}"))
         root = roots.values[:, root_index]
         if offset == 0.0:
@@ -741,58 +746,65 @@ class RootThreads:
     count: int
 
 
-# A root field step larger than this many times the variation last seen on
-# the same axis is a jump between root branches.
+# A root field step larger than this many times the larger of the last two
+# steps on the same axis is a jump between root branches (one step alone may
+# straddle a symmetry line of the field, where it is round-off).
 _JUMP_FACTOR = 10.0
+# Floor of those steps, times 1 + |root|: roots solved from finite-difference
+# frames (no analytic jets) carried 4e-8 to 2e-7 of noise along the constant
+# direction of five plain-map tori at 9x9.
+_JUMP_FLOOR = 1e-6
 
 
 def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
                        resolution: Optional[Sequence[int]] = None) -> RootThreads:
     """Solve the roots over the chart grid and thread them into fields.
 
-    The grid is solved in one array call. Samples are then matched to their
-    grid neighbor along each axis, in raster order; a jump larger than
-    _JUMP_FACTOR times the variation last seen on the same axis, or any
-    multiplicity-pattern change, aborts with PatternChangeError, and so does
-    the first sample whose root solve failed. The first step on an axis
-    calibrates the local variation instead of being checked.
+    The grid is solved in one array call and checked in one array pass.
+    Each sample is compared with its grid neighbour on the last axis on
+    which its index is not zero; its step is a jump when it exceeds
+    _JUMP_FACTOR times the larger of the last two steps on that axis, in
+    raster order, or of _JUMP_FLOOR (1 + |root|). The first step on an axis
+    only calibrates. The first sample in raster order whose root solve
+    failed (its error), whose multiplicity pattern or root count changed, or
+    that jumped (PatternChangeError), in that precedence, aborts.
     """
     _check_source(imm, kind)
     chart = imm.chart if resolution is None else imm.chart.with_resolution(resolution)
     grid = chart.grid(margin=4.0 * DEFAULTS.step_h)
     shape = chart.resolution
     _, spectra, roots = _root_rows(imm, kind, grid)
-    pattern = count = values = None
-    last_jump = {}
-    for idx, x in enumerate(grid):
-        if roots.errors[idx] is not None:
-            raise roots.errors[idx]
-        found, n_roots = spectra.pattern(idx), int(roots.counts[idx])
-        if pattern is None:
-            pattern = found
-            count = n_roots
-            values = np.full((len(grid), count), np.nan)
-        if found != pattern or n_roots != count:
+    failed = np.not_equal(roots.errors, None)
+    if failed[0]:
+        raise roots.errors[0]
+    pattern, count = spectra.pattern(0), int(roots.counts[0])
+    changed, recounted = _changes(spectra, roots, pattern, count)
+    values = roots.values[:, :count].copy()
+    index = np.arange(len(grid)).reshape(shape)
+    jump = np.zeros(len(grid))
+    jumped = np.zeros(len(grid), dtype=bool)
+    for axis in range(len(shape)):
+        # the samples at index 0 on every later axis, in raster order
+        tail = (0,) * (len(shape) - 1 - axis)
+        cur = index[(..., slice(1, None)) + tail].ravel()
+        prev = index[(..., slice(None, -1)) + tail].ravel()
+        step = np.abs(values[cur] - values[prev])
+        jump[cur] = np.max(step, axis=1, initial=0.0)
+        seen = np.maximum(step, 1e-12)
+        base = seen[:-1].copy()
+        base[1:] = np.maximum(base[1:], seen[:-2])
+        scale = np.maximum(base, _JUMP_FLOOR * (1.0 + np.abs(values[prev[1:]])))
+        jumped[cur[1:]] = np.any(step[1:] > _JUMP_FACTOR * scale, axis=1)
+    bad = failed | changed | recounted | jumped
+    if bad.any():
+        i = int(np.argmax(bad))
+        if failed[i]:
+            raise roots.errors[i]
+        if changed[i] or recounted[i]:
             raise PatternChangeError(
                 f"pattern changed from {pattern}/{count} roots to "
-                f"{found}/{n_roots} at chart {x}")
-        values[idx] = roots.values[idx, :count]
-
-        multi = np.unravel_index(idx, shape)
-        for axis in range(len(shape) - 1, -1, -1):
-            if multi[axis] == 0:
-                continue
-            prev_multi = list(multi)
-            prev_multi[axis] -= 1
-            pidx = int(np.ravel_multi_index(prev_multi, shape))
-            jump = np.abs(values[idx] - values[pidx])
-            base = last_jump.get(axis)
-            if base is not None:
-                scale = np.maximum(base, 1e-9 * (1.0 + np.abs(values[pidx])))
-                if np.any(jump > _JUMP_FACTOR * scale):
-                    raise PatternChangeError(
-                        f"root field jump {float(jump.max()):.3e} at chart {x} "
-                        f"exceeds {_JUMP_FACTOR} x the local variation")
-            last_jump[axis] = np.maximum(jump, 1e-12)
-            break
+                f"{spectra.pattern(i)}/{int(roots.counts[i])} at chart {grid[i]}")
+        raise PatternChangeError(
+            f"root field jump {jump[i]:.3e} at chart {grid[i]} "
+            f"exceeds {_JUMP_FACTOR} x the local variation")
     return RootThreads(points=grid, values=values, pattern=pattern, count=count)

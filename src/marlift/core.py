@@ -266,20 +266,19 @@ def looped(fn: Callable[[np.ndarray], np.ndarray], width: int = 1):
 
 
 @functools.lru_cache(maxsize=16)
-def _stencil(hs: tuple) -> np.ndarray:
+def _stencil(n: int, h: float) -> np.ndarray:
     """Offsets of the central-difference stencil, one row each, in evaluation
-    order: the point, then +h_i e_i and -h_i e_i per axis, then per pair
-    i < j the corners (+,+), (+,-), (-,+), (-,-)."""
-    n = len(hs)
+    order: the point, then +h e_i and -h e_i per axis, then per pair i < j
+    the corners (+,+), (+,-), (-,+), (-,-)."""
     off = np.zeros((1 + 2 * n * n, n))
     k = 1
     for i in range(n):
-        off[k, i], off[k + 1, i] = hs[i], -hs[i]
+        off[k, i], off[k + 1, i] = h, -h
         k += 2
     for i in range(n):
         for j in range(i + 1, n):
-            off[k:k + 4, i] = (hs[i], hs[i], -hs[i], -hs[i])
-            off[k:k + 4, j] = (hs[j], -hs[j], hs[j], -hs[j])
+            off[k:k + 4, i] = (h, h, -h, -h)
+            off[k:k + 4, j] = (h, -h, h, -h)
             k += 4
     off.flags.writeable = False
     return off
@@ -298,7 +297,7 @@ def _call_rows(fn, points: np.ndarray):
 
 def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
             x: Sequence[float],
-            h: float | Sequence[float] | None = None,
+            h: Optional[float] = None,
             chart: Optional[Chart] = None) -> Jet2:
     """Second-order jet of `fn` at `x` by O(h^2) central differences.
 
@@ -317,12 +316,11 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     if x.ndim == 1:
         return jet2_of(looped(fn), x[None], h, chart).row(0)
     count, n = x.shape
-    hs = np.empty(n)
-    hs[:] = DEFAULTS.step_h if h is None else h
-    if np.any(hs <= 0):
+    h = np.float64(DEFAULTS.step_h if h is None else h)
+    if h <= 0:
         raise OutOfDomainError("step h must be positive")
 
-    off = _stencil(tuple(hs.tolist()))
+    off = _stencil(n, float(h))
     pts = x[None, :, :] + off[:, None, :]          # (stencil row, point, n)
     outside = np.zeros(pts.shape[:2], dtype=bool)
     if chart is not None:
@@ -370,13 +368,13 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     d1 = np.empty((count, n, f0.shape[-1]))
     d2 = np.empty((count, n, n, f0.shape[-1]))
     for i in range(n):
-        d1[:, i] = (fp[i] - fm[i]) / (2.0 * hs[i])
-        d2[:, i, i] = (fp[i] - 2.0 * f0 + fm[i]) / hs[i] ** 2
+        d1[:, i] = (fp[i] - fm[i]) / (2.0 * h)
+        d2[:, i, i] = (fp[i] - 2.0 * f0 + fm[i]) / h ** 2
     k = 2 * n + 1
     for i in range(n):
         for j in range(i + 1, n):
             fpp, fpm, fmp, fmm = vals[k:k + 4]
-            mixed = (fpp - fpm - fmp + fmm) / (4.0 * hs[i] * hs[j])
+            mixed = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
             d2[:, i, j] = mixed
             d2[:, j, i] = mixed
             k += 4

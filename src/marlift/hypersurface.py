@@ -142,15 +142,12 @@ class HypersurfaceImmersion:
         return np.asarray(out, dtype=float)[0]
 
     def jet(self, x, h: Optional[float] = None) -> Jet2:
-        """Jet at one point (n,), or the stacked jet of points (P, n)."""
-        x = np.asarray(x, dtype=float)
-        points = x[None] if x.ndim == 1 else x
+        """Stacked jet of points (P, n); `h` is the finite-difference step of
+        a map without analytic jets."""
         if self.jets is not None:
-            jet = self.jets(points)
-        else:
-            jet = jet2_of(looped(self.eval_fn, self.space.container_dim), points,
-                          h=h, chart=self.chart)
-        return jet.row(0) if x.ndim == 1 else jet
+            return self.jets(x)
+        return jet2_of(looped(self.eval_fn, self.space.container_dim), x, h=h,
+                       chart=self.chart)
 
 
 @dataclass(frozen=True)

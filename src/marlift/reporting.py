@@ -9,6 +9,7 @@ for a fixed configuration except for the generated-at line.
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 from typing import Optional
 
@@ -27,12 +28,8 @@ class IngestError(GeometryError):
     pass
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "n/a"
-    if isinstance(value, float) and math.isnan(value):
-        return "n/a"
-    return f"{value:.12g}"
+def _fmt(value: float) -> str:
+    return "n/a" if math.isnan(value) else f"{value:.12g}"
 
 
 def _stat_line(name: str, stat: Optional[dict]) -> str:
@@ -81,51 +78,40 @@ def render_report(report: MarginalityReport, config_echo: str = "",
 def write_mesh(path, metadata: dict, chart_points: np.ndarray,
                ambient_points: np.ndarray, residuals: np.ndarray) -> None:
     """One row per grid point; excluded points carry nan residuals."""
-    chart_points = np.asarray(chart_points, dtype=float)
-    ambient_points = np.asarray(ambient_points, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    n = chart_points.shape[1]
-    m = ambient_points.shape[1]
-    cols = [f"x{i}" for i in range(n)] + [f"X{i}" for i in range(m)] \
-        + ["null_residual"]
+    n, m = np.shape(chart_points)[1], np.shape(ambient_points)[1]
+    cols = [f"x{i}" for i in range(n)] + [f"X{i}" for i in range(m)] + ["null_residual"]
+    header = [MESH_MAGIC, *(f"{key}: {metadata[key]}" for key in sorted(metadata)),
+              f"columns: {' '.join(cols)}"]
+    data = np.column_stack([chart_points, ambient_points, residuals])
     with open(path, "w") as fh:
-        fh.write(f"# {MESH_MAGIC}\n")
-        for key in sorted(metadata):
-            fh.write(f"# {key}: {metadata[key]}\n")
-        fh.write(f"# columns: {' '.join(cols)}\n")
-        for xc, amb, res in zip(chart_points, ambient_points, residuals):
-            row = list(xc) + list(amb) + [res]
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, data, fmt="%.17g", header="\n".join(header), comments="# ")
 
 
 def read_mesh(path):
     """Metadata dict plus (chart points, ambient points, residuals)."""
     metadata = {}
-    rows = []
-    columns = None
     with open(path) as fh:
         first = fh.readline().strip()
         if first != f"# {MESH_MAGIC}":
             raise IngestError(f"{path} is not a mesh file (header {first!r})")
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    metadata[key.strip()] = value.strip()
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    if "columns" in metadata:
-        columns = metadata["columns"].split()
-    if not rows or columns is None:
-        raise IngestError(f"{path} carries no data rows")
-    data = np.array(rows)
+            body = line.strip()
+            if body and not body.startswith("#"):
+                break
+            key, colon, value = body[1:].partition(":")
+            if colon:
+                metadata[key.strip()] = value.strip()
+        else:
+            line = ""
+        if not line or "columns" not in metadata:
+            raise IngestError(f"{path} carries no data rows")
+        try:
+            data = np.loadtxt(itertools.chain([line], fh), ndmin=2)
+        except ValueError as exc:
+            raise IngestError(f"{path}: {exc}") from exc
+    columns = metadata["columns"].split()
     if data.shape[1] != len(columns):
         raise IngestError(f"{path}: row width {data.shape[1]} does not match "
                           f"columns header {len(columns)}")
-    n = sum(1 for c in columns if c.startswith("x"))
-    m = sum(1 for c in columns if c.startswith("X"))
+    n, m = (sum(c.startswith(prefix) for c in columns) for prefix in "xX")
     return metadata, data[:, :n], data[:, n:n + m], data[:, n + m]

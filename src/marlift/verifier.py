@@ -199,17 +199,11 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
                             s2, pair, product, jet, tuple(errors))
 
 
-def lorentz_frame_at(lift: LiftedImmersion, x,
-                     jet: Optional[Jet2] = None) -> LorentzFrame:
-    """Frame of the lift at a chart point: one row of `lorentz_frame_rows`.
-
-    `jet` is the lift's jet at x when the caller has it already; otherwise
-    it is taken from one stencil of lift evaluations at the default step.
-    """
+def lorentz_frame_at(lift: LiftedImmersion, x) -> LorentzFrame:
+    """Frame of the lift at a chart point: one row of `lorentz_frame_rows`,
+    from one stencil of lift evaluations at the default step."""
     x = np.asarray(x, dtype=float)[None]
-    jets = (jet2_of(lambda p: lift.evaluate(p, construction=False), x,
-                    chart=lift.chart)
-            if jet is None else Jet2(jet.value[None], jet.d1[None], jet.d2[None]))
+    jets = jet2_of(lambda p: lift.evaluate(p, construction=False), x, chart=lift.chart)
     return lorentz_frame_rows(lift, x, jets).row(0)
 
 
@@ -228,10 +222,9 @@ def second_form_rows(lift: LiftedImmersion, frame: LorentzFrame) -> np.ndarray:
     return (np.swapaxes(coeff, -1, -2) @ basis).reshape(d2.shape)
 
 
-def second_form_at(lift: LiftedImmersion, x,
-                   frame: Optional[LorentzFrame] = None) -> np.ndarray:
+def second_form_at(lift: LiftedImmersion, x) -> np.ndarray:
     """Second fundamental form (n, n, container_dim) at one chart point."""
-    return second_form_rows(lift, frame if frame is not None else lorentz_frame_at(lift, x))
+    return second_form_rows(lift, lorentz_frame_at(lift, x))
 
 
 def mean_curvature_rows(frame: LorentzFrame, sff: np.ndarray) -> np.ndarray:
@@ -242,15 +235,10 @@ def mean_curvature_rows(frame: LorentzFrame, sff: np.ndarray) -> np.ndarray:
     return (ginv @ sff.reshape(sff.shape[:-3] + (n * n, -1)))[..., 0, :] / n
 
 
-def mean_curvature_at(lift: LiftedImmersion, x,
-                      frame: Optional[LorentzFrame] = None,
-                      sff: Optional[np.ndarray] = None) -> np.ndarray:
+def mean_curvature_at(lift: LiftedImmersion, x) -> np.ndarray:
     """Averaged-trace mean curvature vector at one chart point."""
-    if frame is None:
-        frame = lorentz_frame_at(lift, x)
-    if sff is None:
-        sff = second_form_at(lift, x, frame=frame)
-    return mean_curvature_rows(frame, sff)
+    frame = lorentz_frame_at(lift, x)
+    return mean_curvature_rows(frame, second_form_rows(lift, frame))
 
 
 # ------------------------------------------------------- closed-form oracles
@@ -298,47 +286,38 @@ def _mean_gap(lift, hvec, nu, raw, tau, s) -> np.ndarray:
     return np.abs(comp - _closed_mean_component(lift.ambient.kind, raw, tau, s))
 
 
-def _context(lift: LiftedImmersion, x, ctx: Optional[LiftContext]) -> LiftContext:
-    ctx = ctx if ctx is not None else lift.context(x)
+def _context(lift: LiftedImmersion, x) -> LiftContext:
+    ctx = lift.context(x)
     if ctx is None:
         raise FrameError("lift carries no cross-check context")
     return ctx
 
 
-def check_mean_curvature_identity(lift: LiftedImmersion, x,
-                                  ctx: Optional[LiftContext] = None,
-                                  hvec: Optional[np.ndarray] = None) -> float:
+def check_mean_curvature_identity(lift: LiftedImmersion, x) -> float:
     """|<H, nu> - closed form| with the construction's null normal.
 
     The closed form sums kappa/(1 - tau kappa) over the raw curvatures for
     the flat family and the corresponding rational expressions in
     s = cot(tau) or coth(tau) for the products.
     """
-    ctx = _context(lift, x, ctx)
-    if hvec is None:
-        hvec = mean_curvature_at(lift, x)
+    ctx = _context(lift, x)
+    hvec = mean_curvature_at(lift, x)
     return float(_mean_gap(lift, hvec, lift.null_normal(x), ctx.raw, ctx.tau, ctx.s))
 
 
-def check_metric_identity(lift: LiftedImmersion, x,
-                          ctx: Optional[LiftContext] = None,
-                          frame: Optional[LorentzFrame] = None) -> float:
+def check_metric_identity(lift: LiftedImmersion, x) -> float:
     """Max-norm gap between the measured induced metric and its closed form."""
-    ctx = _context(lift, x, ctx)
-    frame = frame if frame is not None else lorentz_frame_at(lift, x)
+    ctx = _context(lift, x)
+    frame = lorentz_frame_at(lift, x)
     closed, _ = _closed_forms(lift.ambient.kind, ctx.frame.metric,
                               ctx.frame.second_form, ctx.tau)
     return float(np.max(np.abs(frame.metric - closed)))
 
 
-def check_second_form_identity(lift: LiftedImmersion, x,
-                               ctx: Optional[LiftContext] = None,
-                               frame: Optional[LorentzFrame] = None,
-                               sff: Optional[np.ndarray] = None) -> float:
+def check_second_form_identity(lift: LiftedImmersion, x) -> float:
     """Max-norm gap between <h(.,.), nu> and its closed form."""
-    ctx = _context(lift, x, ctx)
-    if sff is None:
-        sff = second_form_at(lift, x, frame=frame)
+    ctx = _context(lift, x)
+    sff = second_form_at(lift, x)
     _, closed = _closed_forms(lift.ambient.kind, ctx.frame.metric,
                               ctx.frame.second_form, ctx.tau)
     return float(_second_form_gap(lift, sff, lift.null_normal(x), closed))

@@ -386,11 +386,11 @@ def test_row_verifier_equals_one_row_calls(name):
     report = assemble_report(lift, resolution=(5, 5))
     assert report.excluded_count == 0 and report.cross_check_failures == 0
     for i, x in enumerate(points):
-        one = lorentz_frame_at(lift, x, jet=jets.row(i))
+        one = lorentz_frame_at(lift, x)
         for field in FRAME_FIELDS:
             assert _close(getattr(frames.row(i), field), getattr(one, field)), field
-        sff1 = second_form_at(lift, x, frame=one)
-        hvec1 = mean_curvature_at(lift, x, frame=one, sff=sff1)
+        sff1 = second_form_at(lift, x)
+        hvec1 = mean_curvature_at(lift, x)
         assert _close(sff[i], sff1)
         assert _close(hvec[i], hvec1)
 
@@ -408,11 +408,11 @@ def test_row_verifier_equals_one_row_calls(name):
             assert record.lemma_metric_residual is None
             continue
         assert _close(record.lemma_metric_residual,
-                      check_metric_identity(lift, x, ctx=ctx, frame=one))
+                      check_metric_identity(lift, x))
         assert _close(record.lemma_secondform_residual,
-                      check_second_form_identity(lift, x, ctx=ctx, frame=one, sff=sff1))
+                      check_second_form_identity(lift, x))
         assert _close(record.eqH_residual,
-                      check_mean_curvature_identity(lift, x, ctx=ctx, hvec=hvec1))
+                      check_mean_curvature_identity(lift, x))
 
 
 def _patchwork_desitter():

@@ -15,7 +15,7 @@ from marlift.cli import (
 )
 from marlift.constructor import AmbientKind, LiftedImmersion, LorentzAmbient, lift_minkowski
 from marlift.core import DEFAULTS, Chart, GeometryError
-from marlift.reporting import read_mesh, render_report
+from marlift.reporting import read_mesh, render_report, write_mesh
 
 
 def run(argv, capsys=None):
@@ -174,6 +174,104 @@ def test_mesh_round_trip_detects_tampering(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == EXIT_PIPELINE
 
 
+@pytest.fixture(scope="module")
+def torus_mesh(tmp_path_factory):
+    out = tmp_path_factory.mktemp("construct")
+    assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
+                 "--grid", "5x5", "--out-dir", str(out)]) == EXIT_PASS
+    return next(out.glob("*.mesh.txt"))
+
+
+def _short_row(lines):
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    lines[data[3]] = " ".join(lines[data[3]].split()[:-1])
+
+
+def _bad_token(lines):
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    cols = lines[data[2]].split()
+    lines[data[2]] = " ".join(cols[:1] + ["abc"] + cols[2:])
+
+
+def _header(key, value):
+    def edit(lines):
+        k = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}:"))
+        lines[k] = f"# {key}: {value}"
+    return edit
+
+
+@pytest.mark.parametrize("edit,code,prefix", [
+    (_short_row, EXIT_PIPELINE, "ingest error: "),
+    (_bad_token, EXIT_PIPELINE, "ingest error: "),
+    (_header("step", "abc"), EXIT_PIPELINE, "ingest error: "),
+    (_header("root_index", "x"), EXIT_PIPELINE, "ingest error: "),
+    (None, EXIT_USAGE, "error: [Errno 2] No such file or directory"),
+], ids=["short-row", "bad-token", "bad-step", "bad-root-index", "missing-file"])
+def test_malformed_mesh_is_classified(torus_mesh, tmp_path, capsys, edit, code, prefix):
+    mesh = tmp_path / "edited.mesh.txt"
+    if edit is not None:
+        lines = torus_mesh.read_text().splitlines()
+        edit(lines)
+        mesh.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+def test_ingest_check_names_the_first_disagreeing_sample(torus_mesh, tmp_path, capsys):
+    lines = torus_mesh.read_text().splitlines()
+    data = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    for k in (12, 7):
+        cols = lines[data[k]].split()
+        cols[3] = repr(float(cols[3]) + 1e-3)
+        lines[data[k]] = " ".join(cols)
+    mesh = tmp_path / "tampered.mesh.txt"
+    mesh.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == EXIT_PIPELINE
+    x = tuple(read_mesh(mesh)[1][7])
+    assert capsys.readouterr().err == (f"ingest error: mesh row at chart {x} disagrees "
+                                       "with the rebuilt entry by 1.000e-03\n")
+
+
+def _old_mesh_text(metadata, chart, ambient, residuals):
+    """The mesh format written row by row: the reference for the array writer."""
+    cols = [f"x{i}" for i in range(chart.shape[1])] \
+        + [f"X{i}" for i in range(ambient.shape[1])] + ["null_residual"]
+    lines = ["# marlift mesh v1"] + [f"# {k}: {metadata[k]}" for k in sorted(metadata)]
+    lines.append(f"# columns: {' '.join(cols)}")
+    for xc, amb, res in zip(chart, ambient, residuals):
+        lines.append(" ".join(f"{v:.17g}" for v in list(xc) + list(amb) + [res]))
+    return "\n".join(lines) + "\n"
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_mesh_write_read_write_is_byte_identical(tmp_path):
+    # an n = 3 mesh written directly, with NaN rows, signed zeros, extreme
+    # magnitudes and values that need all 17 digits
+    rng = np.random.default_rng(7)
+    chart = rng.uniform(-1.0, 1.0, (40, 3))
+    ambient = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-300, 300, (40, 5))
+    ambient[[3, 17]] = np.nan
+    ambient[5, 1], chart[6, 2] = -0.0, 0.1 + 0.2
+    residuals = rng.uniform(0.0, 1e-6, 40)
+    residuals[[3, 17, 20]] = np.nan
+    metadata = {"entry": "n3", "params": "", "verdict": "inconclusive", "step": "0.0001"}
+    first = tmp_path / "first.mesh.txt"
+    write_mesh(first, metadata, chart, ambient, residuals)
+    assert first.read_text() == _old_mesh_text(metadata, chart, ambient, residuals)
+    meta, chart2, ambient2, residuals2 = read_mesh(first)
+    assert meta.pop("columns") == "x0 x1 x2 X0 X1 X2 X3 X4 null_residual"
+    assert meta == metadata
+    for a, b in ((chart, chart2), (ambient, ambient2), (residuals, residuals2)):
+        assert _same_bits(a, b)
+    second = tmp_path / "second.mesh.txt"
+    write_mesh(second, meta, chart2, ambient2, residuals2)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_report_determinism_except_timestamp(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -310,3 +408,17 @@ def test_mesh_rows_are_the_lifts_own_values(make, tmp_path):
     assert np.array_equal(np.isnan(residuals), excluded)
     # excluded points keep the values the lift has there
     assert not np.isnan(ambient_pts[excluded]).all()
+
+
+@pytest.mark.parametrize("make", [lambda: lift_minkowski(shapes.torus(2.0, 1.0)),
+                                  _cut_torus, _spacelike_in_part],
+                         ids=["torus", "row-errors", "spacelike"])
+def test_mesh_reads_back_the_report_columns_bit_for_bit(make, tmp_path):
+    lift = make()
+    report = verifier.assemble_report(lift, resolution=(9, 9))
+    _, mesh = _write_outputs(RunConfig(entry=lift.name, grid=(9, 9), out_dir=tmp_path),
+                             lift, report, None, lift.name)
+    _, chart_pts, ambient_pts, residuals = read_mesh(mesh)
+    assert _same_bits(chart_pts, report.x)
+    assert _same_bits(ambient_pts, report.values)
+    assert _same_bits(residuals, report.null_residual)

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlift import shapes
+from marlift import constructor, shapes
 from marlift.constructor import (
     AmbientKind,
     BracketingError,
@@ -24,8 +25,9 @@ from marlift.constructor import (
     sphere_product_closed_roots,
     thread_root_fields,
 )
-from marlift.core import Chart
-from marlift.hypersurface import HypersurfaceImmersion, SpaceForm
+from marlift.core import Chart, GeometryError
+from marlift.hypersurface import HypersurfaceImmersion, SpaceForm, SpectrumRows
+from marlift.polynomial import _Roots
 
 
 def poly_roots(kappas, mults, kind, **kw):
@@ -244,6 +246,169 @@ def test_thread_root_fields_aborts_on_glued_surfaces():
     glued = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, fn)
     with pytest.raises(PatternChangeError):
         thread_root_fields(glued, AmbientKind.MINKOWSKI)
+
+
+EVEN_GRIDS = [*((shapes.torus, r) for r in [(4, 4), (6, 6), (8, 8), (10, 10), (12, 12), (8, 5)]),
+              *((shapes.ellipsoid, r) for r in [(4, 4), (6, 6), (8, 8), (10, 10), (8, 5)])]
+
+
+@pytest.mark.parametrize("make,resolution", EVEN_GRIDS,
+                         ids=[f"{m.__name__}-{r[0]}x{r[1]}" for m, r in EVEN_GRIDS])
+def test_thread_root_fields_even_resolutions(make, resolution):
+    # a step that straddles the symmetry line u = 0 is round-off; it is no
+    # base for the next step
+    threads = thread_root_fields(make(), AmbientKind.MINKOWSKI, resolution=resolution)
+    assert threads.values.shape == (math.prod(resolution), 1)
+    assert np.all(np.isfinite(threads.values))
+
+
+@pytest.mark.parametrize("resolution", [(5, 5), (8, 8), (9, 9), (10, 10), (12, 12)],
+                         ids=lambda r: f"{r[0]}x{r[1]}")
+@pytest.mark.parametrize("radii", [(2.0, 1.0), (3.0, 1.0), (2.2, 0.8), (4.0, 0.5),
+                                   (2.5, 1.2)], ids=str)
+def test_thread_root_fields_plain_map_tori(radii, resolution):
+    # finite-difference frames: the root field is constant along v up to
+    # noise, which stays under the floor
+    torus = shapes.torus(*radii)
+    plain = HypersurfaceImmersion(SpaceForm.euclidean(3), torus.chart, lambda x: torus(x))
+    threads = thread_root_fields(plain, AmbientKind.MINKOWSKI, resolution=resolution)
+    exact = thread_root_fields(torus, AmbientKind.MINKOWSKI, resolution=resolution)
+    assert np.allclose(threads.values, exact.values, rtol=0.0, atol=1e-5)
+
+
+def test_thread_root_fields_part_failing_map_raises_its_row_error():
+    ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (9, 9))
+    torus = shapes.torus(2.0, 1.0)
+
+    def fn(x):
+        if x[1] > 1.9 and x[0] > 0.2:
+            raise GeometryError(f"no point at {x}")
+        return torus(x)
+
+    imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, fn)
+    with pytest.raises(GeometryError, match=re.escape("no point at [0.2499 1.9998]")):
+        thread_root_fields(imm, AmbientKind.MINKOWSKI)
+
+
+def test_thread_root_fields_torus_glued_to_a_sphere_changes_pattern():
+    ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (9, 9))
+    torus, sphere = shapes.torus(2.0, 1.0), shapes.round_sphere(1.0)
+    glued = HypersurfaceImmersion(SpaceForm.euclidean(3), ch,
+                                  lambda x: torus(x) if x[1] < 2.0 else sphere(x * 0.3))
+    with pytest.raises(PatternChangeError,
+                       match=re.escape("pattern changed from (2, (1, 1))/1 roots to "
+                                       "(1, (2,))/0 at chart [-0.9996  2.2497]")):
+        thread_root_fields(glued, AmbientKind.MINKOWSKI)
+
+
+def _graph3(a):
+    def fn(x):
+        f = 0.5 * (a[0] * x[0] ** 2 + a[1] * x[1] ** 2 + a[2] * x[2] ** 2) \
+            + 0.1 * x[0] * x[1] * x[2]
+        return np.array([x[0], x[1], x[2], f])
+
+    return fn
+
+
+N3_CHART = Chart(3, [-0.3] * 3, [0.3] * 3, (5, 5, 5))
+
+
+@pytest.mark.parametrize("resolution", [(4, 4, 4), (5, 4, 3), (5, 5, 5)])
+def test_thread_root_fields_three_dimensional_chart(resolution):
+    imm = HypersurfaceImmersion(SpaceForm.euclidean(4), N3_CHART, _graph3((1.0, 2.0, 3.5)))
+    threads = thread_root_fields(imm, AmbientKind.MINKOWSKI, resolution=resolution)
+    assert threads.pattern == (3, (1, 1, 1)) and threads.count == 2
+    assert threads.values.shape == (math.prod(resolution), 2)
+    assert np.all(threads.values[:, 0] < threads.values[:, 1])
+
+
+@pytest.mark.parametrize("axis,where", [(0, "[ 0.1498 -0.2996 -0.2996]"),
+                                        (1, "[-0.2996  0.1498 -0.2996]"),
+                                        (2, "[0.     0.     0.1498]")])
+def test_thread_root_fields_seam_across_each_axis_of_a_three_dimensional_chart(axis, where):
+    g1, g2 = _graph3((1.0, 2.0, 3.5)), _graph3((0.2, 0.4, 0.7))
+    imm = HypersurfaceImmersion(SpaceForm.euclidean(4), N3_CHART,
+                                lambda x: g1(x) if x[axis] < 0.05 else g2(x))
+    with pytest.raises(PatternChangeError, match=re.escape(f"at chart {where}")):
+        thread_root_fields(imm, AmbientKind.MINKOWSKI)
+
+
+def _synthetic_threads(monkeypatch, field, errors=(), changed=(), counts=None,
+                       resolution=(4, 5)):
+    """The guard on a prescribed root field, one root per sample in raster
+    order: the samples in `errors` fail their solve, those in `changed`
+    change their multiplicity pattern; `counts` are the root counts (one
+    each by default)."""
+    count = len(field)
+    errs = [None] * count
+    for i in errors:
+        errs[i] = GeometryError(f"no roots at sample {i}")
+    code = np.zeros(count, dtype=np.int64)
+    code[list(changed)] = 1
+    spectra = SpectrumRows(None, None, code, {0: (1, 1), 1: (2,)}, errs)
+    values = np.full((count, 3), np.nan)
+    values[:, 0] = field
+    counts = np.ones(count, dtype=int) if counts is None else counts
+    roots = _Roots(values, None, None, counts, errs)
+    monkeypatch.setattr(constructor, "_root_rows", lambda imm, kind, x: (None, spectra, roots))
+    return thread_root_fields(shapes.torus(), AmbientKind.MINKOWSKI, resolution=resolution)
+
+
+def _linear_field(shape=(4, 5)):
+    i, j = np.meshgrid(*(np.arange(k) for k in shape), indexing="ij")
+    return (2.0 + 0.1 * i + 0.05 * j).ravel()
+
+
+def test_synthetic_smooth_field_threads(monkeypatch):
+    field = _linear_field()
+    threads = _synthetic_threads(monkeypatch, field)
+    assert threads.pattern == (2, (1, 1)) and threads.count == 1
+    assert np.array_equal(threads.values[:, 0], field)
+
+
+ROW_ERROR = (GeometryError, "no roots at sample")
+PATTERN = (PatternChangeError, "pattern changed from (2, (1, 1))/1 roots to (1, (2,))/1")
+JUMP = (PatternChangeError, "root field jump")
+RECOUNT = (PatternChangeError, "pattern changed from (2, (1, 1))/1 roots to (2, (1, 1))/2")
+
+
+@pytest.mark.parametrize("errors,changed,jumps,expected", [
+    ((7,), (7,), (7,), ROW_ERROR),
+    ((), (7,), (7,), PATTERN),
+    ((9,), (8,), (7,), JUMP),
+    ((6,), (8,), (7,), ROW_ERROR),
+    ((8,), (6,), (7,), PATTERN),
+    ((8,), (), (7,), JUMP),
+    ((), (), (), RECOUNT),
+], ids=["all-on-one", "pattern-and-jump-on-one", "jump-first", "error-first",
+        "pattern-first", "jump-before-error", "count-change"])
+def test_guard_order_of_checks(monkeypatch, errors, changed, jumps, expected):
+    # the first bad sample in raster order aborts; on one sample a row error
+    # wins over a pattern or count change, which wins over a jump
+    field = _linear_field()
+    field[list(jumps)] += 1.0
+    counts = np.ones(len(field), dtype=int)
+    counts[11] = 2
+    first = min(errors + changed + jumps + (11,))
+    kind, message = expected
+    with pytest.raises(kind, match=re.escape(message)) as info:
+        _synthetic_threads(monkeypatch, field, errors, changed, counts)
+    grid = shapes.torus().chart.with_resolution((4, 5)).grid(margin=4e-4)
+    where = f"sample {first}" if kind is GeometryError else f"at chart {grid[first]}"
+    assert where in str(info.value)
+
+
+@pytest.mark.parametrize("axis,first", [(0, (2, 0)), (1, (0, 3))])
+def test_guard_seam_across_each_axis(monkeypatch, axis, first):
+    # a step of 5 across index 2 of axis 0 (seen along the first column) or
+    # index 3 of axis 1 (seen along the first row)
+    shape = (4, 5)
+    index = np.indices(shape)[axis].ravel()
+    field = _linear_field(shape) + np.where(index >= first[axis], 5.0, 0.0)
+    grid = shapes.torus().chart.with_resolution(shape).grid(margin=4e-4)
+    where = grid[np.ravel_multi_index(first, shape)]
+    with pytest.raises(PatternChangeError, match=re.escape(f"at chart {where} exceeds")):
+        _synthetic_threads(monkeypatch, field)
 
 
 def test_bracketing_error_diagnostics():

@@ -148,7 +148,7 @@ def test_marginality_component_identity():
     lift = lift_minkowski(shapes.torus(2.0, 1.0), offset=0.05)
     x = [0.3, 1.1]
     fr = lorentz_frame_at(lift, x)
-    hvec = mean_curvature_at(lift, x, frame=fr)
+    hvec = mean_curvature_at(lift, x)
     sig = lift.ambient.signature
     hh = bilinear(sig, hvec, hvec)
     ha = bilinear(sig, hvec, fr.null_pair[0])

@@ -15,7 +15,6 @@ from marlift import shapes
 from marlift.constructor import (
     AmbientKind,
     arccoth,
-    hyperbolic_product_closed_roots,
     lift_sphere_product,
     product_lifts,
     roots_at,
@@ -41,11 +40,13 @@ for i, lft in enumerate(product_lifts(shapes.clifford_torus(1.0),
           f"verdict {rep.verdict}")
 
 # ---------------------------------------------------------------------------
-# Hyperbolic product. The synthetic spectrum (2, 3) keeps one root,
-# (7 + sqrt 24)/5, whose height is a quarter of log 6.
-kept = hyperbolic_product_closed_roots(2.0, 3.0)
-print("\nspectrum (2, 3): kept root", kept[0],
-      " height", arccoth(kept[0]), "= (1/4) log 6 =", 0.25 * math.log(6.0))
+# Hyperbolic product. Two curvatures give the roots a +- sqrt(a^2 - 1),
+# a = (k1 k2 + 1)/(k1 + k2), and only |s| > 1 is kept: the synthetic
+# spectrum (2, 3) keeps (7 + sqrt 24)/5, whose height is a quarter of log 6.
+a = (2.0 * 3.0 + 1.0) / (2.0 + 3.0)
+kept = a + math.sqrt(a * a - 1.0)
+print("\nspectrum (2, 3): kept root", kept,
+      " height", arccoth(kept), "= (1/4) log 6 =", 0.25 * math.log(6.0))
 
 # An umbilic equidistant surface has curvature tanh(d) inside the unit band;
 # its reciprocal root lies outside and produces one spacelike lift.

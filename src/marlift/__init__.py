@@ -42,8 +42,6 @@ from .constructor import (
     curvature_polynomial,
     flat_slice,
     graph_lift,
-    height_ratio,
-    hyperbolic_product_closed_roots,
     hyperbolic_slice,
     lift_antidesitter,
     lift_desitter,
@@ -56,7 +54,6 @@ from .constructor import (
     roots_at,
     solve_roots,
     space_form_lifts,
-    sphere_product_closed_roots,
     spherical_slice,
     support_route_lift,
     thread_root_fields,

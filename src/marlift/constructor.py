@@ -64,11 +64,8 @@ from .polynomial import (
     arccot,
     arccoth,
     curvature_polynomial,
-    height_ratio,
-    hyperbolic_product_closed_roots,
     roots_at,
     solve_roots,
-    sphere_product_closed_roots,
 )
 from .shapes import sphere_chart
 
@@ -102,9 +99,6 @@ __all__ = [
     "space_form_lifts",
     "product_lifts",
     "thread_root_fields",
-    "height_ratio",
-    "sphere_product_closed_roots",
-    "hyperbolic_product_closed_roots",
     "arccot",
     "arccoth",
     "VanishingCurvatureError",
@@ -746,9 +740,9 @@ class RootThreads:
     count: int
 
 
-# A root field step larger than this many times the larger of the last two
-# steps on the same axis is a jump between root branches (one step alone may
-# straddle a symmetry line of the field, where it is round-off).
+# A root field step larger than this many times the larger of the two steps
+# beside it on its grid line is a jump between root branches (one step alone
+# may straddle a symmetry line of the field, where it is round-off).
 _JUMP_FACTOR = 10.0
 # Floor of those steps, times 1 + |root|: roots solved from finite-difference
 # frames (no analytic jets) carried 4e-8 to 2e-7 of noise along the constant
@@ -763,9 +757,9 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
     The grid is solved in one array call and checked in one array pass.
     Each sample is compared with its grid neighbour on the last axis on
     which its index is not zero; its step is a jump when it exceeds
-    _JUMP_FACTOR times the larger of the last two steps on that axis, in
-    raster order, or of _JUMP_FLOOR (1 + |root|). The first step on an axis
-    only calibrates. The first sample in raster order whose root solve
+    _JUMP_FACTOR times the larger of the two steps before it on the same
+    grid line (after it, for the line's first step), or of _JUMP_FLOOR
+    (1 + |root|). The first sample in raster order whose root solve
     failed (its error), whose multiplicity pattern or root count changed, or
     that jumped (PatternChangeError), in that precedence, aborts.
     """
@@ -784,17 +778,19 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
     jump = np.zeros(len(grid))
     jumped = np.zeros(len(grid), dtype=bool)
     for axis in range(len(shape)):
-        # the samples at index 0 on every later axis, in raster order
+        # the lines along this axis at index 0 on every later axis, one row
+        # per line, in raster order
         tail = (0,) * (len(shape) - 1 - axis)
-        cur = index[(..., slice(1, None)) + tail].ravel()
-        prev = index[(..., slice(None, -1)) + tail].ravel()
+        cur = index[(..., slice(1, None)) + tail].reshape(-1, shape[axis] - 1)
+        prev = index[(..., slice(None, -1)) + tail].reshape(-1, shape[axis] - 1)
         step = np.abs(values[cur] - values[prev])
-        jump[cur] = np.max(step, axis=1, initial=0.0)
+        jump[cur] = np.max(step, axis=-1, initial=0.0)
         seen = np.maximum(step, 1e-12)
-        base = seen[:-1].copy()
-        base[1:] = np.maximum(base[1:], seen[:-2])
-        scale = np.maximum(base, _JUMP_FLOOR * (1.0 + np.abs(values[prev[1:]])))
-        jumped[cur[1:]] = np.any(step[1:] > _JUMP_FACTOR * scale, axis=1)
+        # a line's first step has no steps before it: it takes the two after
+        base = np.concatenate([seen[:, 1:3].max(axis=1, keepdims=True), seen[:, :-1]], axis=1)
+        base[:, 2:] = np.maximum(base[:, 2:], seen[:, :-2])
+        scale = np.maximum(base, _JUMP_FLOOR * (1.0 + np.abs(values[prev])))
+        jumped[cur] = np.any(step > _JUMP_FACTOR * scale, axis=-1)
     bad = failed | changed | recounted | jumped
     if bad.any():
         i = int(np.argmax(bad))

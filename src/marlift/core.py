@@ -80,7 +80,8 @@ class Tolerances:
     marginality threshold (`tol_marginal`). The default step balances O(h^2)
     truncation against eps/h^2 round-off in second differences at double
     precision; the construction differentiates hypersurfaces without
-    analytic jets at it.
+    analytic jets at it. The root solve needs none: it stops at the
+    round-off bound it computes from each polynomial's coefficients.
     """
 
     step_h: float = 1e-4
@@ -88,7 +89,6 @@ class Tolerances:
     tol_pd: float = 1e-8         # positive-definiteness floor for metrics
     tol_zero: float = 1e-7       # |kappa| below this counts as vanishing curvature
     tol_cluster: float = 1e-5    # single-linkage gap for curvature multiplicities
-    tol_root: float = 1e-10      # bisection bracket width before Newton polish
     tol_marginal: float = 1e-5   # normalized null component of the mean curvature
     tol_quadric: float = 1e-8    # hyperquadric / product factor constraint residual
     tol_minimal: float = 1e-7    # |sum m_i kappa_i| below this counts as minimal

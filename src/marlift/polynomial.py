@@ -13,9 +13,16 @@ kappa_i with multiplicities m_i:
         P(s) = sum_i m_i (kappa_i s - 1) prod_{j != i} (s - kappa_j),
     roots kept only when |s| > 1.
 
-Breakpoint signs are evaluated through their exact factored forms, so the
-bracketing used by the bisection stage never relies on cancellation-prone
-expanded coefficients.
+Every root has a bracket with a sign change of P: between neighbouring
+breakpoints (curvature radii for the flat family, curvatures for the
+products) whose values differ in sign, or, for the products, from an end
+breakpoint out to the Cauchy bound 1 + max_k |c_k / c_top|, past which P has
+the sign of its end behaviour. Breakpoint values come from their exact
+factored forms, so the brackets never rely on cancellation-prone expanded
+coefficients. One iteration solves every bracket: Newton from the midpoint,
+bisecting when a step leaves the bracket or fails to halve, until |P(t)| is
+within the round-off of evaluating P at t, 4 (deg + 1) eps sum |c_k| |t|^k;
+the Newton step from that t, if it stays in the bracket, is the root.
 
 Every stage runs on rows, one spectrum per row: a row that fails records its
 error and the rows beside it carry on. `curvature_polynomial`, `solve_roots`
@@ -48,9 +55,6 @@ __all__ = [
     "curvature_polynomial",
     "solve_roots",
     "roots_at",
-    "height_ratio",
-    "sphere_product_closed_roots",
-    "hyperbolic_product_closed_roots",
     "arccot",
     "arccoth",
     "ConstructionError",
@@ -166,7 +170,7 @@ def _expand(kind: AmbientKind, kappas: np.ndarray, mults: tuple) -> np.ndarray:
     """Ascending coefficients of the height polynomial, one row per row of
     ascending curvatures `kappas` (R, p)."""
     count, p = kappas.shape
-    total = np.zeros((count, 1))
+    total = 0.0
     for i in range(p):
         m = float(mults[i])
         if kind in SPACE_FORM_FAMILY:
@@ -180,31 +184,8 @@ def _expand(kind: AmbientKind, kappas: np.ndarray, mults: tuple) -> np.ndarray:
             for j in range(p):
                 if j != i:
                     term = _times_linear(term, -kappas[:, j], 1.0)
-        if total.shape[1] < term.shape[1]:
-            total = np.concatenate(
-                [total, np.zeros((count, term.shape[1] - total.shape[1]))], axis=1)
         total = total + term
     return total
-
-
-def _expand_bracket(coeffs, start, step0, direction: float, sign_inner):
-    """Walk outward geometrically until the polynomial changes sign; returns
-    the far end and its sign per row, and the rows that found none."""
-    width = step0
-    far = np.full(len(start), np.nan)
-    far_sign = np.full(len(start), np.nan)
-    active = np.ones(len(start), dtype=bool)
-    for _ in range(80):
-        t = start + direction * width
-        val = _polyval(coeffs, t)
-        hit = active & (val != 0.0) & (np.copysign(1.0, val) != sign_inner)
-        far[hit] = t[hit]
-        far_sign[hit] = np.copysign(1.0, val[hit])
-        active &= ~hit
-        if not active.any():
-            break
-        width = width * 2.0
-    return far, far_sign, active
 
 
 def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
@@ -219,6 +200,9 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     empty slot.
     """
     count, p = kappas.shape
+    flat = kind in SPACE_FORM_FAMILY
+    if not flat and kind not in PRODUCT_FAMILY:
+        raise UnsupportedAmbientError(f"unknown ambient kind {kind}")
     errors = [None] * count
     trace = mults[0] * kappas[:, 0]
     for i in range(1, p):
@@ -227,7 +211,7 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     brackets = np.full((count, p + 1, 4), np.nan)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         coeffs = _expand(kind, kappas, mults)
-        if kind in SPACE_FORM_FAMILY:
+        if flat:
             _fail(errors, (np.abs(kappas) <= DEFAULTS.tol_zero).any(axis=1),
                   lambda i: VanishingCurvatureError(
                       "flat-family construction needs nonvanishing curvatures, "
@@ -235,65 +219,42 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
             radii = 1.0 / kappas
             order = np.argsort(radii, axis=1, kind="stable")
             bps = np.take_along_axis(radii, order, axis=1)
-            ms_r = np.asarray(mults)[order]
-            bp_vals = np.empty((count, p))
-            for i in range(p):
-                prod = ms_r[:, i].astype(float)
-                for j in range(p):
-                    if j != i:
-                        prod = prod * (bps[:, j] - bps[:, i])
-                bp_vals[:, i] = prod
-            signs = np.copysign(1.0, bp_vals)
-            _fail(errors, (signs[:, :-1] == signs[:, 1:]).any(axis=1),
-                  lambda i: BracketingError(
-                      "breakpoint signs fail to alternate: values "
-                      f"{[float(v) for v in bp_vals[i]]}"))
-            brackets[:, 1:p] = np.stack(
-                [bps[:, :-1], bps[:, 1:], signs[:, :-1], signs[:, 1:]], axis=-1)
-            return coeffs, bps, bp_vals, brackets, trace, minimal, errors
-
-        if kind not in PRODUCT_FAMILY:
-            raise UnsupportedAmbientError(f"unknown ambient kind {kind}")
-        unit = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
+            weight = np.asarray(mults, dtype=float)[order]
+        else:
+            bps = kappas
+            unit = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
+            weight = np.asarray(mults) * (kappas ** 2 + unit)
+        # P at breakpoint i: weight_i times the product of its gaps, which
+        # the products take the other way round
         bp_vals = np.empty((count, p))
         for i in range(p):
-            prod = mults[i] * (kappas[:, i] ** 2 + unit)
+            prod = weight[:, i]
             for j in range(p):
                 if j != i:
-                    prod = prod * (kappas[:, i] - kappas[:, j])
+                    gap = bps[:, j] - bps[:, i]
+                    prod = prod * (gap if flat else -gap)
             bp_vals[:, i] = prod
-        signs = np.where(bp_vals == 0.0, 0.0, np.copysign(1.0, bp_vals))
-        inner = ((signs[:, :-1] != 0.0) & (signs[:, 1:] != 0.0)
-                 & (signs[:, :-1] != signs[:, 1:]))
-        brackets[:, 1:p][inner] = np.stack(
-            [kappas[:, :-1], kappas[:, 1:], signs[:, :-1], signs[:, 1:]],
-            axis=-1)[inner]
+        signs = np.sign(bp_vals)
+        inner = signs[:, :-1] * signs[:, 1:] < 0.0
+        brackets[:, 1:p] = np.where(inner[..., None], np.stack(
+            [bps[:, :-1], bps[:, 1:], signs[:, :-1], signs[:, 1:]], axis=-1), np.nan)
+        if flat:
+            _fail(errors, ~inner.all(axis=1), lambda i: BracketingError(
+                "breakpoint signs fail to alternate: values "
+                f"{[float(v) for v in bp_vals[i]]}"))
+            return coeffs, bps, bp_vals, brackets, trace, minimal, errors
 
-        # the two end behaviours: sign(P) at +inf and at -inf
+        # Outward brackets end at the Cauchy bound, past which P has the
+        # sign of its end behaviour: sign(trace) at +inf, times (-1)^p at -inf
+        bound = 1.0 + np.max(np.abs(coeffs[:, :-1] / coeffs[:, -1:]), axis=1)
         sign_pos = np.copysign(1.0, trace)
-        sign_neg = sign_pos * (-1.0) ** p
-        weight = mults[0] * np.abs(kappas[:, 0])
-        for i in range(1, p):
-            weight = weight + mults[i] * np.abs(kappas[:, i])
-        span = np.maximum(1.0, (2.0 / np.abs(trace)) * np.maximum(1.0, weight))
-        live = np.array([e is None for e in errors], dtype=bool) & ~minimal
-        for slot, end, direction, sign_end in ((p, p - 1, 1.0, sign_pos),
-                                               (0, 0, -1.0, sign_neg)):
-            rows = np.flatnonzero(live & (signs[:, end] != 0.0)
-                                  & (signs[:, end] != sign_end))
-            start = kappas[rows, end]
-            far, far_sign, lost = _expand_bracket(coeffs[rows], start, span[rows],
-                                                  direction, signs[rows, end])
-            for k in np.flatnonzero(lost):
-                if errors[rows[k]] is None:
-                    errors[rows[k]] = BracketingError(
-                        f"no sign change found expanding from {float(start[k])} "
-                        f"in direction {direction}")
-            pair = ((start, far, signs[rows, end], far_sign) if direction > 0
-                    else (far, start, far_sign, signs[rows, end]))
-            brackets[rows, slot] = np.stack(pair, axis=-1)
-            live[rows[lost]] = False
-    return coeffs, kappas, bp_vals, brackets, trace, minimal, errors
+        for slot, end, far, sign_far in ((p, p - 1, bound, sign_pos),
+                                         (0, 0, -bound, sign_pos * (-1.0) ** p)):
+            rows = ~minimal & (signs[:, end] * sign_far < 0.0)
+            pair = ((bps[:, end], far, signs[:, end], sign_far) if slot
+                    else (far, bps[:, end], sign_far, signs[:, end]))
+            brackets[rows, slot] = np.stack(pair, axis=-1)[rows]
+    return coeffs, bps, bp_vals, brackets, trace, minimal, errors
 
 
 def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
@@ -335,35 +296,43 @@ class Root:
     degenerate: bool
 
 
-def _bisect_newton(coeffs, a0, b0, sa) -> np.ndarray:
-    """One root per bracket row: bisection to width tol_root, then Newton
-    polish kept inside the bracket."""
-    a, b = a0.copy(), b0.copy()
+# Rounds of the root iteration before a row counts as failed; bisection
+# alone reaches adjacent doubles in well under this many.
+_ROUNDS = 200
+
+
+def _newton_rows(coeffs, a, b, sa):
+    """One root per bracket row (a, b), P of sign `sa` at a: Newton from the
+    midpoint, bisecting when a step leaves the bracket or is not at most
+    half the previous one, the bracket shrunk to the sign change after every
+    iterate. A row stops once |P(t)| is within the round-off of evaluating P
+    at t, and takes that iterate's Newton step if it stays in the bracket.
+    Returns the roots and the rows still running after _ROUNDS."""
+    a, b = a.copy(), b.copy()
     sa_negative = sa < 0.0
-    tol_root = DEFAULTS.tol_root
-    for _ in range(260):
-        active = b - a > tol_root
-        if not active.any():
-            break
-        mid = 0.5 * (a + b)
-        fm = _polyval(coeffs, mid)
-        zero = fm == 0.0            # a = b = mid: width 0 stops the row
-        left = np.signbit(fm) == sa_negative
-        np.copyto(a, mid, where=active & (left | zero))
-        np.copyto(b, mid, where=active & (~left | zero))
+    size = np.abs(coeffs)
+    slack = 4.0 * coeffs.shape[-1] * np.finfo(float).eps
     t = 0.5 * (a + b)
+    last = b - a
     active = np.ones(len(t), dtype=bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(8):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_ROUNDS):
+            f = _polyval(coeffs, t)
+            left = np.signbit(f) == sa_negative
+            np.copyto(a, t, where=left)
+            np.copyto(b, t, where=~left)
+            step = f / _polyder(coeffs, t)
+            newton = t - step
+            inside = (a < newton) & (newton < b)
+            done = active & (np.abs(f) <= slack * _polyval(size, np.abs(t)))
+            np.copyto(t, newton, where=done & inside)
+            active &= ~done
             if not active.any():
                 break
-            d = _polyder(coeffs, t)
-            step = _polyval(coeffs, t) / d
-            t_new = t - step
-            moved = active & (d != 0.0) & (a0 <= t_new) & (t_new <= b0)
-            np.copyto(t, t_new, where=moved)
-            active = moved & ~(np.abs(step) <= 1e-17 * np.maximum(1.0, np.abs(t_new)))
-    return t
+            nxt = np.where(inside & (np.abs(step) <= 0.5 * last), newton, 0.5 * (a + b))
+            last = np.abs(nxt - t)
+            np.copyto(t, nxt, where=active)
+    return t, active
 
 
 class _Roots:
@@ -406,12 +375,19 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
             f"({float(sa[i, k])}, {float(sb[i, k])})")
     present &= ~invalid.any(axis=1, keepdims=True)
     row, slot = np.nonzero(present)
-    t = _bisect_newton(coeffs[row], a0[row, slot], b0[row, slot], sa[row, slot])
+    a, b = a0[row, slot], b0[row, slot]
+    t, stuck = _newton_rows(coeffs[row], a, b, sa[row, slot])
+    for k in np.flatnonzero(stuck):
+        if errors[row[k]] is None:
+            errors[row[k]] = BracketingError(
+                f"no root found in the bracket ({float(a[k])}, {float(b[k])}) "
+                f"within {_ROUNDS} rounds")
     bps = breakpoints[row]
     degen = (np.abs(t[:, None] - bps)
              <= DEFAULTS.tol_degenerate * (1.0 + np.abs(bps))).any(axis=1)
-    keep = (np.abs(t) > 1.0 if kind is AmbientKind.HYPERBOLIC_PRODUCT
-            else np.ones(len(t), dtype=bool))
+    keep = ~np.isin(row, row[stuck])
+    if kind is AmbientKind.HYPERBOLIC_PRODUCT:
+        keep &= np.abs(t) > 1.0
     row, slot = row[keep], slot[keep]
     values = np.full((count, slots), np.nan)
     values[row, slot] = t[keep]
@@ -425,7 +401,7 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
 
 
 def solve_roots(poly: CurvaturePolynomial) -> list:
-    """One root per bracket: bisection to width tol_root, then Newton polish.
+    """One root per bracket, by the safeguarded Newton iteration.
 
     Hyperbolic-product roots with |s| <= 1 are dropped; roots within
     tolerance of a breakpoint are flagged degenerate. One row of the array
@@ -468,30 +444,3 @@ def roots_at(imm: HypersurfaceImmersion, kind: AmbientKind, x):
     frames, spectra, roots = _root_rows(imm, kind, np.asarray(x, dtype=float)[None])
     solved = roots.roots(0)
     return frames.row(0), spectra.row(0), solved
-
-
-# ------------------------------------------------------------ closed forms
-
-def height_ratio(k1: float, k2: float) -> float:
-    """Surface height of the flat-family lift: mean over Gauss curvature."""
-    return 0.5 * (1.0 / k1 + 1.0 / k2)
-
-
-def sphere_product_closed_roots(k1: float, k2: float):
-    """Two-curvature closed form for the sphere product: a +- sqrt(a^2+1)."""
-    if abs(k1 + k2) <= DEFAULTS.tol_minimal:
-        raise VanishingCurvatureError("closed form needs a non-minimal surface")
-    a = (k1 * k2 - 1.0) / (k1 + k2)
-    d = math.sqrt(a * a + 1.0)
-    return a - d, a + d
-
-
-def hyperbolic_product_closed_roots(k1: float, k2: float):
-    """Closed form for the hyperbolic product; only |s| > 1 roots survive."""
-    if abs(k1 + k2) <= DEFAULTS.tol_minimal:
-        raise VanishingCurvatureError("closed form needs a non-minimal surface")
-    a = (k1 * k2 + 1.0) / (k1 + k2)
-    if a * a <= 1.0:
-        return ()
-    d = math.sqrt(a * a - 1.0)
-    return tuple(s for s in (a - d, a + d) if abs(s) > 1.0)

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from closed_forms import hyperbolic_product_closed_roots, sphere_product_closed_roots
 from marlift import shapes
 from marlift.catalog import catalog_lookup
 from marlift.constructor import (
@@ -21,14 +22,12 @@ from marlift.constructor import (
     arccoth,
     curvature_polynomial,
     flat_slice,
-    hyperbolic_product_closed_roots,
     lift_minkowski,
     lift_palmer,
     lift_sphere_product,
     null_lift,
     roots_at,
     solve_roots,
-    sphere_product_closed_roots,
     support_route_lift,
 )
 from marlift.core import Chart, bilinear

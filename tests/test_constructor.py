@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import (
+    height_ratio,
+    hyperbolic_product_closed_roots,
+    sphere_product_closed_roots,
+)
 from marlift import constructor, shapes
 from marlift.constructor import (
     AmbientKind,
@@ -18,11 +23,8 @@ from marlift.constructor import (
     arccot,
     arccoth,
     curvature_polynomial,
-    height_ratio,
-    hyperbolic_product_closed_roots,
     roots_at,
     solve_roots,
-    sphere_product_closed_roots,
     thread_root_fields,
 )
 from marlift.core import Chart, GeometryError
@@ -262,6 +264,16 @@ def test_thread_root_fields_even_resolutions(make, resolution):
     assert np.all(np.isfinite(threads.values))
 
 
+@pytest.mark.parametrize("resolution", [(12, 12), (12, 9)], ids=lambda r: f"{r[0]}x{r[1]}")
+def test_thread_root_fields_ellipsoid_lines_keep_their_own_base(resolution):
+    # the root field changes fast across rows of this grid; a row's first
+    # step is no jump against the last steps of the row before it
+    threads = thread_root_fields(shapes.ellipsoid(), AmbientKind.MINKOWSKI,
+                                 resolution=resolution)
+    assert threads.values.shape == (math.prod(resolution), 1)
+    assert np.all(np.isfinite(threads.values))
+
+
 @pytest.mark.parametrize("resolution", [(5, 5), (8, 8), (9, 9), (10, 10), (12, 12)],
                          ids=lambda r: f"{r[0]}x{r[1]}")
 @pytest.mark.parametrize("radii", [(2.0, 1.0), (3.0, 1.0), (2.2, 0.8), (4.0, 0.5),
@@ -408,6 +420,17 @@ def test_guard_seam_across_each_axis(monkeypatch, axis, first):
     grid = shapes.torus().chart.with_resolution(shape).grid(margin=4e-4)
     where = grid[np.ravel_multi_index(first, shape)]
     with pytest.raises(PatternChangeError, match=re.escape(f"at chart {where} exceeds")):
+        _synthetic_threads(monkeypatch, field)
+
+
+def test_guard_seam_after_the_first_sample_of_each_line(monkeypatch):
+    # a step of 5 between index 0 and 1 of axis 1, on every row: a line's
+    # first step is compared with the two steps after it
+    shape = (4, 5)
+    index = np.indices(shape)[1].ravel()
+    field = _linear_field(shape) + np.where(index >= 1, 5.0, 0.0)
+    grid = shapes.torus().chart.with_resolution(shape).grid(margin=4e-4)
+    with pytest.raises(PatternChangeError, match=re.escape(f"at chart {grid[1]} exceeds")):
         _synthetic_threads(monkeypatch, field)
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from marlift.core import (
     DimensionMismatchError,
     OutOfDomainError,
     Signature,
+    Tolerances,
     bilinear,
     generalized_cross,
     generalized_shape_eigen,
@@ -228,3 +231,14 @@ def test_generalized_cross_orientation():
     w = generalized_cross(vecs)
     full = np.vstack([vecs, w])
     assert np.linalg.det(full.T) > 0
+
+
+# -------------------------------------------------------------- tolerances
+
+def test_every_tolerance_is_read_by_the_library():
+    # a field nothing reads as DEFAULTS.<field> is a setting that sets nothing
+    source = "".join(path.read_text() for path in
+                     (Path(__file__).resolve().parents[1] / "src" / "marlift").glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(Tolerances)
+              if f"DEFAULTS.{f.name}" not in source]
+    assert unread == []

@@ -291,11 +291,11 @@ def _build_chen_l2(p):
     nu_bar = np.array([0.0, 0.0, 1.0, 1.0])
 
     @lift_map
-    def eval_fn(x, construction):
+    def eval_fn(x, k):
         c, s = np.cos(x[:, 0]), np.sin(x[:, 0])
         tau = (1.0 + x[:, 1]) * s
         values = np.stack([(x[:, 1] + 1.0) * c - 1.0, (x[:, 1] + 1.0) * s, tau, tau], 1)
-        return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, values.shape))
+        return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, (k, 4)))
 
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2),
                            chart, eval_fn, name="chen-l2")
@@ -314,12 +314,12 @@ def _build_chen_l4(p):
     nu_bar = np.array([-1.0, 0.0, 1.0, -1.0, 1.0])
 
     @lift_map
-    def eval_fn(x, construction):
+    def eval_fn(x, k):
         ey, emy = np.exp(x[:, 1]), np.exp(-x[:, 1])
         xsq = x[:, 0] * x[:, 0]
         values = np.stack([emy, x[:, 0] * ey, (xsq - 0.5) * ey,
                            0.5 * ey + emy, xsq * ey], axis=1)
-        return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, values.shape))
+        return LiftRows(values, [None] * len(x), np.broadcast_to(nu_bar, (k, 5)))
 
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.ANTI_DE_SITTER, 2),
                            chart, eval_fn, name="chen-l4")

@@ -242,7 +242,7 @@ def _verify_mesh(cfg: RunConfig) -> int:
     sampled = np.arange(0, len(chart_pts), max(1, len(chart_pts) // 16))
     sampled = sampled[~np.isnan(ambient_pts[sampled]).any(axis=1)]
     sample, stored = chart_pts[sampled], ambient_pts[sampled]
-    rows = lift.evaluate(sample, construction=False)
+    rows = lift.evaluate(sample, 0)
     gap = np.max(np.abs(rows.values - stored), axis=1)
     bad = np.not_equal(rows.errors, None) \
         | (gap > 1e-8 * (1.0 + np.max(np.abs(stored), axis=1)))

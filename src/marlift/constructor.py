@@ -31,6 +31,7 @@ from .core import (
     Rows,
     Signature,
     _call_rows,
+    _errored,
     _fail,
     bilinear_rows,
     jet2_of,  # unused here; bench/tracing.py wraps it on this module
@@ -211,9 +212,9 @@ class LiftContext:
 class LiftRows(Rows):
     """A lift evaluated at stacked chart points, its one record: `values`
     (P, N) and one error slot per row, as in `Rows`, plus the construction
-    data: `nulls`, the distinguished null normals (P, N), NaN on failed
-    rows, and `contexts`, one LiftContext of the rows. Either is None when
-    the lift carries none or the rows were evaluated without it."""
+    data of the first k rows: `nulls`, the distinguished null normals
+    (k, N), NaN on failed rows, and `contexts`, one LiftContext of those
+    rows. Either is None when the lift carries none or k is 0."""
 
     __slots__ = ("nulls", "contexts")
 
@@ -240,8 +241,8 @@ def _context_rows(frame: PointFrame, tau, s=None) -> LiftContext:
 
 
 def lift_map(fn):
-    """Mark `fn` as a lift map: fn(x, construction) takes stacked chart
-    points (P, n) to a LiftRows, with construction data unless asked not."""
+    """Mark `fn` as a lift map: fn(x, k) takes stacked chart points (P, n)
+    to a LiftRows with construction data for the first k rows."""
     fn.lift_map = True
     return fn
 
@@ -254,11 +255,12 @@ class LiftedImmersion:
     builders here and the catalog's lifts with a null normal pass a
     `lift_map`, which gives values and construction data in one pass; any
     other map (an array map marked `core.stacked`, or a one-point map looped
-    through `core.looped`) gives values alone. `construction=False` asks for
-    values alone, all a stencil row needs. A row whose evaluation raises
-    GeometryError holds NaN and that error, and the rows beside it are
-    unaffected. Calling the lift, `null_normal` or `context` at one point
-    evaluates one row and raises that row's error.
+    through `core.looped`) gives values alone. `construction` is the number
+    of leading rows that get construction data (default: every row); the
+    others get values alone, all a stencil row needs. A row whose
+    evaluation raises GeometryError holds NaN and that error, and the rows
+    beside it are unaffected. Calling the lift, `null_normal` or `context`
+    at one point evaluates one row and raises that row's error.
     """
 
     ambient: LorentzAmbient
@@ -266,16 +268,16 @@ class LiftedImmersion:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
-    def evaluate(self, x, construction: bool = True) -> LiftRows:
+    def evaluate(self, x, construction: Optional[int] = None) -> LiftRows:
         """Rows of the lift at stacked chart points (P, n)."""
         x = np.asarray(x, dtype=float)
         if getattr(self.eval_fn, "lift_map", False):
-            return self.eval_fn(x, construction)
+            return self.eval_fn(x, len(x) if construction is None else construction)
         values, errors = _call_rows(looped(self.eval_fn, self.ambient.container_dim), x)
         return LiftRows(values, errors or [None] * len(x))
 
     def __call__(self, x) -> np.ndarray:
-        return self.evaluate(np.asarray(x, dtype=float)[None], False).value(0)
+        return self.evaluate(np.asarray(x, dtype=float)[None], 0).value(0)
 
     def null_normal(self, x) -> Optional[np.ndarray]:
         return self.evaluate(np.asarray(x, dtype=float)[None]).null_normal(0)
@@ -318,6 +320,12 @@ def _changes(spectra, roots, pattern, count):
     return np.isin(spectra.code, other), roots.counts != count
 
 
+def _head(fr: PointFrame, k: int) -> PointFrame:
+    """The first k rows of a frame of stacked points."""
+    return PointFrame(fr.space, fr.x[:k], fr.point[:k], fr.tangent[:k], fr.normal[:k],
+                      fr.metric[:k], fr.second_form[:k], fr.errors[:k])
+
+
 def _constraint_sanity(ambient: LorentzAmbient, rows: LiftRows):
     """The lift formulas satisfy the ambient constraint identically; a failure
     here means inconsistent construction data, not a bad sample. `rows` is
@@ -331,11 +339,11 @@ def _constraint_sanity(ambient: LorentzAmbient, rows: LiftRows):
             f"lift violates the {ambient.kind.value} constraint by {res:.3e}")
 
 
-# Rows a normal-shift lift picks and places at once for values alone: a
-# whole-grid stencil is split into blocks of this many rows, which bounds the
-# memory of the frames, spectra and root solves it holds. Rows with
-# construction data (the grid points) keep their frames in the contexts.
-_BLOCK = 1024
+# Rows a normal-shift lift picks and places at once: the rows with
+# construction data, or this many if more, then blocks of this many for
+# values alone, which bounds the memory of the frames, spectra and root
+# solves a pass holds. The stencil of a 24x24 grid (5,184 rows) is one pass.
+_BLOCK = 8192
 
 
 # The lift formulas, one row per ambient family: source points p, their unit
@@ -362,9 +370,9 @@ _PLACEMENT = {
 class _Source(NamedTuple):
     """What a normal-shift lift places, at stacked chart points: source
     points and their unit normals (P, N), heights (P,) and one error slot per
-    row (None: no row failed). `frame`, the source frame of the rows, gives
-    the contexts, with its raw curvatures `raw` (None: solved from the
-    frame); without it the rows carry no context."""
+    row (None: no row failed). `frame`, the source frame of (at least) the
+    rows with construction data, gives their contexts, with its raw curvatures
+    `raw` (None: solved from the frame); without it no row carries one."""
 
     point: np.ndarray
     normal: np.ndarray
@@ -378,9 +386,10 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
                 centre=None) -> LiftedImmersion:
     """Normal-shift lift placed by the row of its ambient family.
 
-    pick(x, construction) maps stacked chart points (P, n) to their
-    `_Source`; it may leave out the frame when `construction` is False.
-    Each row is placed from its source point, unit normal and height.
+    pick(x, k) maps stacked chart points (P, n) to their `_Source`, whose
+    frame need only cover the first k rows, those with construction data (no
+    frame when k is 0). Each row is placed from its source point, unit normal
+    and height.
     `centre` is a `_Source` whose first row is the chart centre, when the
     caller has one; the build-time constraint check reads it. Flat space has
     no constraint, so there the check and its centre pick are skipped.
@@ -389,10 +398,10 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
     spatial, time, null = _PLACEMENT[family]
     ambient = LorentzAmbient.for_kind(kind, chart.dim)
 
-    def place(src: _Source, construction: bool) -> LiftRows:
+    def place(src: _Source, k: int) -> LiftRows:
         height = src.height
         errors = src.errors or [None] * len(height)
-        failed = np.array([e is not None for e in errors], dtype=bool)
+        failed = _errored(errors)
         tau = np.full(len(height), np.nan)
         tau[~failed] = time(height[~failed])
         s = height[:, None]
@@ -400,31 +409,34 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
         with np.errstate(invalid="ignore", divide="ignore"):
             values = np.concatenate([spatial(point, normal, s), tau[:, None]], axis=1)
             values[failed] = np.nan
-            if not construction:
+            if not k:
                 return LiftRows(values, errors)
-            nulls = np.concatenate([null(point, normal, s),
-                                    np.ones((len(s), 1))], axis=1)
-        nulls[failed] = np.nan
+            nulls = np.concatenate([null(point[:k], normal[:k], s[:k]),
+                                    np.ones((k, 1))], axis=1)
+        nulls[failed[:k]] = np.nan
         if src.frame is None:
             return LiftRows(values, errors, nulls)
-        s_rows = None if family == "flat-family" else height
-        context = (_context_rows(src.frame, tau, s_rows) if src.raw is None
-                   else LiftContext(src.frame, src.raw, tau, s_rows, tuple(errors)))
+        frame, tau = _head(src.frame, k), tau[:k]
+        s_rows = None if family == "flat-family" else height[:k]
+        context = (_context_rows(frame, tau, s_rows) if src.raw is None
+                   else LiftContext(frame, src.raw[:k], tau, s_rows, tuple(errors[:k])))
         return LiftRows(values, errors, nulls, context)
 
     @lift_map
-    def eval_rows(x, construction: bool) -> LiftRows:
-        if construction or len(x) <= _BLOCK:
-            return place(pick(x, construction), construction)
-        parts = [place(pick(x[k:k + _BLOCK], False), False)
-                 for k in range(0, len(x), _BLOCK)]
+    def eval_rows(x, k: int) -> LiftRows:
+        head = max(k, _BLOCK)
+        if len(x) <= head:
+            return place(pick(x, k), k)
+        parts = [place(pick(x[:head], k), k)] + [
+            place(pick(x[i:i + _BLOCK], 0), 0) for i in range(head, len(x), _BLOCK)]
         return LiftRows(np.concatenate([part.values for part in parts]),
-                        [e for part in parts for e in part.errors])
+                        [e for part in parts for e in part.errors],
+                        parts[0].nulls, parts[0].contexts)
 
     if ambient.quadric_constant is not None:
         if centre is None:
-            centre = pick(0.5 * (chart.lower + chart.upper)[None], False)
-        _constraint_sanity(ambient, place(centre, construction=False))
+            centre = pick(0.5 * (chart.lower + chart.upper)[None], 0)
+        _constraint_sanity(ambient, place(centre, 0))
     return LiftedImmersion(ambient, chart, eval_rows, name=name)
 
 
@@ -453,7 +465,7 @@ def _root_lift(imm, kind, family, root_index, offset=0.0,
                        spectra.raw)
 
     return _shift_lift(kind, imm.chart,
-                       lambda x, construction: select(x, _root_rows(imm, kind, x)),
+                       lambda x, k: select(x, _root_rows(imm, kind, x)),
                        f"{imm.name}:{kind.value}[{root_index}]",
                        centre=select(candidates, solved))
 
@@ -523,7 +535,7 @@ def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
     """
     _check_source(imm, kind, SPACE_FORM_FAMILY)
 
-    def pick(x, construction) -> _Source:
+    def pick(x, k) -> _Source:
         frame = frame_rows(imm, x)
         height = tau_fn(frame)
         errors = [f if f is not None else e for f, e in zip(frame.errors, height.errors)]
@@ -539,7 +551,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
     A control object: it is marginally trapped only if the height matches a
     root of the product polynomial through the s = cot/coth correspondence.
     Its null normal (normal, 1) and context come from the source frame, so a
-    row whose frame fails fails when construction data is asked for.
+    row whose frame fails fails when it gets construction data.
     """
     _check_source(imm, kind, PRODUCT_FAMILY)
     ambient = LorentzAmbient.for_kind(kind, imm.chart.dim)
@@ -547,18 +559,20 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
          else 1.0 / math.tanh(height))
 
     @lift_map
-    def eval_rows(x, construction: bool) -> LiftRows:
+    def eval_rows(x, k: int) -> LiftRows:
         points, errors = _call_rows(looped(imm.eval_fn, imm.space.container_dim), x)
         errors = errors or [None] * len(x)
         values = np.concatenate([points, np.full((len(x), 1), height)], axis=1)
-        if not construction:
+        if not k:
             return LiftRows(values, errors)
-        frame = frame_rows(imm, x)
-        errors = [e if e is not None else f for e, f in zip(errors, frame.errors)]
-        failed = np.array([e is not None for e in errors], dtype=bool)
-        nulls = np.concatenate([frame.normal, np.ones((len(x), 1))], axis=1)
-        values[failed] = nulls[failed] = np.nan
-        context = _context_rows(frame, np.full(len(x), height), np.full(len(x), s))
+        frame = frame_rows(imm, x[:k])
+        errors = [e if e is not None else f
+                  for e, f in zip(errors, frame.errors)] + errors[k:]
+        failed = _errored(errors)
+        nulls = np.concatenate([frame.normal, np.ones((k, 1))], axis=1)
+        values[failed] = np.nan
+        nulls[failed[:k]] = np.nan
+        context = _context_rows(frame, np.full(k, height), np.full(k, s))
         return LiftRows(values, errors, nulls, context)
 
     return LiftedImmersion(ambient, imm.chart, eval_rows,
@@ -632,7 +646,7 @@ def null_lift(slice_: TotallyGeodesicSlice,
     kind = slice_.kind
     heights = looped(tau_fn)
 
-    def pick(x, construction) -> _Source:
+    def pick(x, k) -> _Source:
         point = slice_.eval_fn(x)
         tau, errors = _call_rows(heights, x)
         return _Source(point, np.broadcast_to(slice_.normal0, point.shape), tau[:, 0],
@@ -700,15 +714,15 @@ def lift_palmer(sf: SupportFunction, name: str = "") -> LiftedImmersion:
     along its unit normal u by the height -(f + Laplacian(f)/2), the
     surface-curvature ratio of the front: the spatial part is the focal
     position grad f - (Laplacian(f)/2) u. The distinguished null normal is
-    (u, 1); the context is the frame of the front, solved only for rows
+    (u, 1); the context is the frame of the front, solved only for the rows
     with construction data.
     """
     recon = sf.reconstruction()
 
-    def pick(x, construction) -> _Source:
+    def pick(x, k) -> _Source:
         u, f, grad, lap = sf.at(x)
         return _Source(f[:, None] * u + grad, u, -(f + 0.5 * lap),
-                       frame=frame_rows(recon, x) if construction else None)
+                       frame=frame_rows(recon, x[:k]) if k else None)
 
     return _shift_lift(AmbientKind.MINKOWSKI, sf.chart, pick, name or f"palmer:{sf.name}")
 

@@ -305,12 +305,12 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     two indices by construction.
 
     `x` is one point (n,) with `fn` a one-point map, or stacked points (P, n)
-    with `fn` an array map. The array map is called twice: on the points
-    themselves, in the order of `x`, then on all their other stencil rows
-    that lie inside the chart. The stacked jet reports, per point, the first
-    stencil row that failed in stencil order (`_stencil`): a row outside the
-    chart (OutOfDomainError), a row the map failed, or a non-finite value
-    (NonFiniteError). One point raises that error.
+    with `fn` an array map. The array map is called once, on the points
+    themselves, in the order of `x`, followed by all their other stencil
+    rows that lie inside the chart. The stacked jet reports, per point, the
+    first stencil row that failed in stencil order (`_stencil`): a row
+    outside the chart (OutOfDomainError), a row the map failed, or a
+    non-finite value (NonFiniteError). One point raises that error.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -326,30 +326,19 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     if chart is not None:
         outside = ((pts < chart.lower) | (pts > chart.upper)).any(axis=-1)
     inside = ~outside[1:]
-    centre, centre_errors = _call_rows(fn, x)
-    rest, rest_errors = centre[:0], None
-    if inside.any():
-        rest, rest_errors = _call_rows(fn, pts[1:][inside])
-    # a call in which every row failed has no width of its own
-    if centre_errors and centre_errors.count(None) == 0:
-        centre = np.full((count, rest.shape[1]), np.nan)
-    elif rest_errors and rest_errors.count(None) == 0:
-        rest = np.full((len(rest), centre.shape[1]), np.nan)
-    if inside.all():
-        vals = np.concatenate([centre, rest]).reshape(len(off), count, centre.shape[1])
-    else:
-        vals = np.full((len(off), count, centre.shape[1]), np.nan)
-        vals[0] = centre
-        vals[1:][inside] = rest
+    out, out_errors = _call_rows(fn, np.concatenate([x, pts[1:][inside]]))
+    # a copy: the NaN written into failed points below stays out of the
+    # map's own values
+    vals = np.full((len(off), count, out.shape[1]), np.nan)
+    vals[0] = out[:count]
+    vals[1:][inside] = out[count:]
 
     failed = outside | ~np.isfinite(vals).all(axis=-1)
     raised = None
-    if any(errs and errs.count(None) < len(errs) for errs in (centre_errors, rest_errors)):
+    if out_errors and out_errors.count(None) < len(out_errors):
         raised = np.full(failed.shape, None, dtype=object)
-        if centre_errors is not None:
-            raised[0] = centre_errors
-        if rest_errors is not None:
-            raised[1:][inside] = rest_errors
+        raised[0] = out_errors[:count]
+        raised[1:][inside] = out_errors[count:]
         failed |= np.not_equal(raised, None)
     errors = [None] * count
     if failed.any():
@@ -390,6 +379,14 @@ def sym_eigen(m: np.ndarray):
     if np.max(np.abs(a - a.T)) > DEFAULTS.tol_sym * scale:
         raise AsymmetricMatrixError("input matrix is not symmetric to tolerance")
     return np.linalg.eigh(0.5 * (a + a.T))
+
+
+def _errored(errors) -> np.ndarray:
+    """Mask of the rows whose error slot (a list or tuple) holds an error;
+    when none does, as is usual, no per-row loop runs."""
+    if errors.count(None) == len(errors):
+        return np.zeros(len(errors), dtype=bool)
+    return np.array([e is not None for e in errors], dtype=bool)
 
 
 def _fail(errors: list, mask, make) -> None:
@@ -454,7 +451,7 @@ def shape_eigen_rows(g: np.ndarray, b: np.ndarray,
             raw = np.stack([np.where(lo > hi, hi, lo), np.where(lo > hi, lo, hi)], axis=-1)
         else:
             sym_g = 0.5 * (g + np.swapaxes(g, -1, -2))
-            ok = np.array([e is None for e in errors], dtype=bool)
+            ok = ~_errored(errors)
             ok[ok] = _pd_rows(sym_g[ok])
             _fail(errors, ~ok, degenerate)
             raw = np.full((count, n), np.nan)
@@ -464,8 +461,7 @@ def shape_eigen_rows(g: np.ndarray, b: np.ndarray,
                 c = np.linalg.solve(ell, 0.5 * (bs + np.swapaxes(bs, -1, -2)))
                 mmat = np.swapaxes(np.linalg.solve(ell, np.swapaxes(c, -1, -2)), -1, -2)
                 raw[ok] = np.linalg.eigvalsh(0.5 * (mmat + np.swapaxes(mmat, -1, -2)))
-    failed = np.array([e is not None for e in errors], dtype=bool)
-    raw[failed] = np.nan
+    raw[_errored(errors)] = np.nan
     return Rows(raw, errors)
 
 

@@ -30,6 +30,7 @@ from .core import (
     Jet2,
     Rows,
     Signature,
+    _errored,
     _fail,
     _pd_rows,
     bilinear_rows,
@@ -245,7 +246,7 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
                      & (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
                         > tol_pd * np.maximum(g[:, 0, 0], g[:, 1, 1])))
         else:
-            live = np.array([e is None for e in errors], dtype=bool)
+            live = ~_errored(errors)
             pd_ok = np.zeros(len(x), dtype=bool)
             pd_ok[live] = _pd_rows(g[live])
         _fail(errors, ~pd_ok, lambda i: ImmersionError(
@@ -258,14 +259,12 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
         nn = bilinear_rows(sig, normal, normal)
         _fail(errors, nn <= 0.0, lambda i: ImmersionError(
             f"could not extract a spacelike unit normal at chart {x[i]}"))
-        normal = normal / np.sqrt(nn)[:, None]
-
-        basis = [tangent, normal[:, None, :]]
-        if space.quadric_constant is not None:
-            basis.append(point[:, None, :])
-        mat = np.concatenate(basis, axis=1)
-        det = np.linalg.det(mat)    # only its sign is read
-        normal = normal * np.where(det < 0, -1.0, 1.0)[:, None]
+        # The cross c of these rows v has det[v; w] = c . w (cofactors), so
+        # det[d phi; c] = det G <c, c>_G and det[d phi; c; phi] =
+        # -det G <c, c>_G: the oriented normal is c times +1 in E and H and
+        # -1 in S, at every n.
+        orient = (-1.0) ** (sig.minus + (space.quadric_constant is not None))
+        normal = orient * normal / np.sqrt(nn)[:, None]
 
         gnormal = gsigns * normal
         b = (jet.d2 @ gnormal[:, None, :, None])[..., 0]
@@ -329,7 +328,7 @@ def spectrum_rows(metric: np.ndarray, second_form: np.ndarray,
     count, n = raw.shape
     gaps = raw[:, 1:] - raw[:, :-1] > DEFAULTS.tol_cluster
     code = gaps.astype(np.int64) @ (1 << np.arange(n - 1, dtype=np.int64))
-    code[[e is not None for e in errors]] = -1
+    code[_errored(errors)] = -1
     kappas = np.full((count, n), np.nan)
     patterns = {}
     for c in sorted(set(code[code >= 0].tolist())):

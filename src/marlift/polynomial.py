@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULTS, DimensionMismatchError, GeometryError, _fail
+from .core import DEFAULTS, DimensionMismatchError, GeometryError, _errored, _fail
 from .hypersurface import (
     HypersurfaceImmersion,
     ShapeSpectrum,
@@ -365,8 +365,7 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
     errors = list(errors)
     count, slots = brackets.shape[:2]
     a0, b0, sa, sb = (brackets[..., k] for k in range(4))
-    live = np.array([e is None for e in errors], dtype=bool)[:, None]
-    present = live & ~np.isnan(a0)
+    present = ~_errored(errors)[:, None] & ~np.isnan(a0)
     invalid = present & ((sa == sb) | (sa == 0.0) | (sb == 0.0))
     for i in np.flatnonzero(invalid.any(axis=1)):
         k = int(np.argmax(invalid[i]))
@@ -377,27 +376,31 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
     row, slot = np.nonzero(present)
     a, b = a0[row, slot], b0[row, slot]
     t, stuck = _newton_rows(coeffs[row], a, b, sa[row, slot])
-    for k in np.flatnonzero(stuck):
-        if errors[row[k]] is None:
-            errors[row[k]] = BracketingError(
-                f"no root found in the bracket ({float(a[k])}, {float(b[k])}) "
-                f"within {_ROUNDS} rounds")
+    keep = np.ones(len(t), dtype=bool)
+    if stuck.any():
+        for k in np.flatnonzero(stuck):
+            if errors[row[k]] is None:
+                errors[row[k]] = BracketingError(
+                    f"no root found in the bracket ({float(a[k])}, {float(b[k])}) "
+                    f"within {_ROUNDS} rounds")
+        keep = ~np.isin(row, row[stuck])
     bps = breakpoints[row]
     degen = (np.abs(t[:, None] - bps)
              <= DEFAULTS.tol_degenerate * (1.0 + np.abs(bps))).any(axis=1)
-    keep = ~np.isin(row, row[stuck])
     if kind is AmbientKind.HYPERBOLIC_PRODUCT:
         keep &= np.abs(t) > 1.0
-    row, slot = row[keep], slot[keep]
+    row, slot, t, degen = row[keep], slot[keep], t[keep], degen[keep]
+    # brackets are disjoint and ascend by slot, so each row's kept roots
+    # ascend already: they move to the row's first columns in their order
+    counts = np.bincount(row, minlength=count)
+    col = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
     values = np.full((count, slots), np.nan)
-    values[row, slot] = t[keep]
+    values[row, col] = t
     flags = np.zeros((count, slots), dtype=bool)
-    flags[row, slot] = degen[keep]
-    order = np.argsort(values, axis=1, kind="stable")
-    return _Roots(np.take_along_axis(values, order, axis=1),
-                  np.take_along_axis(brackets[..., :2], order[..., None], axis=1),
-                  np.take_along_axis(flags, order, axis=1),
-                  np.count_nonzero(~np.isnan(values), axis=1), errors)
+    flags[row, col] = degen
+    kept = np.full((count, slots, 2), np.nan)
+    kept[row, col] = brackets[row, slot, :2]
+    return _Roots(values, kept, flags, counts, errors)
 
 
 def solve_roots(poly: CurvaturePolynomial) -> list:
@@ -434,8 +437,8 @@ def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x):
         brackets[rows, :p + 1] = roots.brackets
         degenerate[rows, :p + 1] = roots.degenerate
         counts[rows] = roots.counts
-        for r, err in zip(rows, roots.errors):
-            errors[r] = err
+        for j in np.flatnonzero(_errored(roots.errors)):
+            errors[rows[j]] = roots.errors[j]
     return frames, spectra, _Roots(values, brackets, degenerate, counts, errors)
 
 

@@ -13,8 +13,9 @@ call and runs every later stage on those stacked rows. A point that fails
 fails alone, with the error its one-row call `lorentz_frame_at` raises; the
 `*_at` and `check_*_identity` functions are one-row calls of the same code.
 The construction data comes from the one lift record, the `LiftRows` of the
-grid points: their null normals and stacked context are read as arrays, by
-row mask; the stencil rows are evaluated without them. The report is the
+stencil, which carries it for its leading rows, the grid points: their null
+normals and stacked context are read as arrays, by row mask; the other
+stencil rows are evaluated without them. The report is the
 per-point table, a row per grid point: the chart points, the lift's values,
 a column per value of `PointRecord` and the exclusion reasons. The summary,
 the verdict, the rendered report and the mesh read its columns; its
@@ -38,6 +39,7 @@ from .core import (
     DEFAULTS,
     GeometryError,
     Jet2,
+    _errored,
     _fail,
     bilinear_rows,
     jet2_of,
@@ -149,7 +151,7 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
 
     def failed(fill, a):
         """`a` with the rows of failed points replaced by `fill`."""
-        dead = np.array([e is not None for e in errors], dtype=bool)
+        dead = _errored(errors)
         return np.where(dead.reshape((-1,) + (1,) * (a.ndim - 1)), fill, a)
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -203,7 +205,7 @@ def lorentz_frame_at(lift: LiftedImmersion, x) -> LorentzFrame:
     """Frame of the lift at a chart point: one row of `lorentz_frame_rows`,
     from one stencil of lift evaluations at the default step."""
     x = np.asarray(x, dtype=float)[None]
-    jets = jet2_of(lambda p: lift.evaluate(p, construction=False), x, chart=lift.chart)
+    jets = jet2_of(lambda p: lift.evaluate(p, 0), x, chart=lift.chart)
     return lorentz_frame_rows(lift, x, jets).row(0)
 
 
@@ -404,11 +406,24 @@ def _null_residual(table: np.ndarray) -> np.ndarray:
     return np.minimum(table[:, 1], table[:, 2])
 
 
-def _stat(column: np.ndarray):
-    vals = column[~np.isnan(column)]
-    if not len(vals):
-        return None
-    return {"max": float(np.max(vals)), "median": float(np.median(vals))}
+_SUMMARY = ("min_eig_g", "null_residual", "null_residual_primary", "hvec_norm_sq",
+            "legendrian_residual", "lemma_metric_residual",
+            "lemma_secondform_residual", "eqH_residual")
+
+
+def _summary(columns: np.ndarray) -> dict:
+    """Max and median of each column (L, 8) of `_SUMMARY` over its non-NaN
+    entries, None for a column with none, from one sort: NaN sorts last,
+    and the median is the mean of the middle pair, as `np.median` takes it."""
+    if not len(columns):
+        return dict.fromkeys(_SUMMARY)
+    counts = np.count_nonzero(~np.isnan(columns), axis=0)
+    ordered = np.sort(columns, axis=0)
+    cols = np.arange(len(_SUMMARY))
+    top = ordered[counts - 1, cols].tolist()
+    middle = np.mean(ordered[[(counts - 1) // 2, counts // 2], cols], axis=0).tolist()
+    return {name: {"max": t, "median": m} if c else None
+            for name, c, t, m in zip(_SUMMARY, counts.tolist(), top, middle)}
 
 
 def _match_primary(pair: np.ndarray, stored: np.ndarray, sig):
@@ -435,7 +450,7 @@ def _cross_check_rows(lift: LiftedImmersion, ctx: LiftContext, live,
     computed. Also the number of live rows whose context row failed or, on a
     product ambient, carries no s."""
     out = np.full((len(live), 4), np.nan)
-    ok = live & np.equal(ctx.errors, None)
+    ok = live & ~_errored(ctx.errors)
     failures = int(np.count_nonzero(live & ~ok))
     if not ok.any():
         return out, failures
@@ -482,21 +497,19 @@ def assemble_report(lift: LiftedImmersion,
     x = chart.grid(margin=4.0 * step)
     sig = lift.ambient.signature
 
-    # One stencil for the whole grid: jet2_of evaluates the grid points
-    # first, and only that call carries the null normals and contexts.
-    grid = []
+    # One lift call for the whole grid's stencil: jet2_of puts the grid
+    # points first, and only they get null normals and contexts.
+    stencil = []
 
-    def evaluate(rows):
-        if grid:
-            return lift.evaluate(rows, construction=False)
-        grid.append(lift.evaluate(rows))
-        return grid[0]
+    def evaluate(points):
+        stencil.append(lift.evaluate(points, len(x)))
+        return stencil[0]
 
     frame = lorentz_frame_rows(lift, x, jet2_of(evaluate, x, h=step, chart=lift.chart))
     sff = second_form_rows(lift, frame)
     hvec = mean_curvature_rows(frame, sff)
-    rows, errors = grid[0], frame.errors
-    live = np.equal(errors, None)
+    rows, errors = stencil[0], frame.errors
+    live = ~_errored(errors)
     nu = np.full(hvec.shape, np.nan)
     if rows.nulls is not None:
         nu[live] = rows.nulls[live]
@@ -519,16 +532,8 @@ def assemble_report(lift: LiftedImmersion,
 
     residual = _null_residual(table)[live]
     ok = table[live]
-    summary = {
-        "min_eig_g": _stat(ok[:, 0]),
-        "null_residual": _stat(residual),
-        "null_residual_primary": _stat(ok[:, 1]),
-        "hvec_norm_sq": _stat(np.abs(ok[:, 3])),
-        "legendrian_residual": _stat(ok[:, 4]),
-        "lemma_metric_residual": _stat(ok[:, 5]),
-        "lemma_secondform_residual": _stat(ok[:, 6]),
-        "eqH_residual": _stat(ok[:, 7]),
-    }
+    summary = _summary(np.column_stack(
+        [ok[:, 0], residual, ok[:, 1], np.abs(ok[:, 3]), ok[:, 4:]]))
 
     if not len(ok) or len(x) - len(ok) > 0.5 * len(x):
         verdict = VERDICT_INCONCLUSIVE
@@ -540,5 +545,5 @@ def assemble_report(lift: LiftedImmersion,
 
     return MarginalityReport(
         name=lift.name, ambient=lift.ambient.kind.value, verdict=verdict,
-        summary=summary, x=x, values=rows.values, table=table,
+        summary=summary, x=x, values=rows.values[:len(x)], table=table,
         reasons=tuple(map(_reason, errors)), cross_check_failures=cross_check_failures)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlift import shapes
+from marlift import constructor, shapes
 from marlift.catalog import catalog_lookup
 from marlift.core import (
     DEFAULTS,
@@ -29,7 +29,6 @@ from marlift.core import (
     stacked,
 )
 from marlift.constructor import (
-    _BLOCK,
     AmbientKind,
     ConstructionError,
     LiftedImmersion,
@@ -161,20 +160,64 @@ def test_array_evaluation_equals_one_row_calls(name, fractions):
             assert _close(ctx.raw, one.raw)
 
 
+def _lift_or_route(name):
+    if name == "support-route":
+        return support_route_lift(catalog_lookup("palmer-sphere")[1])
+    return _lift(name)
+
+
+SOURCE_FIELDS = ("x", "point", "tangent", "normal", "metric", "second_form")
+
+
+def _assert_same_construction(rows, other):
+    """`rows` carries the construction data of `other`, bit for bit."""
+    assert (rows.nulls is None and other.nulls is None) or np.array_equal(
+        rows.nulls, other.nulls, equal_nan=True)
+    ctx, ref = rows.contexts, other.contexts
+    assert (ctx is None) == (ref is None)
+    if ctx is None:
+        return
+    for a, b in [(ctx.raw, ref.raw), (ctx.tau, ref.tau), (ctx.s, ref.s)] + [
+            (getattr(ctx.frame, f), getattr(ref.frame, f)) for f in SOURCE_FIELDS]:
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+    assert [type(e) for e in ctx.errors] == [type(e) for e in ref.errors]
+
+
+LEADING = ["torus-minkowski", "sphere-torus-product-1", "support-route",
+           "palmer-quadric", "product-height"]
+
+
+@pytest.mark.parametrize("name", LEADING)
+def test_construction_data_for_the_leading_rows(name):
+    # evaluate(x, k) has the values of evaluate(x, 0), and the construction
+    # data of evaluate(x[:k])
+    lift = _lift_or_route(name)
+    points = _interior(lift.chart, np.random.default_rng(3).random((40, 3)))
+    alone = lift.evaluate(points, 0)
+    assert alone.nulls is None and alone.contexts is None
+    for k in (1, 17, 40):
+        rows = lift.evaluate(points, k)
+        assert np.array_equal(rows.values, alone.values, equal_nan=True)
+        assert [type(e) for e in rows.errors] == [type(e) for e in alone.errors]
+        assert len(rows.nulls) == len(rows.contexts.tau) == k
+        _assert_same_construction(rows, lift.evaluate(points[:k]))
+
+
 @pytest.mark.parametrize("name", ["torus-minkowski", "sphere-torus-product-0",
                                   "support-route", "chen-l1", "palmer-quadric"])
-def test_values_alone_over_blocks_equal_values_with_construction(name):
-    # values alone are picked and placed block by block, the last block
-    # partial; with construction data all rows go in one pass
-    lift = (support_route_lift(catalog_lookup("palmer-sphere")[1])
-            if name == "support-route" else _lift(name))
-    fractions = np.random.default_rng(5).random((2 * _BLOCK + 100, 3))
-    points = _interior(lift.chart, fractions)
-    alone = lift.evaluate(points, construction=False)
-    full = lift.evaluate(points)
-    assert alone.nulls is None and alone.contexts is None
-    assert np.array_equal(alone.values, full.values, equal_nan=True)
-    assert [type(e) for e in alone.errors] == [type(e) for e in full.errors]
+def test_values_alone_over_blocks_equal_values_with_construction(name, monkeypatch):
+    # the rows with construction data, or the first _BLOCK rows if more, go
+    # in one pass and the rest block by block, the last block partial; the
+    # rows equal those of one pass
+    lift = _lift_or_route(name)
+    points = _interior(lift.chart, np.random.default_rng(5).random((250, 3)))
+    one_pass = {k: lift.evaluate(points, k) for k in (0, 30, 250)}
+    monkeypatch.setattr(constructor, "_BLOCK", 64)
+    for k, whole in one_pass.items():
+        rows = lift.evaluate(points, k)
+        assert np.array_equal(rows.values, one_pass[250].values, equal_nan=True)
+        assert [type(e) for e in rows.errors] == [type(e) for e in whole.errors]
+        _assert_same_construction(rows, whole)
 
 
 def _check_mixed(lift, points):
@@ -485,12 +528,12 @@ def _partial_context_lift():
     torus = lift_minkowski(shapes.torus(2.0, 1.0))
 
     @lift_map
-    def partial_context(x, construction):
-        rows = torus.evaluate(x, construction)
+    def partial_context(x, k):
+        rows = torus.evaluate(x, k)
         if rows.contexts is None:
             return rows
         errors = tuple(FrameError(f"no context at {p}") if p[0] > 0.0 else e
-                       for p, e in zip(x, rows.contexts.errors))
+                       for p, e in zip(x[:k], rows.contexts.errors))
         return LiftRows(rows.values, rows.errors, rows.nulls,
                         dataclasses.replace(rows.contexts, errors=errors))
 
@@ -580,3 +623,57 @@ def test_report_reads_construction_data_from_rows(name, monkeypatch):
     report = assemble_report(lift, resolution=(5, 5))
     assert report.records == expected.records
     assert report.cross_check_failures == expected.cross_check_failures
+
+
+@pytest.mark.parametrize("grid", [(12, 12), (17, 17), (24, 24)])
+@pytest.mark.parametrize("name", ["torus-minkowski", "sphere-torus-product-1",
+                                  "palmer-quadric"])
+def test_report_makes_one_lift_pass(name, grid, monkeypatch):
+    # the whole stencil in one lift-map call, which picks and places it in
+    # one root solve; lift_palmer solves front frames for the grid points alone
+    lift, calls, solved = _lift(name), [], []
+
+    @lift_map
+    def counted(x, k):
+        calls.append((len(x), k))
+        return lift.eval_fn(x, k)
+
+    for solve in ("_root_rows", "frame_rows"):
+        def counted_solve(imm, *args, fn=getattr(constructor, solve), label=solve):
+            solved.append((label, len(args[-1])))
+            return fn(imm, *args)
+
+        monkeypatch.setattr(constructor, solve, counted_solve)
+    report = assemble_report(dataclasses.replace(lift, eval_fn=counted), resolution=grid)
+    points = grid[0] * grid[1]
+    assert calls == [(9 * points, points)]
+    assert solved == ([("frame_rows", points)] if name == "palmer-quadric"
+                      else [("_root_rows", 9 * points)])
+    assert report.total == points and report.verdict == "marginally_trapped"
+
+
+def test_stacked_jet_calls_its_map_once():
+    # the points, then their other stencil rows inside the chart, in one
+    # call; a failed point's NaN stays out of the values the map returned
+    points = np.array([[0.5, 0.5], [0.3, 0.7], [0.95, 0.2]])
+    calls = []
+
+    @stacked
+    def fn(x):
+        bad = x[:, 1] > 0.75
+        values = np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)
+        values[bad] = np.nan
+        calls.append((x, values, bad))
+        return Rows(values, [GeometryError("high") if b else None for b in bad])
+
+    for chart in (None, Chart(2, [0.0, 0.0], [1.0, 1.0], (5, 5))):
+        calls.clear()
+        jets = jet2_of(fn, points, h=0.1, chart=chart)
+        (rows, values, bad), = calls
+        # with the chart, the third point's three rows at x0 + h leave it
+        assert len(rows) == 3 + 3 * 8 - (0 if chart is None else 3)
+        assert np.array_equal(rows[:3], points) and not bad[:3].any()
+        assert jets.errors[0] is None and isinstance(jets.errors[1], GeometryError)
+        assert np.isnan(jets.value[1]).all() and not np.isnan(values[:3]).any()
+        assert not np.shares_memory(jets.value, values)
+    assert isinstance(jets.errors[2], OutOfDomainError)

@@ -402,7 +402,7 @@ def test_mesh_rows_are_the_lifts_own_values(make, tmp_path):
     _, chart_pts, ambient_pts, residuals = read_mesh(mesh)
     grid = lift.chart.with_resolution((9, 9)).grid(margin=4.0 * DEFAULTS.step_h)
     assert np.array_equal(chart_pts, grid)
-    assert np.array_equal(ambient_pts, lift.evaluate(grid, construction=False).values,
+    assert np.array_equal(ambient_pts, lift.evaluate(grid, 0).values,
                           equal_nan=True)
     excluded = np.array(report.reasons) != ""
     assert np.array_equal(np.isnan(residuals), excluded)

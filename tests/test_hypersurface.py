@@ -10,6 +10,7 @@ from marlift.hypersurface import (
     ShapeSpectrum,
     SpaceForm,
     frame_at,
+    frame_rows,
     mean_gauss_at,
     spectrum_at,
 )
@@ -77,6 +78,50 @@ def test_orientation_flip_negates_curvatures():
     sp = spectrum_at(frame_at(imm, x))
     spf = spectrum_at(frame_at(swapped, x[::-1]))
     assert np.allclose(sorted(spf.raw), sorted([-k for k in sp.raw]), atol=1e-9)
+
+
+@stacked
+def _s4_hypersurface(x):
+    # S^1(cos a) x S^2(sin a) in S^4, a = 0.9
+    ca, sa = math.cos(0.9), math.sin(0.9)
+    return np.concatenate([ca * np.stack([np.cos(x[:, 0]), np.sin(x[:, 0])], axis=1),
+                           sa * shapes.sphere_chart(x[:, 1:])], axis=1)
+
+
+@stacked
+def _e4_graph(x):
+    f = 0.5 * (x[:, 0] ** 2 + 2.0 * x[:, 1] ** 2 + 3.5 * x[:, 2] ** 2) \
+        + 0.1 * x[:, 0] * x[:, 1] * x[:, 2]
+    return np.concatenate([x, f[:, None]], axis=1)
+
+
+ORIENTED = {
+    **{imm.name: imm for imm in (
+        shapes.torus(2.0, 1.0), shapes.round_sphere(1.5), shapes.ellipsoid(),
+        shapes.catenoid(), shapes.clifford_torus(1.0), shapes.geodesic_sphere_s3(),
+        shapes.geodesic_tube_h3(0.8), shapes.equidistant_h3(0.8))},
+    "s4-product": HypersurfaceImmersion(
+        SpaceForm.sphere(4), Chart(3, [0.0, -0.8, -0.8], [2.0, 0.8, 0.8], (5, 5, 5)),
+        _s4_hypersurface),
+    "e4-graph": HypersurfaceImmersion(
+        SpaceForm.euclidean(4), Chart(3, [-0.3] * 3, [0.3] * 3, (5, 5, 5)), _e4_graph),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORIENTED))
+def test_orientation_sign_is_the_determinants(name):
+    # the space form's constant sign orients every frame as the sign of the
+    # determinant of (d phi_1, ..., d phi_n, normal[, phi]) would
+    imm = ORIENTED[name]
+    ch = imm.chart
+    frac = np.random.default_rng(7).random((500 if ch.dim == 2 else 100, ch.dim))
+    frames = frame_rows(imm, ch.lower + (0.02 + 0.96 * frac) * (ch.upper - ch.lower))
+    assert frames.errors.count(None) == len(frames.x)
+    basis = [frames.tangent, frames.normal[:, None, :]]
+    if imm.space.quadric_constant is not None:
+        basis.append(frames.point[:, None, :])
+    det = np.linalg.det(np.concatenate(basis, axis=1))
+    assert np.all(det > 1e-3)
 
 
 def test_rank_deficient_chart_rejected():

@@ -201,6 +201,7 @@ def _graph3_failing():
 
 
 ROW_CASES = {
+    # values alone: the first _BLOCK rows in one pass, the other 300 in a second
     "torus-minkowski": (lambda: shapes.torus(2.2, 0.8), AmbientKind.MINKOWSKI,
                         lift_minkowski, _BLOCK + 300),
     "sphere-torus-product-0": (lambda: shapes.clifford_torus(1.0), AmbientKind.SPHERE_PRODUCT,
@@ -233,7 +234,7 @@ def _root_layer(imm, kind, x):
 
 
 def _lift_layer(lift, x):
-    rows = lift.evaluate(x, construction=False)
+    rows = lift.evaluate(x, 0)
     return rows.values, _errors(rows.errors)
 
 

@@ -230,8 +230,8 @@ def test_report_inconclusive_when_mostly_excluded():
     torus = lift_minkowski(shapes.torus(2.0, 1.0))
 
     @lift_map
-    def mostly_failing(x, construction):
-        rows = torus.evaluate(x, construction)
+    def mostly_failing(x, k):
+        rows = torus.evaluate(x, k)
         bad = x[:, 0] > -0.9
         errors = [GeometryError(f"row fails at {p}") if b else e
                   for p, b, e in zip(x, bad, rows.errors)]

@@ -481,11 +481,12 @@ def generalized_shape_eigen(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return shape_eigen_rows(g[None], b[None]).value(0)
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (..., 3, 3) by cofactor expansion."""
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+def _det3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Determinants of the 3x3 matrices with columns a, b, c, each a stack
+    (..., 3), by cofactor expansion."""
+    return (a[..., 0] * (b[..., 1] * c[..., 2] - c[..., 1] * b[..., 2])
+            - b[..., 0] * (a[..., 1] * c[..., 2] - c[..., 1] * a[..., 2])
+            + c[..., 0] * (a[..., 1] * b[..., 2] - b[..., 1] * a[..., 2]))
 
 
 def generalized_cross(vectors: np.ndarray) -> np.ndarray:
@@ -504,8 +505,12 @@ def generalized_cross(vectors: np.ndarray) -> np.ndarray:
         b1, b2, b3 = (vecs[..., 1, i] for i in range(3))
         return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3,
                          a1 * b2 - a2 * b1], axis=-1)
+    signs = (-1.0) ** (k + np.arange(nn))
+    if nn == 4:
+        # minor i drops column i; the columns are views, nothing is gathered
+        cols = [vecs[..., j] for j in range(nn)]
+        return np.stack([signs[i] * _det3(*cols[:i], *cols[i + 1:])
+                         for i in range(nn)], axis=-1)
     # all N minors at once, minor i dropping column i
     keep = [[j for j in range(nn) if j != i] for i in range(nn)]
-    minors = np.ascontiguousarray(np.moveaxis(vecs[..., keep], -2, -3))
-    signs = (-1.0) ** (k + np.arange(nn))
-    return signs * (_det3(minors) if nn == 4 else np.linalg.det(minors))
+    return signs * np.linalg.det(np.ascontiguousarray(np.moveaxis(vecs[..., keep], -2, -3)))

@@ -5,7 +5,8 @@ second derivatives by central differences in the flat container, the ambient
 realized as a hyperquadric or metric product of that container, covariant
 derivatives as flat derivatives followed by orthogonal projection, and the
 two null normal directions extracted from the induced Lorentzian plane
-metric. The constructor's spectrum is consulted only for the optional lemma
+metric: one batched QR gives the plane, and its 2x2 algebra is in closed
+form. The constructor's spectrum is consulted only for the optional lemma
 cross-checks, never for the verdict.
 
 Row contract: `assemble_report` takes the grid's stencil in one `jet2_of`
@@ -94,7 +95,9 @@ class LorentzFrame:
 
     A frame of stacked points carries a leading point axis on every array
     and `errors`, one entry per point: None, or the GeometryError that point
-    raised (its metric, normal plane and null pair rows hold NaN).
+    raised (its metric, normal plane and null pair rows hold NaN). The null
+    pair's order does not depend on the basis inside the plane: first comes
+    the vector larger in the coordinate where the two differ most.
     """
 
     x: np.ndarray
@@ -103,7 +106,7 @@ class LorentzFrame:
     metric: np.ndarray           # induced, positive definite
     metric_inv: np.ndarray
     min_eig: float
-    normal_basis: np.ndarray     # (2, N), spans the normal plane in the ambient
+    normal_basis: np.ndarray     # (2, N), orthonormal, spans the normal plane
     normal_form: np.ndarray      # 2x2 induced Lorentzian form on that plane
     null_pair: np.ndarray        # (2, N), both null, normalized
     null_product: float          # bilinear(null_pair[0], null_pair[1]) != 0
@@ -123,11 +126,41 @@ class LorentzFrame:
 
 
 def _normalize_null(v: np.ndarray, plus: int) -> np.ndarray:
-    """Scale null vectors (P, N) to time coordinate 1, or to a unit spatial
+    """Scale null vectors (..., N) to time coordinate 1, or to a unit spatial
     part where the time coordinate is negligible."""
-    last = v[:, -1]
+    last = v[..., -1]
     big = np.abs(last) > 1e-6 * np.max(np.abs(v), axis=-1)
-    return v / np.where(big, last, np.linalg.norm(v[:, :plus], axis=-1))[:, None]
+    return v / np.where(big, last, np.linalg.norm(v[..., :plus], axis=-1))[..., None]
+
+
+def _normal_plane(rows: np.ndarray):
+    """Euclidean complement of stacked rows (P, k, N) with N - k = 2, from one
+    Householder QR of their transposes: the last two columns of Q as an
+    orthonormal basis (P, 2, N), and |R_ii| (P, k), whose smallest vanishes
+    when the rows are dependent."""
+    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="complete")
+    return np.swapaxes(q[..., -2:], -1, -2), np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+
+
+def _plane_pair(basis: np.ndarray, sig):
+    """The container form (P, 2, 2) on the planes of an orthonormal `basis`
+    (P, 2, N), its eigenvalues (P, 2) in ascending order, and, where it is
+    Lorentzian, its two null directions (P, 2, N): normalized, the first the
+    larger in the coordinate where the two differ most, so that neither
+    depends on the basis inside the plane. All in closed form."""
+    form = (basis * sig.signs) @ np.swapaxes(basis, -1, -2)
+    a, b, c = form[:, 0, 0], 0.5 * (form[:, 0, 1] + form[:, 1, 0]), form[:, 1, 1]
+    mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+    w = np.stack([mean - radius, mean + radius], axis=-1)
+    # (cos t, sin t) is the eigenvector of w[:, 1], (-sin t, cos t) that of w[:, 0]
+    t = 0.5 * np.arctan2(2.0 * b, a - c)
+    space = np.stack([np.cos(t), np.sin(t)], axis=-1) / np.sqrt(w[:, 1:])
+    time = np.stack([-np.sin(t), np.cos(t)], axis=-1) / np.sqrt(-w[:, :1])
+    pair = _normalize_null(np.stack([space + time, space - time], axis=1) @ basis,
+                           sig.plus)
+    diff = pair[:, 0] - pair[:, 1]
+    most = np.take_along_axis(diff, np.argmax(np.abs(diff), axis=-1)[:, None], axis=-1)
+    return form, w, np.where(most[:, :, None] < 0, pair[:, ::-1], pair)
 
 
 def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
@@ -136,11 +169,13 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
 
     The normal plane is the orthogonal complement, with respect to the flat
     container form, of the tangent space together with the active constraint
-    gradients; it must carry a Lorentzian induced form, whose two null
-    directions form the returned pair. Per point the checks run in order
-    (the jet's error, the constraint, the induced metric's symmetry and
-    positive definiteness, the rank of the tangent/constraint system, the
-    normal form's signature, the null pair) and the first that fails is
+    gradients, taken from one QR call (`_normal_plane`); it must carry a
+    Lorentzian induced form, whose two null directions, in closed form
+    (`_plane_pair`), form the returned pair. Per point the checks run in
+    order (the jet's error, the constraint, the induced metric's symmetry
+    and positive definiteness, the dimension of the complement, which the
+    shapes fix for every point, the rank of the tangent/constraint system,
+    the normal form's signature, the null pair) and the first that fails is
     that point's error.
     """
     x = np.asarray(x, dtype=float)
@@ -173,25 +208,20 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
             f"(min eigenvalue {min_eig[i]:.3e})"))
 
         rows = np.concatenate([tangent, ambient.constraint_normals(value)], axis=-2) * signs
-        _, sv, vt = np.linalg.svd(failed(0.0, rows))   # NaN stops the SVD
-        _fail(errors, sv[:, -1] <= 1e-10 * np.maximum(1.0, sv[:, 0]),
-              lambda i: FrameError(f"degenerate tangent/constraint system at chart {x[i]}"))
-        basis = vt[:, rows.shape[-2]:]
-        if basis.shape[1] != 2:
-            dim = basis.shape[1]
+        dim = rows.shape[-1] - rows.shape[-2]
+        if dim != 2:
             _fail(errors, np.ones(len(x), dtype=bool), lambda i: FrameError(
                 f"normal complement has dimension {dim}, expected 2"))
-            basis = np.zeros((len(x), 2, rows.shape[-1]))
+        rows = failed(0.0, rows)
+        basis, pivots = _normal_plane(rows)
+        _fail(errors, np.min(pivots, axis=-1) <= 1e-10 * np.maximum(
+            1.0, np.max(np.linalg.norm(rows, axis=-1), axis=-1)),
+              lambda i: FrameError(f"degenerate tangent/constraint system at chart {x[i]}"))
 
-        s2 = (basis * signs) @ np.swapaxes(basis, -1, -2)
-        w2, v2 = np.linalg.eigh(0.5 * (s2 + np.swapaxes(s2, -1, -2)))
+        s2, w2, pair = _plane_pair(basis, sig)
         _fail(errors, ~((w2[:, 0] < -tol_pd) & (tol_pd < w2[:, 1])),
               lambda i: FrameError(f"normal plane metric is not Lorentzian at "
                                    f"chart {x[i]}: eigenvalues {w2[i]}"))
-        e_time = (v2[:, None, :, 0] @ basis)[:, 0] / np.sqrt(-w2[:, :1])
-        e_space = (v2[:, None, :, 1] @ basis)[:, 0] / np.sqrt(w2[:, 1:])
-        pair = np.stack([_normalize_null(e_space + e_time, sig.plus),
-                         _normalize_null(e_space - e_time, sig.plus)], axis=1)
         product = bilinear_rows(sig, pair[:, 0], pair[:, 1])
         _fail(errors, np.abs(product) <= tol_pd,
               lambda i: FrameError(f"null pair degenerate at chart {x[i]}"))
@@ -220,8 +250,12 @@ def second_form_rows(lift: LiftedImmersion, frame: LorentzFrame) -> np.ndarray:
     basis, d2, n = frame.normal_basis, frame.jet.d2, frame.n
     rhs = d2.reshape(d2.shape[:-3] + (n * n, -1)) @ np.swapaxes(
         basis * lift.ambient.signature.signs, -1, -2)
-    coeff = np.linalg.solve(frame.normal_form, np.swapaxes(rhs, -1, -2))
-    return (np.swapaxes(coeff, -1, -2) @ basis).reshape(d2.shape)
+    form = frame.normal_form
+    det = form[..., 0, 0] * form[..., 1, 1] - form[..., 0, 1] * form[..., 1, 0]
+    # rhs @ inv(form)^T, with the 2x2 inverse: its transpose is the form
+    # reversed along both axes, off-diagonal signs flipped, over det
+    inv_t = form[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return (rhs @ inv_t / det[..., None, None] @ basis).reshape(d2.shape)
 
 
 def second_form_at(lift: LiftedImmersion, x) -> np.ndarray:

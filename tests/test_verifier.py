@@ -1,8 +1,12 @@
+import collections
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marlift import shapes
 from marlift.constructor import (
@@ -18,15 +22,20 @@ from marlift.constructor import (
     null_lift,
     product_height_lift,
 )
-from marlift.core import Chart, GeometryError, Rows, bilinear
+from marlift.catalog import catalog_lookup
+from marlift.core import Chart, GeometryError, Rows, Signature, bilinear, jet2_of
 from marlift.hypersurface import HypersurfaceImmersion, SpaceForm
 from marlift.verifier import (
+    FrameError,
     SpacelikeViolationError,
+    _normal_plane,
+    _plane_pair,
     assemble_report,
     check_mean_curvature_identity,
     check_metric_identity,
     check_second_form_identity,
     lorentz_frame_at,
+    lorentz_frame_rows,
     mean_curvature_at,
     second_form_at,
 )
@@ -68,6 +77,115 @@ def test_timelike_perturbation_detected():
                           lambda x: np.array([x[0], x[1], 0.0, 2.0 * x[0]]))
     with pytest.raises(SpacelikeViolationError):
         lorentz_frame_at(bad, [0.3, 0.1])
+
+
+def _row_error_is_the_point_error(lift, x):
+    """The error of point x in `lorentz_frame_rows`, checked against the one
+    `lorentz_frame_at` raises there."""
+    points = np.asarray(x, dtype=float)[None]
+    frames = lorentz_frame_rows(lift, points, jet2_of(lift.evaluate, points,
+                                                      chart=lift.chart))
+    with pytest.raises(FrameError) as raised:
+        lorentz_frame_at(lift, x)
+    assert type(frames.errors[0]) is FrameError
+    assert str(frames.errors[0]) == str(raised.value)
+    assert np.all(np.isnan(frames.null_pair[0]))
+    return str(raised.value)
+
+
+def test_dependent_tangent_and_constraint_rows_are_degenerate():
+    # at z = e1 of de Sitter space with tangents e1 and e2: the point is on
+    # the quadric and g = I, but the quadric's normal there is along e1 too
+    amb = LorentzAmbient.for_kind(AmbientKind.DE_SITTER, 2)
+    lift = LiftedImmersion(amb, plane_chart(),
+                           lambda x: np.array([1.0 + x[0], x[1], 0.0, 0.0, 0.0]))
+    assert "degenerate tangent/constraint system" in _row_error_is_the_point_error(
+        lift, [0.0, 0.0])
+
+
+def test_normal_complement_of_the_wrong_dimension():
+    # a surface in the Minkowski space built for n = 3 has a normal space of
+    # dimension 3
+    amb = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 3)
+    lift = LiftedImmersion(amb, plane_chart(),
+                           lambda x: np.array([x[0], x[1], 0.0, 0.0, 0.0]))
+    assert _row_error_is_the_point_error(lift, [0.3, 0.1]) == (
+        "normal complement has dimension 3, expected 2")
+
+
+SIGNATURES = {4: [Signature(3, 1)], 5: [Signature(4, 1), Signature(3, 2)],
+              6: [Signature(5, 1), Signature(4, 2)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([4, 5, 6]),
+       near=st.sampled_from([0.0, 1e-3, 1e-1]))
+def test_normal_plane_and_null_pair_kernel(seed, dim, near):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((64, dim - 2, dim))
+    if near:  # the last row a combination of the others, plus `near` of itself
+        rows[:, -1] = (near * rows[:, -1]
+                       + (rng.standard_normal((64, 1, dim - 3)) @ rows[:, :-1])[:, 0])
+    rows *= 10.0 ** rng.uniform(-6.0, 6.0, (64, dim - 2, 1))
+    basis, pivots = _normal_plane(rows)
+    assert pivots.shape == (64, dim - 2)
+
+    norms = np.linalg.norm(rows, axis=-1)
+    assert np.all(np.abs(rows @ np.swapaxes(basis, -1, -2)) <= 1e-13 * norms[..., None])
+    assert np.max(np.abs(basis @ np.swapaxes(basis, -1, -2) - np.eye(2))) <= 1e-14
+    # the SVD complement of the unit rows, whose span scaling leaves unchanged;
+    # either complement moves by about eps times the unit rows' condition
+    # number, so nearly dependent rows get that bound where it exceeds 1e-12
+    unit = rows / norms[..., None]
+    ref = np.linalg.svd(unit)[2][:, dim - 2:]
+    gap = np.max(np.abs(np.swapaxes(basis, -1, -2) @ basis
+                        - np.swapaxes(ref, -1, -2) @ ref), axis=(-2, -1))
+    eps = np.finfo(float).eps
+    assert np.all(gap <= np.maximum(1e-12, 16 * eps * np.linalg.cond(unit)))
+
+    for sig in SIGNATURES[dim]:
+        with np.errstate(invalid="ignore"):
+            form, w, pair = _plane_pair(basis, sig)
+        exact = np.linalg.eigh(form)[0]
+        assert np.all(np.abs(w - exact) <= 4 * eps * np.max(np.abs(exact), axis=-1,
+                                                            keepdims=True))
+        lorentz = (w[:, 0] < -1e-2) & (w[:, 1] > 1e-2)
+        # a rotation or reflection of the basis inside the plane
+        t, flip = rng.uniform(0.0, 2 * np.pi, 64), rng.choice([-1.0, 1.0], 64)
+        turn = np.stack([np.cos(t), -flip * np.sin(t), np.sin(t), flip * np.cos(t)],
+                        axis=-1).reshape(64, 2, 2)
+        with np.errstate(invalid="ignore"):
+            pair2 = _plane_pair(turn @ basis, sig)[2]
+        scale = np.max(np.abs(pair[lorentz]), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(pair2[lorentz] - pair[lorentz]) <= 1e-11 * scale)
+        null = np.sum(pair[lorentz] * sig.signs * pair[lorentz], axis=-1)
+        assert np.all(np.abs(null) <= 1e-11 * scale[..., 0] ** 2)
+
+
+@pytest.mark.parametrize("make", [lambda: catalog_lookup("chen-l1")[1],
+                                  lambda: lift_minkowski(shapes.torus(2.0, 1.0))],
+                         ids=["chen-l1", "torus-minkowski"])
+def test_frame_and_second_form_make_one_call_of_each_kind(make, monkeypatch):
+    """The normal plane and the second form make no per-matrix LAPACK call
+    beyond one QR, the metric's eigenvalues and its inverse."""
+    lift, calls = make(), collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name in ("lorentz_frame_rows", "second_form_rows"):
+                    calls[name] += 1
+                    break
+                frame = frame.f_back
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("qr", "svd", "eig", "eigh", "eigvalsh", "inv", "solve", "det",
+                 "lstsq", "pinv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assemble_report(lift, resolution=(8, 8))
+    assert calls == {"qr": 1, "eigvalsh": 1, "inv": 1}
 
 
 def test_null_frame_validity_over_grid():

@@ -9,14 +9,13 @@ through the support-function route.
 Function-valued parameters (the height profiles of the chen families, the
 support field) are given as expressions in x over a restricted math
 namespace, e.g. ``f="x**2"`` or ``f="2+sin(x)"``. They evaluate on numpy
-arrays and on `Taylor` numbers, which give their exact first and second
+arrays and on `taylor.Taylor` numbers, which give their exact first and second
 derivatives.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,6 +34,7 @@ from .constructor import (
     spherical_slice,
 )
 from .core import Chart, GeometryError, stacked
+from .taylor import Taylor, taylor_jet
 
 __all__ = [
     "CatalogEntry",
@@ -42,9 +42,7 @@ __all__ = [
     "catalog_lookup",
     "UnknownEntryError",
     "ParameterError",
-    "Taylor",
     "scalar_expr",
-    "taylor2",
 ]
 
 
@@ -59,135 +57,6 @@ class ParameterError(GeometryError):
 _EXPR_NAMES = {name: getattr(np, name) for name in (
     "sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")}
 _EXPR_NAMES.update(pi=math.pi, e=math.e)
-
-
-def _tan(v):
-    t = np.tan(v)
-    sec2 = 1.0 + t * t
-    return t, sec2, 2.0 * t * sec2
-
-
-def _tanh(v):
-    t = np.tanh(v)
-    sech2 = 1.0 - t * t
-    return t, sech2, -2.0 * t * sech2
-
-
-def _sqrt(v):
-    s = np.sqrt(v)
-    return s, 0.5 / s, -0.25 / (s * v)
-
-
-# phi(v), phi'(v) and phi''(v) of the functions of _EXPR_NAMES
-_CHAIN = {
-    np.sin: lambda v: (np.sin(v), np.cos(v), -np.sin(v)),
-    np.cos: lambda v: (np.cos(v), -np.sin(v), -np.cos(v)),
-    np.tan: _tan,
-    np.sinh: lambda v: (np.sinh(v), np.cosh(v), np.sinh(v)),
-    np.cosh: lambda v: (np.cosh(v), np.sinh(v), np.cosh(v)),
-    np.tanh: _tanh,
-    np.exp: lambda v: (np.exp(v),) * 3,
-    np.log: lambda v: (np.log(v), 1.0 / v, -1.0 / (v * v)),
-    np.sqrt: _sqrt,
-    np.absolute: lambda v: (np.abs(v), np.sign(v), np.zeros_like(v)),
-}
-# numpy scalars (constant subexpressions such as sin(1)) meet a Taylor
-# number through these ufuncs
-_BINARY = {np.add: operator.add, np.subtract: operator.sub,
-           np.multiply: operator.mul, np.true_divide: operator.truediv,
-           np.power: operator.pow}
-
-
-def _taylor(c) -> "Taylor":
-    """c as a Taylor number: a number is a constant."""
-    return c if isinstance(c, Taylor) else Taylor(c, 0.0, 0.0)
-
-
-class Taylor:
-    """Truncated Taylor number of order 2: the value g and the derivatives
-    g' and g'' of an expression in one variable, each an array.
-
-    Arithmetic, `**` and the numpy functions of `_EXPR_NAMES` carry the
-    derivatives by the chain rule. Numbers are constants. The value is the
-    same numpy operation as on a plain array, so it keeps that array's bits.
-    """
-
-    __slots__ = ("v", "d1", "d2")
-
-    def __init__(self, v, d1, d2):
-        self.v, self.d1, self.d2 = v, d1, d2
-
-    @classmethod
-    def variable(cls, x) -> "Taylor":
-        x = np.asarray(x, dtype=float)
-        return cls(x, np.ones_like(x), np.zeros_like(x))
-
-    def _chain(self, value, slope, curve) -> "Taylor":
-        """phi of self, given phi, phi' and phi'' at self's value."""
-        return Taylor(value, slope * self.d1,
-                      curve * self.d1 * self.d1 + slope * self.d2)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
-            return NotImplemented
-        if ufunc in _CHAIN:
-            (x,) = inputs
-            return x._chain(*_CHAIN[ufunc](x.v))
-        if ufunc in _BINARY:
-            return _BINARY[ufunc](*map(_taylor, inputs))
-        return NotImplemented
-
-    def __pos__(self):
-        return self
-
-    def __neg__(self):
-        return Taylor(-self.v, -self.d1, -self.d2)
-
-    def __add__(self, o):
-        o = _taylor(o)
-        return Taylor(self.v + o.v, self.d1 + o.d1, self.d2 + o.d2)
-
-    def __sub__(self, o):
-        o = _taylor(o)
-        return Taylor(self.v - o.v, self.d1 - o.d1, self.d2 - o.d2)
-
-    def __mul__(self, o):
-        o = _taylor(o)
-        return Taylor(self.v * o.v, self.d1 * o.v + self.v * o.d1,
-                      self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
-
-    def __truediv__(self, o):
-        o = _taylor(o)
-        q = self.v / o.v
-        q1 = (self.d1 - q * o.d1) / o.v
-        return Taylor(q, q1, (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v)
-
-    def __pow__(self, o):
-        if isinstance(o, Taylor):
-            # exp(w) with w = o log(self)
-            value, w = self.v ** o.v, o * np.log(self)
-            return Taylor(value, value * w.d1, value * (w.d2 + w.d1 * w.d1))
-        # a constant exponent keeps negative bases; the terms of c' = 0 and
-        # c'' = 0 drop out, so x**1 and x**0 stay finite at x = 0
-        zero = np.zeros_like(self.v)
-        slope = o * self.v ** (o - 1) if o != 0 else zero
-        curve = o * (o - 1) * self.v ** (o - 2) if o * (o - 1) != 0 else zero
-        return self._chain(self.v ** o, slope, curve)
-
-    def __radd__(self, o):
-        return _taylor(o) + self
-
-    def __rsub__(self, o):
-        return _taylor(o) - self
-
-    def __rmul__(self, o):
-        return _taylor(o) * self
-
-    def __rtruediv__(self, o):
-        return _taylor(o) / self
-
-    def __rpow__(self, o):
-        return _taylor(o) ** self
 
 
 def scalar_expr(expr: str, var: str = "x") -> Callable[[np.ndarray], np.ndarray]:
@@ -208,19 +77,17 @@ def scalar_expr(expr: str, var: str = "x") -> Callable[[np.ndarray], np.ndarray]
         if not constant:
             return out
         if isinstance(value, Taylor):
-            zero = np.zeros_like(value.v)
-            return Taylor(np.full(zero.shape, out), zero, zero)
+            return Taylor(np.full(np.shape(value.v), out))
         return np.full(np.shape(value), out)
 
     return fn
 
 
-def taylor2(f, x) -> tuple:
-    """g, g' and g'' of a `scalar_expr` g at the points x (an array), from
-    one Taylor evaluation."""
-    out = f(Taylor.variable(x))
-    shape = np.shape(x)
-    return tuple(np.broadcast_to(c, shape) for c in (out.v, out.d1, out.d2))
+def _taylor2(f, x) -> tuple:
+    """g, g' and g'' of a `scalar_expr` g at the points x (P,), from one
+    evaluation on a Taylor variable."""
+    jet = taylor_jet(lambda t: f(t[:, 0]), np.asarray(x, dtype=float)[:, None])
+    return jet.value, jet.d1[:, 0], jet.d2[:, 0, 0]
 
 
 def _finite_on(f, sample: np.ndarray, entry: str, var: str = "x",
@@ -229,7 +96,7 @@ def _finite_on(f, sample: np.ndarray, entry: str, var: str = "x",
     ParameterError unless every value is finite."""
     try:
         with np.errstate(all="ignore"):
-            values = taylor2(f, sample) if derivatives else f(sample)
+            values = _taylor2(f, sample) if derivatives else f(sample)
             values = np.asarray(values, dtype=float)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise ParameterError(f"{entry}: cannot evaluate f on its chart: {exc}")
@@ -385,7 +252,7 @@ def _expr_support(g):
 
     def data(u):
         u3 = u[:, 2]
-        g0, g1, g2 = taylor2(g, u3)
+        g0, g1, g2 = _taylor2(g, u3)
         return (g0, g1[:, None] * (e3 - u3[:, None] * u),
                 (1.0 - u3 * u3) * g2 - 2.0 * u3 * g1)
 

@@ -68,7 +68,7 @@ from .polynomial import (
     roots_at,
     solve_roots,
 )
-from .shapes import sphere_chart
+from .shapes import equidistant_h3, sphere_chart
 
 __all__ = [
     "AmbientKind",
@@ -607,13 +607,9 @@ def spherical_slice(chart: Chart) -> TotallyGeodesicSlice:
     if chart.dim != 2:
         raise DimensionMismatchError("spherical slice is implemented for surfaces")
 
-    def fn(x):
-        sx, cx = np.sin(x[:, 0]), np.cos(x[:, 0])
-        sy, cy = np.sin(x[:, 1]), np.cos(x[:, 1])
-        return np.stack([sx * cy, sy, cx * cy, np.zeros_like(sx)], axis=1)
-
     nu0 = np.array([0.0, 0.0, 0.0, 1.0])
-    return TotallyGeodesicSlice(AmbientKind.DE_SITTER, chart, fn, nu0)
+    return TotallyGeodesicSlice(AmbientKind.DE_SITTER, chart, lambda x: np.concatenate(
+        [sphere_chart(x), np.zeros((len(x), 1))], axis=1), nu0)
 
 
 def hyperbolic_slice(chart: Chart) -> TotallyGeodesicSlice:
@@ -621,13 +617,10 @@ def hyperbolic_slice(chart: Chart) -> TotallyGeodesicSlice:
     if chart.dim != 2:
         raise DimensionMismatchError("hyperbolic slice is implemented for surfaces")
 
-    def fn(x):
-        shu, chu = np.sinh(x[:, 0]), np.cosh(x[:, 0])
-        return np.stack([shu * np.cos(x[:, 1]), shu * np.sin(x[:, 1]),
-                         np.zeros_like(shu), chu], axis=1)
-
+    # the equidistant surface at distance 0 is the plane itself
     nu0 = np.array([0.0, 0.0, 1.0, 0.0])
-    return TotallyGeodesicSlice(AmbientKind.ANTI_DE_SITTER, chart, fn, nu0)
+    return TotallyGeodesicSlice(AmbientKind.ANTI_DE_SITTER, chart,
+                                equidistant_h3(0.0, chart).eval_fn, nu0)
 
 
 def null_lift(slice_: TotallyGeodesicSlice,

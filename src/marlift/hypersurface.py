@@ -122,11 +122,12 @@ class HypersurfaceImmersion:
     chart points (P, n). `eval_fn` is either an array map marked with
     `core.stacked`, taking (P, n) to (P, N), or a one-point map (n,) -> (N,),
     which stacked evaluation loops over the rows through `core.looped`.
-    `jets`, when given, takes stacked points and returns the stacked analytic
-    Jet2 of `eval_fn`; otherwise derivatives fall back to central
-    differences with the shared step, all stencils in one call. A point
-    whose evaluation raises GeometryError fails alone: its jet row carries
-    the error and the other rows are unaffected.
+    `jets`, when given, takes stacked points and returns the stacked exact
+    Jet2 of `eval_fn`: the `shapes` factories evaluate their own array map
+    on Taylor variables (`taylor.taylor_jet`). Without it, derivatives fall
+    back to central differences with the shared step, all stencils in one
+    call. A point whose evaluation raises GeometryError fails alone: its
+    jet row carries the error and the other rows are unaffected.
     """
 
     space: SpaceForm
@@ -144,7 +145,7 @@ class HypersurfaceImmersion:
 
     def jet(self, x, h: Optional[float] = None) -> Jet2:
         """Stacked jet of points (P, n); `h` is the finite-difference step of
-        a map without analytic jets."""
+        a map without `jets`."""
         if self.jets is not None:
             return self.jets(x)
         return jet2_of(looped(self.eval_fn, self.space.container_dim), x, h=h,
@@ -274,7 +275,7 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
     for i in np.flatnonzero(asym):
         if errors[i] is None:
             warnings.warn(f"second-derivative asymmetry {defect[i]:.3e} at chart "
-                          f"{x[i]}; check the analytic jet provider", RuntimeWarning)
+                          f"{x[i]}; check the jet provider", RuntimeWarning)
     b = 0.5 * (b + bt)
     return PointFrame(space=space, x=x, point=point, tangent=tangent, normal=normal,
                       metric=g, second_form=b, errors=tuple(errors))

@@ -184,10 +184,10 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
     errors = list(jet.errors) if jet.errors else [None] * len(x)
     value, tangent = jet.value, jet.d1
 
-    def failed(fill, a):
-        """`a` with the rows of failed points replaced by `fill`."""
-        dead = _errored(errors)
-        return np.where(dead.reshape((-1,) + (1,) * (a.ndim - 1)), fill, a)
+    def failed(fill, a, dead):
+        """`a` with the rows of `dead` replaced by `fill`, or `a` itself."""
+        shape = (-1,) + (1,) * (a.ndim - 1)
+        return np.where(dead.reshape(shape), fill, a) if dead.any() else a
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         res = ambient.constraint_residual(value)
@@ -202,7 +202,7 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
         _fail(errors, np.max(np.abs(g - gt), axis=(-2, -1)) > DEFAULTS.tol_sym * scale,
               lambda i: FrameError(f"induced metric evaluation failed at {x[i]}: "
                                    "input matrix is not symmetric to tolerance"))
-        min_eig = np.linalg.eigvalsh(failed(1.0, 0.5 * (g + gt)))[:, 0]
+        min_eig = np.linalg.eigvalsh(failed(1.0, 0.5 * (g + gt), _errored(errors)))[:, 0]
         _fail(errors, min_eig <= tol_pd, lambda i: SpacelikeViolationError(
             f"induced metric not positive definite at chart {x[i]} "
             f"(min eigenvalue {min_eig[i]:.3e})"))
@@ -212,7 +212,7 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
         if dim != 2:
             _fail(errors, np.ones(len(x), dtype=bool), lambda i: FrameError(
                 f"normal complement has dimension {dim}, expected 2"))
-        rows = failed(0.0, rows)
+        rows = failed(0.0, rows, _errored(errors))
         basis, pivots = _normal_plane(rows)
         _fail(errors, np.min(pivots, axis=-1) <= 1e-10 * np.maximum(
             1.0, np.max(np.linalg.norm(rows, axis=-1), axis=-1)),
@@ -225,8 +225,9 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
         product = bilinear_rows(sig, pair[:, 0], pair[:, 1])
         _fail(errors, np.abs(product) <= tol_pd,
               lambda i: FrameError(f"null pair degenerate at chart {x[i]}"))
+        dead = _errored(errors)
         g, min_eig, basis, s2, pair, product = (
-            failed(np.nan, a) for a in (g, min_eig, basis, s2, pair, product))
+            failed(np.nan, a, dead) for a in (g, min_eig, basis, s2, pair, product))
         return LorentzFrame(x, value, tangent, g, np.linalg.inv(g), min_eig, basis,
                             s2, pair, product, jet, tuple(errors))
 
@@ -544,6 +545,7 @@ def assemble_report(lift: LiftedImmersion,
     hvec = mean_curvature_rows(frame, sff)
     rows, errors = stencil[0], frame.errors
     live = ~_errored(errors)
+    any_failed = not live.all()
     nu = np.full(hvec.shape, np.nan)
     if rows.nulls is not None:
         nu[live] = rows.nulls[live]
@@ -572,7 +574,8 @@ def assemble_report(lift: LiftedImmersion,
     if not len(ok) or len(x) - len(ok) > 0.5 * len(x):
         verdict = VERDICT_INCONCLUSIVE
     else:
-        ok_metric = (not any(isinstance(e, SpacelikeViolationError) for e in errors)
+        ok_metric = (not (any_failed and any(isinstance(e, SpacelikeViolationError)
+                                             for e in errors))
                      and np.min(ok[:, 0]) > DEFAULTS.tol_pd)
         verdict = VERDICT_TRAPPED if (np.max(residual) <= tol_marginal and ok_metric) \
             else VERDICT_NOT
@@ -580,4 +583,5 @@ def assemble_report(lift: LiftedImmersion,
     return MarginalityReport(
         name=lift.name, ambient=lift.ambient.kind.value, verdict=verdict,
         summary=summary, x=x, values=rows.values[:len(x)], table=table,
-        reasons=tuple(map(_reason, errors)), cross_check_failures=cross_check_failures)
+        reasons=tuple(map(_reason, errors)) if any_failed else ("",) * len(errors),
+        cross_check_failures=cross_check_failures)

@@ -59,6 +59,7 @@ from marlift.hypersurface import (
     spectrum_rows,
 )
 from marlift.reporting import render_report
+from marlift.taylor import taylor_jet
 from marlift.verifier import (
     FrameError,
     SpacelikeViolationError,
@@ -390,12 +391,31 @@ def test_stacked_jet_equals_single_point_jet_bitwise(fn, points, h):
         assert np.array_equal(row.d2, one.d2)
 
 
-def test_stacked_sphere_chart_jets_match_the_one_point_jet():
-    # the analytic jets against central differences of the chart map itself
-    points = np.array([[0.3, -0.2], [1.1, 0.4], [-0.7, 0.9]])
-    jets = shapes.sphere_chart_jets(points)
+# every hypersurface factory, whose jets come from its value map evaluated
+# on Taylor variables
+FACTORIES = {"torus": shapes.torus(), "round_sphere": shapes.round_sphere(),
+             "ellipsoid": shapes.ellipsoid(), "catenoid": shapes.catenoid(),
+             "clifford_torus": shapes.clifford_torus(),
+             "sphere_torus": shapes.clifford_torus(1.0),
+             "geodesic_sphere_s3": shapes.geodesic_sphere_s3(),
+             "geodesic_tube_h3": shapes.geodesic_tube_h3(),
+             "equidistant_h3": shapes.equidistant_h3()}
+
+
+@pytest.mark.parametrize("name", ["sphere_chart", *FACTORIES])
+def test_map_jets_match_central_differences(name):
+    # the Taylor-derived jets against central differences of the map's own
+    # values, at three points of its chart
+    if name == "sphere_chart":
+        fn, points = shapes.sphere_chart, np.array([[0.3, -0.2], [1.1, 0.4], [-0.7, 0.9]])
+        jets = taylor_jet(fn, points)
+    else:
+        imm = FACTORIES[name]
+        fn, points = imm.eval_fn, imm.chart.with_resolution((3, 3)).grid(margin=0.1)[::4]
+        jets = imm.jet(points)
+        assert np.array_equal(jets.value, fn(points))
     for i, x in enumerate(points):
-        one = jet2_of(shapes.sphere_chart, x, h=1e-4)
+        one = jet2_of(fn, x, h=1e-4)
         assert np.allclose(jets.value[i], one.value, rtol=0.0, atol=1e-6)
         assert np.allclose(jets.d1[i], one.d1, rtol=0.0, atol=1e-6)
         assert np.allclose(jets.d2[i], one.d2, rtol=0.0, atol=1e-6)

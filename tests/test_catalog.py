@@ -7,13 +7,12 @@ from marlift.catalog import (
     CATALOG,
     ParameterError,
     UnknownEntryError,
-    Taylor,
     catalog_lookup,
     scalar_expr,
-    taylor2,
 )
 from marlift.constructor import LiftedImmersion, SupportFunction, lift_palmer
 from marlift.hypersurface import HypersurfaceImmersion, frame_at, spectrum_at
+from marlift.taylor import Taylor, taylor_jet
 from marlift.verifier import assemble_report
 
 
@@ -47,8 +46,9 @@ def test_scalar_expr_restricted_namespace():
         scalar_expr("open('x')")
 
 
-# expression, and its first and second derivative in closed form; inner
-# functions of the form a*x+b also exercise the chain rule
+# expression, and its first and second derivative in closed form, from one
+# evaluation on a one-variable Taylor number; inner functions of the form
+# a*x+b also exercise the chain rule
 C1 = 0.7
 TAYLOR_CASES = [
     ("sin(0.7*x+0.2)", lambda x: C1 * np.cos(C1 * x + 0.2),
@@ -105,7 +105,8 @@ SAMPLES = np.linspace(0.3, 0.9, 7)
 @pytest.mark.parametrize("expr,d1,d2", TAYLOR_CASES, ids=[c[0] for c in TAYLOR_CASES])
 def test_taylor_derivatives_match_closed_forms(expr, d1, d2):
     f = scalar_expr(expr)
-    g, g1, g2 = taylor2(f, SAMPLES)
+    jet = taylor_jet(lambda t: f(t[:, 0]), SAMPLES[:, None])
+    g, g1, g2 = jet.value, jet.d1[:, 0], jet.d2[:, 0, 0]
     # the value keeps the bits of the array evaluation
     assert np.array_equal(g, f(SAMPLES))
     np.testing.assert_allclose(g1, d1(SAMPLES), rtol=1e-12, atol=0.0)
@@ -128,10 +129,14 @@ def test_scalar_expr_float_and_array_bits():
 
 
 def test_taylor_constant_expression_broadcasts():
-    g = scalar_expr("2*pi")(Taylor.variable(SAMPLES))
+    f = scalar_expr("2*pi")
+    g = f(Taylor.variable(SAMPLES[:, None])[:, 0])
     assert isinstance(g, Taylor)
     assert np.array_equal(g.v, np.full(7, 2 * math.pi))
-    assert not g.d1.any() and not g.d2.any()
+    assert not g.d1 and not g.d2
+    jet = taylor_jet(lambda t: f(t[:, 0]), SAMPLES[:, None])
+    assert jet.d1.shape == (7, 1) and jet.d2.shape == (7, 1, 1)
+    assert not jet.d1.any() and not jet.d2.any()
 
 
 @pytest.mark.parametrize("f", ["2*x+1", "100*x+50"])

@@ -9,6 +9,7 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,13 +186,14 @@ def _lifts_for(cfg: RunConfig, entry, built, verify: bool = False):
     if cfg.ambient is None:
         raise UsageError("construct needs --ambient for hypersurface entries")
     # jump guard: the lifts' own per-point guard checks the multiplicity
-    # pattern and root count, not jumps between neighbouring root values
-    thread_root_fields(built, cfg.ambient,
-                       resolution=tuple(min(9, r) for r in built.chart.resolution))
+    # pattern and root count, not jumps between neighbouring root values.
+    # Its solve is the lifts' reference too.
+    threads = thread_root_fields(
+        built, cfg.ambient, resolution=tuple(min(9, r) for r in built.chart.resolution))
     if cfg.ambient in SPACE_FORM_FAMILY:
-        lifts = space_form_lifts(built, cfg.ambient)
+        lifts = space_form_lifts(built, cfg.ambient, threads)
     else:
-        lifts = product_lifts(built, cfg.ambient)
+        lifts = product_lifts(built, cfg.ambient, threads)
     if cfg.root_index is not None:
         if not 0 <= cfg.root_index < len(lifts):
             raise UsageError(
@@ -218,6 +220,29 @@ def cmd_construct(cfg: RunConfig) -> int:
     return status
 
 
+def _check_rows(mesh_path, report, chart_pts, ambient_pts):
+    """Ingest check of every stored row against the rebuilt lift's report:
+    the chart points are its grid bit for bit (rows are written with 17
+    digits), and each stored value is NaN where the rebuilt one is, or
+    agrees with it within 1e-8 (1 + max |rebuilt row|). The first row that
+    does not raises IngestError."""
+    if (chart_pts.shape != report.x.shape or ambient_pts.shape != report.values.shape
+            or not np.array_equal(chart_pts, report.x)):
+        raise IngestError(f"{mesh_path}: rows do not sample the grid its header names")
+    rebuilt = report.values
+    nan = np.isnan(rebuilt)
+    gap = np.max(np.where(nan & np.isnan(ambient_pts), 0.0,
+                          np.abs(rebuilt - ambient_pts)), axis=1)
+    scale = 1.0 + np.max(np.abs(rebuilt), axis=1, initial=0.0, where=~nan)
+    bad = ~(gap <= 1e-8 * scale)
+    if bad.any():
+        j = int(np.argmax(bad))
+        at = f"mesh row at chart {tuple(chart_pts[j])}"
+        if nan[j].any():
+            raise IngestError(f"{at} did not rebuild: {report.reasons[j]}")
+        raise IngestError(f"{at} disagrees with the rebuilt entry by {gap[j]:.3e}")
+
+
 def _verify_mesh(cfg: RunConfig) -> int:
     mesh_path = cfg.mesh
     metadata, chart_pts, ambient_pts, _ = read_mesh(mesh_path)
@@ -238,22 +263,9 @@ def _verify_mesh(cfg: RunConfig) -> int:
     if not indexed:
         raise IngestError("mesh names root 0 but the entry has none")
     lift = indexed[0][1]
-    # ingest sanity: the stored coordinates must match the rebuilt lift
-    sampled = np.arange(0, len(chart_pts), max(1, len(chart_pts) // 16))
-    sampled = sampled[~np.isnan(ambient_pts[sampled]).any(axis=1)]
-    sample, stored = chart_pts[sampled], ambient_pts[sampled]
-    rows = lift.evaluate(sample, 0)
-    gap = np.max(np.abs(rows.values - stored), axis=1)
-    bad = np.not_equal(rows.errors, None) \
-        | (gap > 1e-8 * (1.0 + np.max(np.abs(stored), axis=1)))
-    if bad.any():
-        j = int(np.argmax(bad))
-        rows.value(j)  # a sample that failed to rebuild raises its own error
-        raise IngestError(
-            f"mesh row at chart {tuple(sample[j])} disagrees with the rebuilt "
-            f"entry by {gap[j]:.3e}")
     report = assemble_report(lift, resolution=cfg.grid, h=cfg.step,
                              tol_marginal=cfg.tol_marginal)
+    _check_rows(mesh_path, report, chart_pts, ambient_pts)
     _write_report_file(cfg, report, cfg.root_index, name, f"{mesh_path.stem}.verify")
     print(f"verdict={report.verdict} (round-trip of {mesh_path})")
     return _report_exit(report, metadata.get("verdict") or entry.expected_verdict)
@@ -327,10 +339,16 @@ def _config_from(args) -> RunConfig:
     return cfg
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The one parser of the process; `parse_args` gives a fresh namespace
+    on each call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "catalog":
             return cmd_catalog()
         cfg = _config_from(args)

@@ -298,10 +298,15 @@ def _check_source(imm: HypersurfaceImmersion, kind: AmbientKind,
             f"got {imm.space.kind.value}")
 
 
-def _reference(imm, kind):
-    """Roots at the chart centre and the first eight grid points, in one
-    call, with the multiplicity pattern and root count of the first of them
-    whose roots solve."""
+def _reference(imm, kind, threads=None):
+    """Points with their frames, spectra and roots, and the multiplicity
+    pattern and root count every lifted point must keep: the threaded solve
+    `threads` of the same hypersurface and ambient as it is (it checked
+    both on every sample), or else the roots at the chart centre and the
+    first eight grid points, solved in one call, with the pattern and count
+    of the first of them whose roots solve."""
+    if threads is not None:
+        return threads.points, threads.solved, threads.pattern, threads.count
     candidates = np.vstack([0.5 * (imm.chart.lower + imm.chart.upper),
                             imm.chart.grid(margin=4.0 * DEFAULTS.step_h)[:8]])
     solved = _root_rows(imm, kind, candidates)
@@ -328,8 +333,10 @@ def _head(fr: PointFrame, k: int) -> PointFrame:
 
 def _constraint_sanity(ambient: LorentzAmbient, rows: LiftRows):
     """The lift formulas satisfy the ambient constraint identically; a failure
-    here means inconsistent construction data, not a bad sample. `rows` is
-    the lift evaluated at the chart centre first."""
+    here means inconsistent construction data, not a bad sample. Only the
+    first row of `rows` is read: the lift at the first point of its
+    reference (`_reference`), the chart centre or the threaded grid's first
+    sample."""
     if rows.errors[0] is not None:
         return
     val = rows.values[0]
@@ -390,9 +397,10 @@ def _shift_lift(kind: AmbientKind, chart: Chart, pick, name: str,
     frame need only cover the first k rows, those with construction data (no
     frame when k is 0). Each row is placed from its source point, unit normal
     and height.
-    `centre` is a `_Source` whose first row is the chart centre, when the
-    caller has one; the build-time constraint check reads it. Flat space has
-    no constraint, so there the check and its centre pick are skipped.
+    `centre` is a `_Source` whose first row is a chart point of the caller's
+    reference, when it has one (else the chart centre is picked); the
+    build-time constraint check reads that row. Flat space has no
+    constraint, so there the check and its centre pick are skipped.
     """
     family = "flat-family" if kind in SPACE_FORM_FAMILY else kind.value
     spatial, time, null = _PLACEMENT[family]
@@ -470,10 +478,11 @@ def _root_lift(imm, kind, family, root_index, offset=0.0,
                        centre=select(candidates, solved))
 
 
-def _all_lifts(imm, kind, family) -> list:
-    """Every root lift of the hypersurface, from one reference solve."""
+def _all_lifts(imm, kind, family, threads=None) -> list:
+    """Every root lift of the hypersurface, from one reference solve: the
+    threaded solve `threads`, when given."""
     _check_source(imm, kind, family)
-    reference = _reference(imm, kind)
+    reference = _reference(imm, kind, threads)
     return [_root_lift(imm, kind, family, i, reference=reference)
             for i in range(reference[3])]
 
@@ -500,8 +509,8 @@ def lift_antidesitter(imm, root_index: int = 0, offset: float = 0.0):
     return space_form_lift(imm, AmbientKind.ANTI_DE_SITTER, root_index, offset)
 
 
-def space_form_lifts(imm, kind) -> list:
-    return _all_lifts(imm, kind, SPACE_FORM_FAMILY)
+def space_form_lifts(imm, kind, threads=None) -> list:
+    return _all_lifts(imm, kind, SPACE_FORM_FAMILY, threads)
 
 
 def product_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -518,8 +527,8 @@ def lift_hyperbolic_product(imm, root_index: int = 0):
     return product_lift(imm, AmbientKind.HYPERBOLIC_PRODUCT, root_index)
 
 
-def product_lifts(imm, kind) -> list:
-    return _all_lifts(imm, kind, PRODUCT_FAMILY)
+def product_lifts(imm, kind, threads=None) -> list:
+    return _all_lifts(imm, kind, PRODUCT_FAMILY, threads)
 
 
 def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
@@ -739,12 +748,15 @@ def support_route_lift(sf: SupportFunction) -> LiftedImmersion:
 
 @dataclass(frozen=True)
 class RootThreads:
-    """Root fields sampled over a raster grid, one column per root index."""
+    """Root fields sampled over a raster grid, one column per root index,
+    and the grid's frames, spectra and roots (`solved`, as `_root_rows`
+    gives them), which serve the lift builders as their reference."""
 
     points: np.ndarray
     values: np.ndarray          # shape (P, count)
     pattern: tuple
     count: int
+    solved: tuple
 
 
 # A root field step larger than this many times the larger of the two steps
@@ -774,7 +786,8 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
     chart = imm.chart if resolution is None else imm.chart.with_resolution(resolution)
     grid = chart.grid(margin=4.0 * DEFAULTS.step_h)
     shape = chart.resolution
-    _, spectra, roots = _root_rows(imm, kind, grid)
+    solved = _root_rows(imm, kind, grid)
+    _, spectra, roots = solved
     failed = np.not_equal(roots.errors, None)
     if failed[0]:
         raise roots.errors[0]
@@ -810,4 +823,5 @@ def thread_root_fields(imm: HypersurfaceImmersion, kind: AmbientKind,
         raise PatternChangeError(
             f"root field jump {jump[i]:.3e} at chart {grid[i]} "
             f"exceeds {_JUMP_FACTOR} x the local variation")
-    return RootThreads(points=grid, values=values, pattern=pattern, count=count)
+    return RootThreads(points=grid, values=values, pattern=pattern, count=count,
+                       solved=solved)

@@ -15,7 +15,6 @@ an array map by the one looping adapter, `looped`.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -134,6 +133,18 @@ def bilinear(sig: Signature, u: Sequence[float], v: Sequence[float]) -> float:
             f"vectors of length {u.shape}/{v.shape} against signature dim {sig.dim}")
     p = sig.plus
     return float(np.dot(u[:p], v[:p]) - np.dot(u[p:], v[p:]))
+
+
+def _columns(op, a: np.ndarray) -> np.ndarray:
+    """op.reduce(a, axis=-1) for a short last axis (np.maximum, np.logical_or
+    or np.logical_and), as a chain of `op` over the columns: the same values,
+    NaN included, without the per-row dispatch of a short-axis reduction."""
+    if not a.shape[-1]:
+        return op.reduce(a, axis=-1)
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = op(out, a[..., k])
+    return out
 
 
 def bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -322,34 +333,43 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
 
     off = _stencil(n, float(h))
     pts = x[None, :, :] + off[:, None, :]          # (stencil row, point, n)
-    outside = np.zeros(pts.shape[:2], dtype=bool)
-    if chart is not None:
-        outside = ((pts < chart.lower) | (pts > chart.upper)).any(axis=-1)
-    inside = ~outside[1:]
-    out, out_errors = _call_rows(fn, np.concatenate([x, pts[1:][inside]]))
-    # a copy: the NaN written into failed points below stays out of the
-    # map's own values
-    vals = np.full((len(off), count, out.shape[1]), np.nan)
-    vals[0] = out[:count]
-    vals[1:][inside] = out[count:]
+    outside = None
+    if chart is not None and not (count and (x.min(axis=0) - h >= chart.lower).all()
+                                  and (x.max(axis=0) + h <= chart.upper).all()):
+        outside = _columns(np.logical_or, (pts < chart.lower) | (pts > chart.upper))
+    if outside is None:
+        # every stencil row lies inside the chart, as on every report grid
+        # by its margin: the map's rows are the whole stencil as it is
+        called = np.ones((len(off), count), dtype=bool)
+        out, out_errors = _call_rows(fn, np.concatenate([x, pts[1:].reshape(-1, n)]))
+        vals = out.reshape(len(off), count, out.shape[1])
+    else:
+        called = ~outside
+        called[0] = True  # the points themselves, inside the chart or not
+        out, out_errors = _call_rows(fn, np.concatenate([x, pts[1:][called[1:]]]))
+        vals = np.full((len(off), count, out.shape[1]), np.nan)
+        vals[called] = out
 
-    failed = outside | ~np.isfinite(vals).all(axis=-1)
+    failed = ~_columns(np.logical_and, np.isfinite(vals))
+    if outside is not None:
+        failed |= outside
     raised = None
     if out_errors and out_errors.count(None) < len(out_errors):
         raised = np.full(failed.shape, None, dtype=object)
-        raised[0] = out_errors[:count]
-        raised[1:][inside] = out_errors[count:]
+        raised[called] = out_errors
         failed |= np.not_equal(raised, None)
     errors = [None] * count
     if failed.any():
         for p in np.flatnonzero(failed.any(axis=0)):
             s = int(np.argmax(failed[:, p]))
-            if outside[s, p]:
+            if outside is not None and outside[s, p]:
                 errors[p] = OutOfDomainError(f"stencil point {pts[s, p]} leaves the chart")
             elif raised is not None and raised[s, p] is not None:
                 errors[p] = raised[s, p]
             else:
                 errors[p] = NonFiniteError(f"map returned non-finite values at {pts[s, p]}")
+        if outside is None:
+            vals = vals.copy()  # the NaN below stays out of the map's own values
         vals[:, [e is not None for e in errors]] = np.nan
 
     f0 = vals[0]
@@ -442,8 +462,7 @@ def shape_eigen_rows(g: np.ndarray, b: np.ndarray,
             m22 = (b22 - 2.0 * l21 * b12 / l11 + l21 * l21 * m11) / (l22 * l22)
             # one Jacobi rotation of the symmetric 2x2 matrix (m11, m12; m12, m22)
             theta = (m22 - m11) / (2.0 * m12)
-            hyp = np.array([math.hypot(v, 1.0) for v in theta.tolist()])
-            t = np.copysign(1.0, theta) / (np.abs(theta) + hyp)
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
             lo, hi = m11 - t * m12, m22 + t * m12
             diagonal = m12 == 0.0
             lo = np.where(diagonal, np.minimum(m11, m22), lo)

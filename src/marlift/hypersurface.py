@@ -30,6 +30,7 @@ from .core import (
     Jet2,
     Rows,
     Signature,
+    _columns,
     _errored,
     _fail,
     _pd_rows,
@@ -234,10 +235,10 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if space.quadric_constant is not None:
             res = np.abs(bilinear_rows(sig, point, point) - space.quadric_constant)
-            _fail(errors, res > DEFAULTS.tol_quadric * (
-                1.0 + np.max(np.abs(point), axis=1)),
-                lambda i: QuadricConstraintError(
-                    f"point leaves the space form by {res[i]:.3e} at chart {x[i]}"))
+            scale = 1.0 + _columns(np.maximum, np.abs(point))
+            _fail(errors, res > DEFAULTS.tol_quadric * scale,
+                  lambda i: QuadricConstraintError(
+                      f"point leaves the space form by {res[i]:.3e} at chart {x[i]}"))
 
         rows = tangent * gsigns  # row i = G @ tangent_i
         g = rows @ np.swapaxes(tangent, -1, -2)
@@ -270,8 +271,9 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
         gnormal = gsigns * normal
         b = (jet.d2 @ gnormal[:, None, :, None])[..., 0]
         bt = np.swapaxes(b, -1, -2)
-        defect = np.max(np.abs(b - bt), axis=(1, 2))
-        asym = defect > DEFAULTS.tol_sym * (1.0 + np.max(np.abs(b), axis=(1, 2)))
+        defect = _columns(np.maximum, np.abs(b - bt).reshape(len(x), -1))
+        asym = defect > DEFAULTS.tol_sym * (
+            1.0 + _columns(np.maximum, np.abs(b).reshape(len(x), -1)))
     for i in np.flatnonzero(asym):
         if errors[i] is None:
             warnings.warn(f"second-derivative asymmetry {defect[i]:.3e} at chart "

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULTS, DimensionMismatchError, GeometryError, _errored, _fail
+from .core import DEFAULTS, DimensionMismatchError, GeometryError, _columns, _errored, _fail
 from .hypersurface import (
     HypersurfaceImmersion,
     ShapeSpectrum,
@@ -212,7 +212,7 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         coeffs = _expand(kind, kappas, mults)
         if flat:
-            _fail(errors, (np.abs(kappas) <= DEFAULTS.tol_zero).any(axis=1),
+            _fail(errors, _columns(np.logical_or, np.abs(kappas) <= DEFAULTS.tol_zero),
                   lambda i: VanishingCurvatureError(
                       "flat-family construction needs nonvanishing curvatures, "
                       f"got {[float(k) for k in kappas[i]]}"))
@@ -239,14 +239,14 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
         brackets[:, 1:p] = np.where(inner[..., None], np.stack(
             [bps[:, :-1], bps[:, 1:], signs[:, :-1], signs[:, 1:]], axis=-1), np.nan)
         if flat:
-            _fail(errors, ~inner.all(axis=1), lambda i: BracketingError(
+            _fail(errors, ~_columns(np.logical_and, inner), lambda i: BracketingError(
                 "breakpoint signs fail to alternate: values "
                 f"{[float(v) for v in bp_vals[i]]}"))
             return coeffs, bps, bp_vals, brackets, trace, minimal, errors
 
         # Outward brackets end at the Cauchy bound, past which P has the
         # sign of its end behaviour: sign(trace) at +inf, times (-1)^p at -inf
-        bound = 1.0 + np.max(np.abs(coeffs[:, :-1] / coeffs[:, -1:]), axis=1)
+        bound = 1.0 + _columns(np.maximum, np.abs(coeffs[:, :-1] / coeffs[:, -1:]))
         sign_pos = np.copysign(1.0, trace)
         for slot, end, far, sign_far in ((p, p - 1, bound, sign_pos),
                                          (0, 0, -bound, sign_pos * (-1.0) ** p)):
@@ -367,12 +367,13 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
     a0, b0, sa, sb = (brackets[..., k] for k in range(4))
     present = ~_errored(errors)[:, None] & ~np.isnan(a0)
     invalid = present & ((sa == sb) | (sa == 0.0) | (sb == 0.0))
-    for i in np.flatnonzero(invalid.any(axis=1)):
+    invalid_rows = _columns(np.logical_or, invalid)
+    for i in np.flatnonzero(invalid_rows):
         k = int(np.argmax(invalid[i]))
         errors[i] = BracketingError(
             f"invalid bracket ({float(a0[i, k])}, {float(b0[i, k])}) signs "
             f"({float(sa[i, k])}, {float(sb[i, k])})")
-    present &= ~invalid.any(axis=1, keepdims=True)
+    present &= ~invalid_rows[:, None]
     row, slot = np.nonzero(present)
     a, b = a0[row, slot], b0[row, slot]
     t, stuck = _newton_rows(coeffs[row], a, b, sa[row, slot])
@@ -385,8 +386,8 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
                     f"within {_ROUNDS} rounds")
         keep = ~np.isin(row, row[stuck])
     bps = breakpoints[row]
-    degen = (np.abs(t[:, None] - bps)
-             <= DEFAULTS.tol_degenerate * (1.0 + np.abs(bps))).any(axis=1)
+    degen = _columns(np.logical_or, np.abs(t[:, None] - bps)
+                     <= DEFAULTS.tol_degenerate * (1.0 + np.abs(bps)))
     if kind is AmbientKind.HYPERBOLIC_PRODUCT:
         keep &= np.abs(t) > 1.0
     row, slot, t, degen = row[keep], slot[keep], t[keep], degen[keep]

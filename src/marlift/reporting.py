@@ -83,8 +83,10 @@ def write_mesh(path, metadata: dict, chart_points: np.ndarray,
     header = [MESH_MAGIC, *(f"{key}: {metadata[key]}" for key in sorted(metadata)),
               f"columns: {' '.join(cols)}"]
     data = np.column_stack([chart_points, ambient_points, residuals])
+    row = " ".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
-        np.savetxt(fh, data, fmt="%.17g", header="\n".join(header), comments="# ")
+        fh.write("# " + "\n".join(header).replace("\n", "\n# ") + "\n")
+        fh.write((row * len(data)) % tuple(data.ravel().tolist()))
 
 
 def read_mesh(path):

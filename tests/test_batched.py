@@ -697,3 +697,47 @@ def test_stacked_jet_calls_its_map_once():
         assert np.isnan(jets.value[1]).all() and not np.isnan(values[:3]).any()
         assert not np.shares_memory(jets.value, values)
     assert isinstance(jets.errors[2], OutOfDomainError)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_jets_inside_the_chart_match_the_masked_path_bit_for_bit():
+    # a report grid keeps every stencil row inside the chart; one point near
+    # the edge sends the whole stencil through the masked path, which must
+    # give the grid's own rows the same bits
+    lift = _lift("torus-minkowski")
+    grid = lift.chart.with_resolution((7, 7)).grid(margin=4.0 * DEFAULTS.step_h)
+    edge = np.array([[lift.chart.lower[0] + 0.5 * DEFAULTS.step_h, 1.0]])
+    inside = jet2_of(lift.evaluate, grid, chart=lift.chart)
+    masked = jet2_of(lift.evaluate, np.concatenate([grid, edge]), chart=lift.chart)
+    assert inside.errors == (None,) * len(grid)
+    assert masked.errors[:-1] == inside.errors
+    assert isinstance(masked.errors[-1], OutOfDomainError)
+    for name in ("value", "d1", "d2"):
+        assert _same_bits(getattr(masked, name)[:-1], getattr(inside, name))
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["all-inside", "masked"])
+def test_a_failed_row_leaves_the_maps_own_values_alone(edge):
+    chart = Chart(2, [0.0, 0.0], [1.0, 1.0], (5, 5))
+    points = np.array([[0.5, 0.5], [0.3, 0.7], [0.4, 0.2]])
+    if edge:
+        points = np.concatenate([points, [[0.99995, 0.5]]])
+    returned = []
+
+    @stacked
+    def fn(x):
+        values = np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)
+        bad = np.isclose(x[:, 0], 0.3) & np.isclose(x[:, 1], 0.7)
+        values[bad, 0] = np.inf
+        returned.append((values, values.copy()))
+        return Rows(values, [GeometryError("bad") if b else None for b in bad])
+
+    jets = jet2_of(fn, points, h=1e-4, chart=chart)
+    (values, copy), = returned
+    assert isinstance(jets.errors[1], GeometryError) and np.isnan(jets.value[1]).all()
+    assert jets.errors[0] is None and jets.errors[2] is None
+    assert _same_bits(values, copy)
+    assert not np.shares_memory(jets.value, values)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from marlift import shapes, verifier
+from marlift import cli, constructor, shapes, verifier
 from marlift.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -231,6 +231,133 @@ def test_ingest_check_names_the_first_disagreeing_sample(torus_mesh, tmp_path, c
     x = tuple(read_mesh(mesh)[1][7])
     assert capsys.readouterr().err == (f"ingest error: mesh row at chart {x} disagrees "
                                        "with the rebuilt entry by 1.000e-03\n")
+
+
+@pytest.fixture(scope="module")
+def torus_mesh_9x9(tmp_path_factory):
+    out = tmp_path_factory.mktemp("construct9")
+    assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
+                 "--grid", "9x9", "--out-dir", str(out)]) == EXIT_PASS
+    return next(out.glob("*.mesh.txt"))
+
+
+def _edited(mesh, tmp_path, edit):
+    """A copy of `mesh` after edit(rows), rows the data lines split into
+    their columns (x0 x1 X0 X1 X2 X3 null_residual)."""
+    lines = mesh.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    rows = [line.split() for line in lines if not line.startswith("#")]
+    edit(rows)
+    out = tmp_path / "edited.mesh.txt"
+    out.write_text("\n".join(header + [" ".join(cols) for cols in rows]) + "\n")
+    return out
+
+
+def _verify_exits_4(mesh, tmp_path, capsys):
+    """`verify --mesh` exits 4 before it writes a report; its one error line."""
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == EXIT_PIPELINE
+    assert not list(tmp_path.glob("*.report.txt"))
+    err = capsys.readouterr().err
+    assert err.startswith("ingest error: ") and err.count("\n") == 1
+    return err
+
+
+def test_ingest_check_reads_every_stored_row(torus_mesh_9x9, tmp_path, capsys):
+    # row 1 of 81 is not among the rows a sample of every 16th row reads
+    def move(rows):
+        rows[1][2] = repr(float(rows[1][2]) + 1.0)
+        rows[1][-1] = "0"
+
+    mesh = _edited(torus_mesh_9x9, tmp_path, move)
+    x = tuple(read_mesh(mesh)[1][1])
+    assert _verify_exits_4(mesh, tmp_path, capsys) == (
+        f"ingest error: mesh row at chart {x} disagrees with the rebuilt entry "
+        "by 1.000e+00\n")
+
+
+def _nudge_chart(rows):
+    rows[40][1] = repr(float(np.nextafter(float(rows[40][1]), np.inf)))
+
+
+def _other_grid(rows):
+    del rows[-9:]
+
+
+@pytest.mark.parametrize("edit", [_nudge_chart, _other_grid], ids=["one-ulp", "8x9-rows"])
+def test_chart_points_must_be_the_header_grid(torus_mesh_9x9, tmp_path, capsys, edit):
+    mesh = _edited(torus_mesh_9x9, tmp_path, edit)
+    assert "rows do not sample the grid its header names" in _verify_exits_4(
+        mesh, tmp_path, capsys)
+
+
+def test_stored_nan_row_with_a_finite_rebuild_fails(torus_mesh_9x9, tmp_path, capsys):
+    def blank(rows):
+        rows[30][2:] = ["nan"] * (len(rows[30]) - 2)
+
+    mesh = _edited(torus_mesh_9x9, tmp_path, blank)
+    x = tuple(read_mesh(mesh)[1][30])
+    assert _verify_exits_4(mesh, tmp_path, capsys) == (
+        f"ingest error: mesh row at chart {x} disagrees with the rebuilt entry by nan\n")
+
+
+def test_stored_row_whose_rebuild_fails_names_its_reason(torus_mesh_9x9, tmp_path,
+                                                         capsys, monkeypatch):
+    # the rebuilt lifts fail past x0 = 0.3, where the mesh holds finite rows
+    real = cli.space_form_lifts
+
+    def cut(lift):
+        def fn(x):
+            if x[0] > 0.3:
+                raise GeometryError(f"cut at {x[0]}")
+            return lift(x)
+        return LiftedImmersion(lift.ambient, lift.chart, fn, name=lift.name)
+
+    monkeypatch.setattr(cli, "space_form_lifts",
+                        lambda *args: [cut(lift) for lift in real(*args)])
+    err = _verify_exits_4(torus_mesh_9x9, tmp_path, capsys)
+    x = read_mesh(torus_mesh_9x9)[1]
+    first = tuple(x[np.argmax(x[:, 0] > 0.3)])
+    assert err == (f"ingest error: mesh row at chart {first} did not rebuild: "
+                   f"GeometryError: cut at {first[0]}\n")
+
+
+def test_construct_and_verify_mesh_solve_roots_twice(tmp_path, monkeypatch):
+    # once on the threaded 9x9 grid, which is also the lifts' reference, and
+    # once in the report's lift pass over the stencil of the 9x9 grid
+    real, sizes = constructor._root_rows, []
+
+    def counted(imm, kind, x):
+        sizes.append(len(x))
+        return real(imm, kind, x)
+
+    monkeypatch.setattr(constructor, "_root_rows", counted)
+    assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
+                 "--grid", "9x9", "--out-dir", str(tmp_path)]) == EXIT_PASS
+    assert sizes == [81, 9 * 81]
+    sizes.clear()
+    mesh = next(tmp_path.glob("*.mesh.txt"))
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == EXIT_PASS
+    assert sizes == [81, 9 * 81]
+
+
+def test_main_builds_one_parser_and_no_call_inherits_flags(torus_mesh, tmp_path,
+                                                            monkeypatch, capsys):
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert main(["verify", "--mesh", str(torus_mesh), "--out-dir", str(tmp_path)]) \
+            == EXIT_PASS
+        assert main(["verify", "--entry", "chen-l2", "--grid", "5x5",
+                     "--out-dir", str(tmp_path)]) == EXIT_PASS
+        assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
+                     "--grid", "5x5", "--out-dir", str(tmp_path)]) == EXIT_PASS
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    first, second, third = capsys.readouterr().out.splitlines()
+    assert "round-trip" in first and second.startswith("entry=chen-l2 ")
+    assert third.startswith("root 0: ")
 
 
 def _old_mesh_text(metadata, chart, ambient, residuals):

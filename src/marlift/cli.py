@@ -9,7 +9,6 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -339,16 +338,10 @@ def _config_from(args) -> RunConfig:
     return cfg
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The one parser of the process; `parse_args` gives a fresh namespace
-    on each call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
         if args.command == "catalog":
             return cmd_catalog()
         cfg = _config_from(args)

@@ -334,8 +334,8 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     off = _stencil(n, float(h))
     pts = x[None, :, :] + off[:, None, :]          # (stencil row, point, n)
     outside = None
-    if chart is not None and not (count and (x.min(axis=0) - h >= chart.lower).all()
-                                  and (x.max(axis=0) + h <= chart.upper).all()):
+    if chart is not None and not (count and (pts.min(axis=(0, 1)) >= chart.lower).all()
+                                  and (pts.max(axis=(0, 1)) <= chart.upper).all()):
         outside = _columns(np.logical_or, (pts < chart.lower) | (pts > chart.upper))
     if outside is None:
         # every stencil row lies inside the chart, as on every report grid

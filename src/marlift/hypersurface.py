@@ -271,9 +271,10 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
         gnormal = gsigns * normal
         b = (jet.d2 @ gnormal[:, None, :, None])[..., 0]
         bt = np.swapaxes(b, -1, -2)
-        defect = _columns(np.maximum, np.abs(b - bt).reshape(len(x), -1))
+        flat = (len(x), b.shape[1] * b.shape[2])  # -1 fails on an empty batch
+        defect = _columns(np.maximum, np.abs(b - bt).reshape(flat))
         asym = defect > DEFAULTS.tol_sym * (
-            1.0 + _columns(np.maximum, np.abs(b).reshape(len(x), -1)))
+            1.0 + _columns(np.maximum, np.abs(b).reshape(flat)))
     for i in np.flatnonzero(asym):
         if errors[i] is None:
             warnings.warn(f"second-derivative asymmetry {defect[i]:.3e} at chart "

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlift import constructor, shapes
+from marlift import constructor, core, shapes
 from marlift.catalog import catalog_lookup
 from marlift.core import (
     DEFAULTS,
@@ -363,6 +363,9 @@ def test_frames_and_spectra_rows_equal_one_row_calls():
         one = spectrum_at(frame)
         assert spectra.row(i).pattern == one.pattern
         assert _close(spectra.row(i).raw, one.raw)
+    empty = frame_rows(imm, points[:0])
+    assert empty.errors == () and empty.metric.shape == (0, 2, 2)
+    assert empty.second_form.shape == (0, 2, 2)
 
 
 # ------------------------------------------------ stacked jets of the core maps
@@ -717,6 +720,29 @@ def test_jets_inside_the_chart_match_the_masked_path_bit_for_bit():
     assert isinstance(masked.errors[-1], OutOfDomainError)
     for name in ("value", "d1", "d2"):
         assert _same_bits(getattr(masked, name)[:-1], getattr(inside, name))
+
+
+def test_the_all_inside_path_follows_the_stencil_rows(monkeypatch):
+    # the chart test reads the rows the map would get, so a wider stencil
+    # sends a point within its reach of the edge to OutOfDomainError and
+    # never hands the map a row outside the chart
+    chart = Chart(2, [0.0, 0.0], [1.0, 1.0], (5, 5))
+    points = np.array([[0.5, 0.5], [1.5e-3, 0.5]])
+    seen = []
+
+    @stacked
+    def fn(x):
+        seen.append(x.copy())
+        return Rows(np.stack([x[:, 0] ** 2, x[:, 1]], axis=1), [None] * len(x))
+
+    assert jet2_of(fn, points, h=1e-3, chart=chart).errors == (None, None)
+    stencil = core._stencil
+    monkeypatch.setattr(core, "_stencil", lambda n, h: 2.0 * stencil(n, h))
+    seen.clear()
+    jets = jet2_of(fn, points, h=1e-3, chart=chart)
+    assert jets.errors[0] is None and isinstance(jets.errors[1], OutOfDomainError)
+    rows = np.concatenate(seen)
+    assert (rows >= chart.lower).all() and (rows <= chart.upper).all()
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["all-inside", "masked"])

@@ -340,26 +340,6 @@ def test_construct_and_verify_mesh_solve_roots_twice(tmp_path, monkeypatch):
     assert sizes == [81, 9 * 81]
 
 
-def test_main_builds_one_parser_and_no_call_inherits_flags(torus_mesh, tmp_path,
-                                                            monkeypatch, capsys):
-    real, built = cli.build_parser, []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        assert main(["verify", "--mesh", str(torus_mesh), "--out-dir", str(tmp_path)]) \
-            == EXIT_PASS
-        assert main(["verify", "--entry", "chen-l2", "--grid", "5x5",
-                     "--out-dir", str(tmp_path)]) == EXIT_PASS
-        assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
-                     "--grid", "5x5", "--out-dir", str(tmp_path)]) == EXIT_PASS
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
-    first, second, third = capsys.readouterr().out.splitlines()
-    assert "round-trip" in first and second.startswith("entry=chen-l2 ")
-    assert third.startswith("root 0: ")
-
-
 def _old_mesh_text(metadata, chart, ambient, residuals):
     """The mesh format written row by row: the reference for the array writer."""
     cols = [f"x{i}" for i in range(chart.shape[1])] \

@@ -133,6 +133,13 @@ def _normalize_null(v: np.ndarray, plus: int) -> np.ndarray:
     return v / np.where(big, last, np.linalg.norm(v[..., :plus], axis=-1))[..., None]
 
 
+def _resolved(name: str, value: float) -> str:
+    """A failed eigenvalue for its reason, where it is resolved: below
+    -tol_pd. Above that it is round-off, and the reason names the bound
+    alone, so that its text does not move with the last bits of the lift."""
+    return f" ({name} {value:.3e})" if value < -DEFAULTS.tol_pd else ""
+
+
 def _normal_plane(rows: np.ndarray):
     """Euclidean complement of stacked rows (P, k, N) with N - k = 2, from one
     Householder QR of their transposes: the last two columns of Q as an
@@ -204,8 +211,8 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
                                    "input matrix is not symmetric to tolerance"))
         min_eig = np.linalg.eigvalsh(failed(1.0, 0.5 * (g + gt), _errored(errors)))[:, 0]
         _fail(errors, min_eig <= tol_pd, lambda i: SpacelikeViolationError(
-            f"induced metric not positive definite at chart {x[i]} "
-            f"(min eigenvalue {min_eig[i]:.3e})"))
+            f"induced metric not positive definite beyond {tol_pd:g} at chart "
+            f"{x[i]}{_resolved('min eigenvalue', min_eig[i])}"))
 
         rows = np.concatenate([tangent, ambient.constraint_normals(value)], axis=-2) * signs
         dim = rows.shape[-1] - rows.shape[-2]
@@ -220,8 +227,9 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
 
         s2, w2, pair = _plane_pair(basis, sig)
         _fail(errors, ~((w2[:, 0] < -tol_pd) & (tol_pd < w2[:, 1])),
-              lambda i: FrameError(f"normal plane metric is not Lorentzian at "
-                                   f"chart {x[i]}: eigenvalues {w2[i]}"))
+              lambda i: FrameError(
+                  f"normal plane metric is not Lorentzian beyond {tol_pd:g} at chart "
+                  f"{x[i]}{_resolved('larger eigenvalue', w2[i, 1])}"))
         product = bilinear_rows(sig, pair[:, 0], pair[:, 1])
         _fail(errors, np.abs(product) <= tol_pd,
               lambda i: FrameError(f"null pair degenerate at chart {x[i]}"))

@@ -21,6 +21,7 @@ from marlift.constructor import (
     lift_sphere_product,
     null_lift,
     product_height_lift,
+    support_route_lift,
 )
 from marlift.catalog import catalog_lookup
 from marlift.core import Chart, GeometryError, Rows, Signature, bilinear, jet2_of
@@ -77,6 +78,36 @@ def test_timelike_perturbation_detected():
                           lambda x: np.array([x[0], x[1], 0.0, 2.0 * x[0]]))
     with pytest.raises(SpacelikeViolationError):
         lorentz_frame_at(bad, [0.3, 0.1])
+
+
+def test_timelike_reason_names_its_eigenvalue():
+    # g = diag(1 - 4, 1): the eigenvalue -3 lies far below -tol_pd
+    amb = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
+    bad = LiftedImmersion(amb, plane_chart(5),
+                          lambda x: np.array([x[0], x[1], 0.0, 2.0 * x[0]]))
+    report = assemble_report(bad)
+    assert report.spacelike_failures == report.total
+    assert all(reason.endswith("(min eigenvalue -3.000e+00)") for reason in report.reasons)
+
+
+@pytest.mark.parametrize("nudge", ["up", "down", "random"])
+def test_reasons_do_not_move_with_the_last_bits_of_the_lift(nudge, monkeypatch):
+    """The support route over the round preset has a degenerate metric
+    everywhere: its min eigenvalues are round-off, and no reason prints one."""
+    lift = support_route_lift(catalog_lookup("palmer-sphere", {"preset": "round"})[1])
+    reasons = assemble_report(lift, resolution=(9, 9)).reasons
+    assert all(reason.startswith("spacelike violation") for reason in reasons)
+    real, rng = LiftedImmersion.evaluate, np.random.default_rng(5)
+
+    def moved(self, x, construction=None):
+        rows = real(self, x, construction)
+        toward = {"up": np.inf, "down": -np.inf}.get(
+            nudge, np.where(rng.random(rows.values.shape) < 0.5, -np.inf, np.inf))
+        rows.values = np.nextafter(rows.values, toward)
+        return rows
+
+    monkeypatch.setattr(LiftedImmersion, "evaluate", moved)
+    assert assemble_report(lift, resolution=(9, 9)).reasons == reasons
 
 
 def _row_error_is_the_point_error(lift, x):

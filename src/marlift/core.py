@@ -33,6 +33,7 @@ __all__ = [
     "bilinear_rows",
     "jet2_of",
     "sym_eigen",
+    "min_eig_and_inverse",
     "generalized_shape_eigen",
     "shape_eigen_rows",
     "generalized_cross",
@@ -136,9 +137,10 @@ def bilinear(sig: Signature, u: Sequence[float], v: Sequence[float]) -> float:
 
 
 def _columns(op, a: np.ndarray) -> np.ndarray:
-    """op.reduce(a, axis=-1) for a short last axis (np.maximum, np.logical_or
-    or np.logical_and), as a chain of `op` over the columns: the same values,
-    NaN included, without the per-row dispatch of a short-axis reduction."""
+    """op.reduce(a, axis=-1) for a short last axis, as a chain of `op` over
+    the columns, without the per-row dispatch of a short-axis reduction. For
+    np.maximum, np.logical_or and np.logical_and the values are the same, NaN
+    included; np.add sums the columns in their order."""
     if not a.shape[-1]:
         return op.reduce(a, axis=-1)
     out = a[..., 0]
@@ -334,8 +336,10 @@ def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
     off = _stencil(n, float(h))
     pts = x[None, :, :] + off[:, None, :]          # (stencil row, point, n)
     outside = None
-    if chart is not None and not (count and (pts.min(axis=(0, 1)) >= chart.lower).all()
-                                  and (pts.max(axis=(0, 1)) <= chart.upper).all()):
+    # the stencil's extremes per axis: rounding is monotone, so the extreme
+    # point plus each offset is the extreme of that offset's rows, bit for bit
+    if chart is not None and not (count and ((x.min(0) + off).min(0) >= chart.lower).all()
+                                  and ((x.max(0) + off).max(0) <= chart.upper).all()):
         outside = _columns(np.logical_or, (pts < chart.lower) | (pts > chart.upper))
     if outside is None:
         # every stencil row lies inside the chart, as on every report grid
@@ -399,6 +403,29 @@ def sym_eigen(m: np.ndarray):
     if np.max(np.abs(a - a.T)) > DEFAULTS.tol_sym * scale:
         raise AsymmetricMatrixError("input matrix is not symmetric to tolerance")
     return np.linalg.eigh(0.5 * (a + a.T))
+
+
+def min_eig_and_inverse(g: np.ndarray):
+    """The smallest eigenvalue (...) of the symmetric part of each matrix of
+    a stack g (..., n, n), and each matrix's inverse (..., n, n), NaN where
+    that eigenvalue is not positive.
+
+    At n = 2 both are in closed form: the eigenvalue is the mean of the
+    diagonal minus the radius of the 2x2 form, and the inverse the adjugate
+    over the determinant. At n > 2 they come from numpy's eigvalsh and inv.
+    """
+    n = g.shape[-1]
+    if n == 2:
+        g11, g12, g21, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+        low = 0.5 * (g11 + g22) - np.hypot(0.5 * (g11 - g22), 0.5 * (g12 + g21))
+        inverse = (np.stack([g22, -g12, -g21, g11], axis=-1).reshape(g.shape)
+                   / (g11 * g22 - g12 * g21)[..., None, None])
+        return low, np.where((low > 0.0)[..., None, None], inverse, np.nan)
+    low = np.linalg.eigvalsh(0.5 * (g + np.swapaxes(g, -1, -2)))[..., 0]
+    inverse = np.full(g.shape, np.nan)
+    positive = low > 0.0
+    inverse[positive] = np.linalg.inv(g[positive])
+    return low, inverse
 
 
 def _errored(errors) -> np.ndarray:

@@ -5,9 +5,11 @@ second derivatives by central differences in the flat container, the ambient
 realized as a hyperquadric or metric product of that container, covariant
 derivatives as flat derivatives followed by orthogonal projection, and the
 two null normal directions extracted from the induced Lorentzian plane
-metric: one batched QR gives the plane, and its 2x2 algebra is in closed
-form. The constructor's spectrum is consulted only for the optional lemma
-cross-checks, never for the verdict.
+metric: a Householder QR written on columns of length P gives the plane,
+and its 2x2 algebra, like the induced metric's, is in closed form, so a
+report makes no per-matrix LAPACK call at n = 2. The constructor's spectrum
+is consulted only for the optional lemma cross-checks, never for the
+verdict.
 
 Row contract: `assemble_report` takes the grid's stencil in one `jet2_of`
 call and runs every later stage on those stacked rows. A point that fails
@@ -40,10 +42,12 @@ from .core import (
     DEFAULTS,
     GeometryError,
     Jet2,
+    _columns,
     _errored,
     _fail,
     bilinear_rows,
     jet2_of,
+    min_eig_and_inverse,
     sym_eigen,  # unused here; bench/tracing.py wraps it on this module
 )
 from .constructor import (
@@ -125,14 +129,6 @@ class LorentzFrame:
         return LorentzFrame(*(a[i] for a in arrays), jet=self.jet.row(i))
 
 
-def _normalize_null(v: np.ndarray, plus: int) -> np.ndarray:
-    """Scale null vectors (..., N) to time coordinate 1, or to a unit spatial
-    part where the time coordinate is negligible."""
-    last = v[..., -1]
-    big = np.abs(last) > 1e-6 * np.max(np.abs(v), axis=-1)
-    return v / np.where(big, last, np.linalg.norm(v[..., :plus], axis=-1))[..., None]
-
-
 def _resolved(name: str, value: float) -> str:
     """A failed eigenvalue for its reason, where it is resolved: below
     -tol_pd. Above that it is round-off, and the reason names the bound
@@ -140,50 +136,102 @@ def _resolved(name: str, value: float) -> str:
     return f" ({name} {value:.3e})" if value < -DEFAULTS.tol_pd else ""
 
 
+def _sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (component) axis, in component order."""
+    return functools.reduce(np.add, a)
+
+
+def _pairing(signs: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The container form of paired rows (..., N), its products summed over
+    the columns in order. `core.bilinear_rows` stays the construction's
+    form: its rounding is part of the lift's values."""
+    return _columns(np.add, u * signs * v)
+
+
+def _reflect(v: np.ndarray, scale: np.ndarray, a: np.ndarray) -> None:
+    """Apply the Householder reflection I - v v^T / scale, with v (m, P)
+    and 1/scale given as `scale` (P,), to the vectors a (m, c, P) in place."""
+    a -= v[:, None] * (_sum(v[:, None] * a) * scale)
+
+
 def _normal_plane(rows: np.ndarray):
-    """Euclidean complement of stacked rows (P, k, N) with N - k = 2, from one
-    Householder QR of their transposes: the last two columns of Q as an
-    orthonormal basis (P, 2, N), and |R_ii| (P, k), whose smallest vanishes
-    when the rows are dependent."""
-    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="complete")
-    return np.swapaxes(q[..., -2:], -1, -2), np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    """Euclidean complement of stacked rows (P, k, N) with N - k = 2, by the
+    Householder QR of their transposes, in columns of length P: row j is
+    reflected onto e_j, and the reflection is applied to the rows after it;
+    Q's last two columns are e_{N-2} and e_{N-1} under the reflections in
+    reverse order, an orthonormal basis (P, 2, N); |R_jj| (P, k) is the norm
+    that row j reflects, and the smallest vanishes when the rows are
+    dependent. A zero row's reflection is the identity."""
+    count, k, nn = rows.shape
+    a = rows.transpose(2, 1, 0).copy()           # (N, k, P): a[i, j] is row j's x_i
+    pivots, reflections = np.zeros((k, count)), []
+    for j in range(min(k, nn)):
+        x = a[j:, j]
+        sigma = np.sqrt(_sum(x * x))
+        v = x.copy()
+        v[0] += np.copysign(sigma, x[0])          # x - beta e_j, beta = -sign(x_j) sigma
+        scale = sigma * (sigma + np.abs(x[0]))    # v.v / 2
+        scale = np.divide(1.0, scale, out=np.zeros(count), where=scale > 0.0)
+        _reflect(v, scale, a[j:, j + 1:])
+        pivots[j] = sigma
+        reflections.append((v, scale))
+    q = np.zeros((nn, 2, count))
+    q[nn - 2, 0] = q[nn - 1, 1] = 1.0
+    for j in reversed(range(len(reflections))):
+        _reflect(*reflections[j], q[j:])
+    return q.transpose(2, 1, 0), pivots.T
 
 
 def _plane_pair(basis: np.ndarray, sig):
     """The container form (P, 2, 2) on the planes of an orthonormal `basis`
     (P, 2, N), its eigenvalues (P, 2) in ascending order, and, where it is
-    Lorentzian, its two null directions (P, 2, N): normalized, the first the
-    larger in the coordinate where the two differ most, so that neither
-    depends on the basis inside the plane. All in closed form."""
-    form = (basis * sig.signs) @ np.swapaxes(basis, -1, -2)
-    a, b, c = form[:, 0, 0], 0.5 * (form[:, 0, 1] + form[:, 1, 0]), form[:, 1, 1]
-    mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-    w = np.stack([mean - radius, mean + radius], axis=-1)
-    # (cos t, sin t) is the eigenvector of w[:, 1], (-sin t, cos t) that of w[:, 0]
-    t = 0.5 * np.arctan2(2.0 * b, a - c)
-    space = np.stack([np.cos(t), np.sin(t)], axis=-1) / np.sqrt(w[:, 1:])
-    time = np.stack([-np.sin(t), np.cos(t)], axis=-1) / np.sqrt(-w[:, :1])
-    pair = _normalize_null(np.stack([space + time, space - time], axis=1) @ basis,
-                           sig.plus)
+    Lorentzian, its two null directions (P, 2, N): normalized to time
+    coordinate 1, or to a unit spatial part where the time coordinate is
+    negligible, the first the larger in the coordinate where the two differ
+    most, so that neither depends on the basis inside the plane. All in
+    closed form, on columns of length P."""
+    b = basis.transpose(2, 1, 0)                  # (N, 2, P)
+    gb = b * sig.signs[:, None, None]
+    (a, off), c = _sum(gb * b[:, :1]), _sum(gb[:, 1] * b[:, 1])
+    mean, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), off)
+    low, high = mean - radius, mean + radius
+    # (cos t, sin t) is the eigenvector of `high`, (-sin t, cos t) that of `low`
+    t = 0.5 * np.arctan2(2.0 * off, a - c)
+    cos, sin, space, time = np.cos(t), np.sin(t), np.sqrt(high), np.sqrt(-low)
+    # space +- time, (cos, sin) / space +- (-sin, cos) / time, on the basis
+    along0 = np.stack([cos / space - sin / time, cos / space + sin / time])
+    along1 = np.stack([sin / space + cos / time, sin / space - cos / time])
+    pair = b[:, :1] * along0 + b[:, 1:] * along1  # (N, 2, P)
+    last = pair[-1]
+    big = np.abs(last) > 1e-6 * functools.reduce(np.maximum, np.abs(pair))
+    pair = pair / np.where(big, last, np.sqrt(_sum(pair[:sig.plus] ** 2)))
+    # the difference's first coordinate of largest magnitude, and its sign
     diff = pair[:, 0] - pair[:, 1]
-    most = np.take_along_axis(diff, np.argmax(np.abs(diff), axis=-1)[:, None], axis=-1)
-    return form, w, np.where(most[:, :, None] < 0, pair[:, ::-1], pair)
+    most, top = diff[0], np.abs(diff[0])
+    for d in diff[1:]:
+        larger = np.abs(d) > top
+        most, top = np.where(larger, d, most), np.where(larger, np.abs(d), top)
+    pair = np.where(most < 0, pair[:, ::-1], pair)
+    form = np.stack([a, off, off, c]).reshape(2, 2, -1).transpose(2, 0, 1)
+    return form, np.stack([low, high], axis=-1), pair.transpose(2, 1, 0)
 
 
 def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
     """Frames of the lift at stacked chart points x (P, n), built from their
-    stacked jet of lift evaluations only.
+    stacked jet of lift evaluations only, on columns of length P.
 
-    The normal plane is the orthogonal complement, with respect to the flat
-    container form, of the tangent space together with the active constraint
-    gradients, taken from one QR call (`_normal_plane`); it must carry a
-    Lorentzian induced form, whose two null directions, in closed form
-    (`_plane_pair`), form the returned pair. Per point the checks run in
-    order (the jet's error, the constraint, the induced metric's symmetry
-    and positive definiteness, the dimension of the complement, which the
-    shapes fix for every point, the rank of the tangent/constraint system,
-    the normal form's signature, the null pair) and the first that fails is
-    that point's error.
+    The induced metric sums each pair of tangents' products in component
+    order, so it is symmetric as built; its smallest eigenvalue and inverse
+    are `min_eig_and_inverse`. The normal plane is the orthogonal
+    complement, with respect to the flat container form, of the tangent
+    space together with the active constraint gradients, taken from their
+    column Householder QR (`_normal_plane`); it must carry a Lorentzian
+    induced form, whose two null directions, in closed form (`_plane_pair`),
+    form the returned pair. Per point the checks run in order (the jet's
+    error, the constraint, the induced metric's positive definiteness, the
+    dimension of the complement, which the shapes fix for every point, the
+    rank of the tangent/constraint system, the normal form's signature, the
+    null pair) and the first that fails is that point's error.
     """
     x = np.asarray(x, dtype=float)
     ambient = lift.ambient
@@ -198,31 +246,31 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         res = ambient.constraint_residual(value)
-        _fail(errors, res > DEFAULTS.tol_quadric * (1.0 + np.max(np.abs(value), axis=-1)),
+        _fail(errors, res > DEFAULTS.tol_quadric * (1.0 + _columns(np.maximum, np.abs(value))),
               lambda i: FrameError(
                   f"ambient constraint violated by {res[i]:.3e} at chart {x[i]}"))
 
-        g = (tangent * signs) @ np.swapaxes(tangent, -1, -2)
-        gt = np.swapaxes(g, -1, -2)
-        # the symmetry check and symmetrization of `core.sym_eigen`
-        scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-        _fail(errors, np.max(np.abs(g - gt), axis=(-2, -1)) > DEFAULTS.tol_sym * scale,
-              lambda i: FrameError(f"induced metric evaluation failed at {x[i]}: "
-                                   "input matrix is not symmetric to tolerance"))
-        min_eig = np.linalg.eigvalsh(failed(1.0, 0.5 * (g + gt), _errored(errors)))[:, 0]
+        # on columns (N, k, P): the tangents, then the constraint gradients
+        rows = np.ascontiguousarray(np.concatenate(
+            [tangent, ambient.constraint_normals(value)], axis=-2).transpose(2, 1, 0))
+        n = tangent.shape[-2]
+        g = _sum(rows[:, :n, None] * signs[:, None, None, None]
+                 * rows[:, None, :n]).transpose(2, 0, 1)
+        min_eig, g_inv = min_eig_and_inverse(failed(1.0, g, _errored(errors)))
         _fail(errors, min_eig <= tol_pd, lambda i: SpacelikeViolationError(
             f"induced metric not positive definite beyond {tol_pd:g} at chart "
             f"{x[i]}{_resolved('min eigenvalue', min_eig[i])}"))
 
-        rows = np.concatenate([tangent, ambient.constraint_normals(value)], axis=-2) * signs
-        dim = rows.shape[-1] - rows.shape[-2]
+        dim = rows.shape[0] - rows.shape[1]
         if dim != 2:
             _fail(errors, np.ones(len(x), dtype=bool), lambda i: FrameError(
                 f"normal complement has dimension {dim}, expected 2"))
-        rows = failed(0.0, rows, _errored(errors))
-        basis, pivots = _normal_plane(rows)
-        _fail(errors, np.min(pivots, axis=-1) <= 1e-10 * np.maximum(
-            1.0, np.max(np.linalg.norm(rows, axis=-1), axis=-1)),
+        # lowered, their Euclidean complement is the container form's
+        rows *= signs[:, None, None]
+        rows[..., _errored(errors)] = 0.0
+        basis, pivots = _normal_plane(rows.transpose(2, 1, 0))
+        scale = functools.reduce(np.maximum, np.sqrt(_sum(rows * rows)), np.ones(len(x)))
+        _fail(errors, functools.reduce(np.minimum, pivots.T) <= 1e-10 * scale,
               lambda i: FrameError(f"degenerate tangent/constraint system at chart {x[i]}"))
 
         s2, w2, pair = _plane_pair(basis, sig)
@@ -230,13 +278,13 @@ def lorentz_frame_rows(lift: LiftedImmersion, x, jet: Jet2) -> LorentzFrame:
               lambda i: FrameError(
                   f"normal plane metric is not Lorentzian beyond {tol_pd:g} at chart "
                   f"{x[i]}{_resolved('larger eigenvalue', w2[i, 1])}"))
-        product = bilinear_rows(sig, pair[:, 0], pair[:, 1])
+        product = _pairing(signs, pair[:, 0], pair[:, 1])
         _fail(errors, np.abs(product) <= tol_pd,
               lambda i: FrameError(f"null pair degenerate at chart {x[i]}"))
         dead = _errored(errors)
-        g, min_eig, basis, s2, pair, product = (
-            failed(np.nan, a, dead) for a in (g, min_eig, basis, s2, pair, product))
-        return LorentzFrame(x, value, tangent, g, np.linalg.inv(g), min_eig, basis,
+        g, g_inv, min_eig, basis, s2, pair, product = (
+            failed(np.nan, a, dead) for a in (g, g_inv, min_eig, basis, s2, pair, product))
+        return LorentzFrame(x, value, tangent, g, g_inv, min_eig, basis,
                             s2, pair, product, jet, tuple(errors))
 
 
@@ -257,14 +305,23 @@ def second_form_rows(lift: LiftedImmersion, frame: LorentzFrame) -> np.ndarray:
     both with respect to the container form.
     """
     basis, d2, n = frame.normal_basis, frame.jet.d2, frame.n
-    rhs = d2.reshape(d2.shape[:-3] + (n * n, -1)) @ np.swapaxes(
-        basis * lift.ambient.signature.signs, -1, -2)
-    form = frame.normal_form
-    det = form[..., 0, 0] * form[..., 1, 1] - form[..., 0, 1] * form[..., 1, 0]
-    # rhs @ inv(form)^T, with the 2x2 inverse: its transpose is the form
-    # reversed along both axes, off-diagonal signs flipped, over det
-    inv_t = form[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return (rhs @ inv_t / det[..., None, None] @ basis).reshape(d2.shape)
+    lead, nn = d2.shape[:-3], d2.shape[-1]
+    p = len(lead)
+    points = tuple(range(p))
+    # on columns: the basis (N, 2, ...), the form (2, 2, ...) and the flat
+    # second derivatives (N, n * n, ...)
+    b = basis.transpose((p + 1, p) + points)
+    form = frame.normal_form.transpose((p, p + 1) + points)
+    d = np.ascontiguousarray(d2.transpose((p + 2, p, p + 1) + points)).reshape(
+        (nn, n * n) + lead)
+    gb = b * lift.ambient.signature.signs.reshape((-1,) + (1,) * (b.ndim - 1))
+    rhs = _sum(gb[:, :, None] * d[:, None])     # (2, n * n, ...): <d2, b_k>
+    # the coefficients on the basis: the 2x2 inverse of the form times rhs
+    det = form[0, 0] * form[1, 1] - form[0, 1] * form[1, 0]
+    c0 = (form[1, 1] * rhs[0] - form[0, 1] * rhs[1]) / det
+    c1 = (form[0, 0] * rhs[1] - form[1, 0] * rhs[0]) / det
+    h = (b[:, :1] * c0 + b[:, 1:] * c1).reshape((nn, n, n) + lead)
+    return h.transpose(tuple(range(3, 3 + p)) + (1, 2, 0))
 
 
 def second_form_at(lift: LiftedImmersion, x) -> np.ndarray:
@@ -307,7 +364,7 @@ def _closed_mean_component(kind: AmbientKind, raw_kappas, tau, s) -> np.ndarray:
 
 def _closed_forms(kind: AmbientKind, g, b, tau):
     """Closed forms of the lift's induced metric and of <h(.,.), nu>."""
-    binvb = b @ np.linalg.solve(g, b)
+    binvb = b @ min_eig_and_inverse(g)[1] @ b
     tau = np.asarray(tau, dtype=float)[..., None, None]
     if kind in SPACE_FORM_FAMILY:
         return g - 2.0 * tau * b + tau ** 2 * binvb, b - tau * binvb
@@ -455,16 +512,17 @@ _SUMMARY = ("min_eig_g", "null_residual", "null_residual_primary", "hvec_norm_sq
 
 
 def _summary(columns: np.ndarray) -> dict:
-    """Max and median of each column (L, 8) of `_SUMMARY` over its non-NaN
-    entries, None for a column with none, from one sort: NaN sorts last,
-    and the median is the mean of the middle pair, as `np.median` takes it."""
-    if not len(columns):
+    """Max and median of each column (8, L) of `_SUMMARY`, a row each, over
+    its non-NaN entries, None for a column with none, from one sort of the
+    contiguous rows: NaN sorts last, and the median is the mean of the
+    middle pair, as `np.median` takes it."""
+    if not columns.shape[1]:
         return dict.fromkeys(_SUMMARY)
-    counts = np.count_nonzero(~np.isnan(columns), axis=0)
-    ordered = np.sort(columns, axis=0)
-    cols = np.arange(len(_SUMMARY))
-    top = ordered[counts - 1, cols].tolist()
-    middle = np.mean(ordered[[(counts - 1) // 2, counts // 2], cols], axis=0).tolist()
+    counts = np.count_nonzero(~np.isnan(columns), axis=1)
+    ordered = np.sort(columns, axis=1)
+    rows = np.arange(len(_SUMMARY))
+    top = ordered[rows, counts - 1].tolist()
+    middle = ((ordered[rows, (counts - 1) // 2] + ordered[rows, counts // 2]) / 2).tolist()
     return {name: {"max": t, "median": m} if c else None
             for name, c, t, m in zip(_SUMMARY, counts.tolist(), top, middle)}
 
@@ -474,8 +532,8 @@ def _match_primary(pair: np.ndarray, stored: np.ndarray, sig):
     normal of its row; a row whose stored normal is NaN keeps its order."""
     a, b = pair[:, 0], pair[:, 1]
     # a null vector pairs to zero with itself: the match MINIMIZES |<v, stored>|
-    swap = (np.abs(bilinear_rows(sig, a, stored))
-            > np.abs(bilinear_rows(sig, b, stored)))[:, None]
+    swap = (np.abs(_pairing(sig.signs, a, stored))
+            > np.abs(_pairing(sig.signs, b, stored)))[:, None]
     return np.where(swap, b, a), np.where(swap, a, b)
 
 
@@ -558,16 +616,15 @@ def assemble_report(lift: LiftedImmersion,
     if rows.nulls is not None:
         nu[live] = rows.nulls[live]
     primary, opposite = _match_primary(frame.null_pair, nu, sig)
-    norm = 1.0 + np.max(np.abs(hvec), axis=-1)
-    ghvec = (hvec * sig.signs)[:, None, :]
+    norm = 1.0 + _columns(np.maximum, np.abs(hvec))
 
     # The per-point table: one row per grid point, one column per value
     # field of PointRecord in its order, NaN where a value was not computed.
     table = np.full((len(x), 8), np.nan)
     table[:, 0] = frame.min_eig
-    table[:, 1] = np.abs(ghvec @ primary[:, :, None])[:, 0, 0] / norm
-    table[:, 2] = np.abs(ghvec @ opposite[:, :, None])[:, 0, 0] / norm
-    table[:, 3] = (ghvec @ hvec[:, :, None])[:, 0, 0]
+    table[:, 1] = np.abs(_pairing(sig.signs, hvec, primary)) / norm
+    table[:, 2] = np.abs(_pairing(sig.signs, hvec, opposite)) / norm
+    table[:, 3] = _pairing(sig.signs, hvec, hvec)
     cross_check_failures = 0
     if rows.contexts is not None:
         table[:, 4:], cross_check_failures = _cross_check_rows(
@@ -576,8 +633,8 @@ def assemble_report(lift: LiftedImmersion,
 
     residual = _null_residual(table)[live]
     ok = table[live]
-    summary = _summary(np.column_stack(
-        [ok[:, 0], residual, ok[:, 1], np.abs(ok[:, 3]), ok[:, 4:]]))
+    summary = _summary(np.stack(
+        [ok[:, 0], residual, ok[:, 1], np.abs(ok[:, 3]), *ok[:, 4:].T]))
 
     if not len(ok) or len(x) - len(ok) > 0.5 * len(x):
         verdict = VERDICT_INCONCLUSIVE

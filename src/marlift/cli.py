@@ -219,32 +219,45 @@ def cmd_construct(cfg: RunConfig) -> int:
     return status
 
 
-def _check_rows(mesh_path, report, chart_pts, ambient_pts):
+def _disagrees(rebuilt: np.ndarray, stored: np.ndarray):
+    """The rows of stored columns (P, m) that are not NaN where the rebuilt
+    ones are, or not within 1e-8 (1 + max |rebuilt row|) of them, and each
+    row's largest gap."""
+    nan = np.isnan(rebuilt)
+    gap = np.max(np.where(nan & np.isnan(stored), 0.0, np.abs(rebuilt - stored)), axis=1)
+    scale = 1.0 + np.max(np.abs(rebuilt), axis=1, initial=0.0, where=~nan)
+    return ~(gap <= 1e-8 * scale), gap
+
+
+def _check_rows(mesh_path, report, chart_pts, ambient_pts, residuals):
     """Ingest check of every stored row against the rebuilt lift's report:
     the chart points are its grid bit for bit (rows are written with 17
-    digits), and each stored value is NaN where the rebuilt one is, or
-    agrees with it within 1e-8 (1 + max |rebuilt row|). The first row that
-    does not raises IngestError."""
+    digits), then the stored values and then the stored null residuals
+    agree with the rebuilt rows' by `_disagrees`. The first row that does
+    not raises IngestError."""
     if (chart_pts.shape != report.x.shape or ambient_pts.shape != report.values.shape
             or not np.array_equal(chart_pts, report.x)):
         raise IngestError(f"{mesh_path}: rows do not sample the grid its header names")
-    rebuilt = report.values
-    nan = np.isnan(rebuilt)
-    gap = np.max(np.where(nan & np.isnan(ambient_pts), 0.0,
-                          np.abs(rebuilt - ambient_pts)), axis=1)
-    scale = 1.0 + np.max(np.abs(rebuilt), axis=1, initial=0.0, where=~nan)
-    bad = ~(gap <= 1e-8 * scale)
+    bad, gap = _disagrees(report.values, ambient_pts)
     if bad.any():
         j = int(np.argmax(bad))
         at = f"mesh row at chart {tuple(chart_pts[j])}"
-        if nan[j].any():
+        if np.isnan(report.values[j]).any():
             raise IngestError(f"{at} did not rebuild: {report.reasons[j]}")
         raise IngestError(f"{at} disagrees with the rebuilt entry by {gap[j]:.3e}")
+    rebuilt = report.null_residual
+    bad, _ = _disagrees(rebuilt[:, None], residuals[:, None])
+    if bad.any():
+        j = int(np.argmax(bad))
+        got = (f"excluded it: {report.reasons[j]}" if report.reasons[j]
+               else f"has {rebuilt[j]:.3e}")
+        raise IngestError(f"mesh row at chart {tuple(chart_pts[j])} stores null residual "
+                          f"{residuals[j]:.3e}, the rebuilt entry {got}")
 
 
 def _verify_mesh(cfg: RunConfig) -> int:
     mesh_path = cfg.mesh
-    metadata, chart_pts, ambient_pts, _ = read_mesh(mesh_path)
+    metadata, chart_pts, ambient_pts, residuals = read_mesh(mesh_path)
     name = metadata.get("entry", "")
     params = _parse_params(metadata.get("params", ""))
     entry, built = catalog_lookup(name, params)
@@ -264,7 +277,7 @@ def _verify_mesh(cfg: RunConfig) -> int:
     lift = indexed[0][1]
     report = assemble_report(lift, resolution=cfg.grid, h=cfg.step,
                              tol_marginal=cfg.tol_marginal)
-    _check_rows(mesh_path, report, chart_pts, ambient_pts)
+    _check_rows(mesh_path, report, chart_pts, ambient_pts, residuals)
     _write_report_file(cfg, report, cfg.root_index, name, f"{mesh_path.stem}.verify")
     print(f"verdict={report.verdict} (round-trip of {mesh_path})")
     return _report_exit(report, metadata.get("verdict") or entry.expected_verdict)

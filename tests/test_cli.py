@@ -275,6 +275,37 @@ def test_ingest_check_reads_every_stored_row(torus_mesh_9x9, tmp_path, capsys):
         "by 1.000e+00\n")
 
 
+def test_ingest_check_reads_the_stored_residuals(torus_mesh_9x9, tmp_path, capsys):
+    def zero(rows):
+        for cols in rows:
+            cols[-1] = "0"
+
+    _, chart_pts, _, residuals = read_mesh(torus_mesh_9x9)
+    # the first row whose rebuilt residual is not within 1e-8 (1 + itself) of 0
+    j = int(np.argmax(residuals > 1e-8 * (1.0 + residuals)))
+    assert residuals[j] > 1e-8
+    mesh = _edited(torus_mesh_9x9, tmp_path, zero)
+    assert _verify_exits_4(mesh, tmp_path, capsys) == (
+        f"ingest error: mesh row at chart {tuple(chart_pts[j])} stores null residual "
+        f"0.000e+00, the rebuilt entry has {residuals[j]:.3e}\n")
+
+
+def test_stored_residual_of_an_excluded_row_fails(tmp_path, capsys):
+    # the round preset's points are all spacelike: finite values, NaN residuals
+    out = tmp_path / "round"
+    main(["construct", "--entry", "palmer-sphere", "--params", "preset=round",
+          "--grid", "5x5", "--out-dir", str(out)])
+    def zero(rows):
+        rows[0][-1] = "0"
+
+    mesh = _edited(next(out.glob("*.mesh.txt")), tmp_path, zero)
+    capsys.readouterr()
+    err = _verify_exits_4(mesh, tmp_path, capsys)
+    assert err.startswith(f"ingest error: mesh row at chart {tuple(read_mesh(mesh)[1][0])} "
+                          "stores null residual 0.000e+00, the rebuilt entry excluded it: "
+                          "spacelike violation: induced metric not positive definite")
+
+
 def _nudge_chart(rows):
     rows[40][1] = repr(float(np.nextafter(float(rows[40][1]), np.inf)))
 

@@ -307,8 +307,13 @@ def _reference(imm, kind, threads=None):
     of the first of them whose roots solve."""
     if threads is not None:
         return threads.points, threads.solved, threads.pattern, threads.count
-    candidates = np.vstack([0.5 * (imm.chart.lower + imm.chart.upper),
-                            imm.chart.grid(margin=4.0 * DEFAULTS.step_h)[:8]])
+    chart = imm.chart
+    # the grid's first eight raster points, taken from its axes
+    axes = chart.axes(margin=4.0 * DEFAULTS.step_h)
+    first = np.unravel_index(np.arange(min(8, math.prod(chart.resolution))),
+                             chart.resolution)
+    candidates = np.vstack([0.5 * (chart.lower + chart.upper),
+                            np.stack([ax[i] for ax, i in zip(axes, first)], axis=-1)])
     solved = _root_rows(imm, kind, candidates)
     _, spectra, roots = solved
     for i, err in enumerate(roots.errors):
@@ -322,7 +327,9 @@ def _changes(spectra, roots, pattern, count):
     differ from `pattern` and `count`. A failed row has no pattern, so only
     its count (0) can differ."""
     other = [c for c, mults in spectra.patterns.items() if (len(mults), mults) != pattern]
-    return np.isin(spectra.code, other), roots.counts != count
+    changed = (np.isin(spectra.code, other) if other
+               else np.zeros(len(spectra.code), dtype=bool))
+    return changed, roots.counts != count
 
 
 def _head(fr: PointFrame, k: int) -> PointFrame:

@@ -150,10 +150,10 @@ def _columns(op, a: np.ndarray) -> np.ndarray:
 
 
 def bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`bilinear` of paired rows (..., N); the products are the same dot products."""
+    """`bilinear` of paired rows (..., N); the products are the same dot
+    products, one `np.vecdot` per sign block, as np.dot rounds them."""
     p = sig.plus
-    return ((u[..., None, :p] @ v[..., :p, None])[..., 0, 0]
-            - (u[..., None, p:] @ v[..., p:, None])[..., 0, 0])
+    return np.vecdot(u[..., :p], v[..., :p]) - np.vecdot(u[..., p:], v[..., p:])
 
 
 @dataclass(frozen=True)
@@ -438,6 +438,8 @@ def _errored(errors) -> np.ndarray:
 
 def _fail(errors: list, mask, make) -> None:
     """Record make(i) as the error of each row in `mask` that has none yet."""
+    if not mask.any():
+        return
     for i in np.flatnonzero(mask):
         if errors[i] is None:
             errors[i] = make(i)

@@ -241,8 +241,10 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
                       f"point leaves the space form by {res[i]:.3e} at chart {x[i]}"))
 
         rows = tangent * gsigns  # row i = G @ tangent_i
-        g = rows @ np.swapaxes(tangent, -1, -2)
-        n = tangent.shape[1]
+        # g_ij = rows_i . tangent_j, one np.dot per entry as the stacked
+        # matmul rounds it, without its per-matrix dispatch
+        g = np.vecdot(rows[:, :, None, :], tangent[:, None, :, :])
+        count, n, dim = tangent.shape
         if n == 2:
             pd_ok = ((g[:, 0, 0] > tol_pd)
                      & (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]
@@ -269,9 +271,12 @@ def frame_rows(imm: HypersurfaceImmersion, x) -> PointFrame:
         normal = orient * normal / np.sqrt(nn)[:, None]
 
         gnormal = gsigns * normal
-        b = (jet.d2 @ gnormal[:, None, :, None])[..., 0]
+        # one (n n, N) @ (N, 1) product per point rounds each entry as the
+        # matrix-vector product of each d2 row does (np.vecdot does not);
+        # the sizes are explicit, as -1 fails on an empty batch
+        flat = (count, n * n)
+        b = (jet.d2.reshape(flat + (dim,)) @ gnormal[:, :, None]).reshape(count, n, n)
         bt = np.swapaxes(b, -1, -2)
-        flat = (len(x), b.shape[1] * b.shape[2])  # -1 fails on an empty batch
         defect = _columns(np.maximum, np.abs(b - bt).reshape(flat))
         asym = defect > DEFAULTS.tol_sym * (
             1.0 + _columns(np.maximum, np.abs(b).reshape(flat)))
@@ -335,9 +340,11 @@ def spectrum_rows(metric: np.ndarray, second_form: np.ndarray,
     code[_errored(errors)] = -1
     kappas = np.full((count, n), np.nan)
     patterns = {}
-    for c in sorted(set(code[code >= 0].tolist())):
+    # one layout on every row, as is usual, takes its rows as a slice
+    whole = bool(count) and bool((code == code[0]).all())
+    for c in sorted(set(code[:1 if whole else count].tolist()) - {-1}):
         ends = [i + 1 for i in range(n - 1) if (c >> i) & 1] + [n]
-        rows = code == c
+        rows = slice(None) if whole else code == c
         start = 0
         mults = []
         for k, end in enumerate(ends):

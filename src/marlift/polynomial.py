@@ -118,18 +118,20 @@ def arccoth(s):
     return 0.5 * np.log((s + 1.0) / (s - 1.0))
 
 
-def _polyval(coeffs: np.ndarray, t):
-    """Horner evaluation; ascending coefficients along the last axis."""
-    acc = coeffs[..., -1]
-    for k in range(coeffs.shape[-1] - 2, -1, -1):
-        acc = acc * t + coeffs[..., k]
+def _polyval(coeffs, t):
+    """Horner evaluation; ascending coefficients along the first axis, so
+    that on rows each coefficient is one contiguous column."""
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * t + coeffs[k]
     return acc
 
 
-def _polyder(coeffs: np.ndarray, t):
+def _polyder(slope, t):
+    """Horner evaluation of P' from its ascending coefficients k c_k, k >= 1."""
     acc = 0.0
-    for k in range(coeffs.shape[-1] - 1, 0, -1):
-        acc = acc * t + k * coeffs[..., k]
+    for c in reversed(slope):
+        acc = acc * t + c
     return acc
 
 
@@ -158,29 +160,29 @@ class CurvaturePolynomial:
 
 
 def _times_linear(a: np.ndarray, c0, c1) -> np.ndarray:
-    """Rows of ascending coefficients times (c0 + c1 t)."""
-    out = np.empty((a.shape[0], a.shape[1] + 1))
-    out[:, 0] = a[:, 0] * c0
-    out[:, 1:-1] = a[:, :-1] * c1 + a[:, 1:] * np.reshape(c0, (-1, 1))
-    out[:, -1] = a[:, -1] * c1
+    """Ascending coefficients (k, R), a column per row, times (c0 + c1 t)."""
+    out = np.empty((a.shape[0] + 1, a.shape[1]))
+    out[0] = a[0] * c0
+    out[1:-1] = a[:-1] * c1 + a[1:] * c0
+    out[-1] = a[-1] * c1
     return out
 
 
 def _expand(kind: AmbientKind, kappas: np.ndarray, mults: tuple) -> np.ndarray:
-    """Ascending coefficients of the height polynomial, one row per row of
-    ascending curvatures `kappas` (R, p)."""
+    """Ascending coefficients (p + 1, R) of the height polynomial, a column
+    per row of ascending curvatures `kappas` (R, p)."""
     count, p = kappas.shape
     total = 0.0
     for i in range(p):
         m = float(mults[i])
         if kind in SPACE_FORM_FAMILY:
-            term = np.full((count, 1), m)
+            term = np.full((1, count), m)
             for j in range(p):
                 if j != i:
                     term = _times_linear(term, 1.0 / kappas[:, j], -1.0)
         else:
             sign = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
-            term = np.stack([np.full(count, m * sign), m * kappas[:, i]], axis=1)
+            term = np.stack([np.full(count, m * sign), m * kappas[:, i]])
             for j in range(p):
                 if j != i:
                     term = _times_linear(term, -kappas[:, j], 1.0)
@@ -192,12 +194,12 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     """Height polynomials of spectra sharing multiplicities `mults`, with
     curvatures `kappas` (R, p) ascending per row.
 
-    Returns per row the ascending coefficients, the breakpoints and the
-    polynomial's values there, the trace, the minimal flag and the error,
-    and `brackets` (R, p + 1, 4): slots (a, b, sign_a, sign_b) in ascending
-    order of a, the outward bracket below the curvatures, one per
-    consecutive breakpoint pair, the outward bracket above; NaN marks an
-    empty slot.
+    Returns the ascending coefficients (p + 1, R), a column per row; per
+    row the breakpoints and the polynomial's values there, the trace, the
+    minimal flag and the error; and `brackets` (4, R, p + 1): a, b, sign_a
+    and sign_b of each row's slots, in ascending order of a, the outward
+    bracket below the curvatures, one per consecutive breakpoint pair, the
+    outward bracket above; NaN marks an empty slot.
     """
     count, p = kappas.shape
     flat = kind in SPACE_FORM_FAMILY
@@ -208,7 +210,7 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     for i in range(1, p):
         trace = trace + mults[i] * kappas[:, i]
     minimal = np.abs(trace) <= DEFAULTS.tol_minimal
-    brackets = np.full((count, p + 1, 4), np.nan)
+    brackets = np.full((4, count, p + 1), np.nan)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         coeffs = _expand(kind, kappas, mults)
         if flat:
@@ -217,9 +219,14 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
                       "flat-family construction needs nonvanishing curvatures, "
                       f"got {[float(k) for k in kappas[i]]}"))
             radii = 1.0 / kappas
-            order = np.argsort(radii, axis=1, kind="stable")
-            bps = np.take_along_axis(radii, order, axis=1)
-            weight = np.asarray(mults, dtype=float)[order]
+            if len(set(mults)) == 1:
+                # equal weights need not follow the radii to their places
+                bps = np.sort(radii, axis=1)
+                weight = np.full(p, float(mults[0]))
+            else:
+                order = np.argsort(radii, axis=1, kind="stable")
+                bps = np.take_along_axis(radii, order, axis=1)
+                weight = np.asarray(mults, dtype=float)[order]
         else:
             bps = kappas
             unit = 1.0 if kind is AmbientKind.SPHERE_PRODUCT else -1.0
@@ -228,7 +235,7 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
         # the products take the other way round
         bp_vals = np.empty((count, p))
         for i in range(p):
-            prod = weight[:, i]
+            prod = weight[..., i]
             for j in range(p):
                 if j != i:
                     gap = bps[:, j] - bps[:, i]
@@ -236,8 +243,9 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
             bp_vals[:, i] = prod
         signs = np.sign(bp_vals)
         inner = signs[:, :-1] * signs[:, 1:] < 0.0
-        brackets[:, 1:p] = np.where(inner[..., None], np.stack(
-            [bps[:, :-1], bps[:, 1:], signs[:, :-1], signs[:, 1:]], axis=-1), np.nan)
+        for slots, column in zip(brackets[:, :, 1:p], (bps[:, :-1], bps[:, 1:],
+                                                       signs[:, :-1], signs[:, 1:])):
+            np.copyto(slots, column, where=inner)
         if flat:
             _fail(errors, ~_columns(np.logical_and, inner), lambda i: BracketingError(
                 "breakpoint signs fail to alternate: values "
@@ -246,14 +254,15 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
 
         # Outward brackets end at the Cauchy bound, past which P has the
         # sign of its end behaviour: sign(trace) at +inf, times (-1)^p at -inf
-        bound = 1.0 + _columns(np.maximum, np.abs(coeffs[:, :-1] / coeffs[:, -1:]))
+        bound = 1.0 + _columns(np.maximum, np.abs(coeffs[:-1] / coeffs[-1]).T)
         sign_pos = np.copysign(1.0, trace)
         for slot, end, far, sign_far in ((p, p - 1, bound, sign_pos),
                                          (0, 0, -bound, sign_pos * (-1.0) ** p)):
             rows = ~minimal & (signs[:, end] * sign_far < 0.0)
             pair = ((bps[:, end], far, signs[:, end], sign_far) if slot
                     else (far, bps[:, end], sign_far, signs[:, end]))
-            brackets[rows, slot] = np.stack(pair, axis=-1)[rows]
+            for slots, column in zip(brackets[:, :, slot], pair):
+                np.copyto(slots, column, where=rows)
     return coeffs, bps, bp_vals, brackets, trace, minimal, errors
 
 
@@ -281,9 +290,9 @@ def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
     if errors[0] is not None:
         raise errors[0]
     return CurvaturePolynomial(
-        ambient_kind, kappas, ms, tuple(coeffs[0].tolist()), tuple(bps[0].tolist()),
+        ambient_kind, kappas, ms, tuple(coeffs[:, 0].tolist()), tuple(bps[0].tolist()),
         tuple(values[0].tolist()),
-        tuple(tuple(br) for br in brackets[0].tolist() if not math.isnan(br[0])),
+        tuple(tuple(br) for br in brackets[:, 0].T.tolist() if not math.isnan(br[0])),
         float(trace[0]), bool(minimal[0]))
 
 
@@ -302,7 +311,8 @@ _ROUNDS = 200
 
 
 def _newton_rows(coeffs, a, b, sa):
-    """One root per bracket row (a, b), P of sign `sa` at a: Newton from the
+    """One root per bracket row (a, b), P of sign `sa` at a and ascending
+    coefficients `coeffs` (deg + 1, R), a column per row: Newton from the
     midpoint, bisecting when a step leaves the bracket or is not at most
     half the previous one, the bracket shrunk to the sign change after every
     iterate. A row stops once |P(t)| is within the round-off of evaluating P
@@ -311,7 +321,8 @@ def _newton_rows(coeffs, a, b, sa):
     a, b = a.copy(), b.copy()
     sa_negative = sa < 0.0
     size = np.abs(coeffs)
-    slack = 4.0 * coeffs.shape[-1] * np.finfo(float).eps
+    slope = [k * coeffs[k] for k in range(1, len(coeffs))]  # P' ascending
+    slack = 4.0 * len(coeffs) * np.finfo(float).eps
     t = 0.5 * (a + b)
     last = b - a
     active = np.ones(len(t), dtype=bool)
@@ -321,7 +332,7 @@ def _newton_rows(coeffs, a, b, sa):
             left = np.signbit(f) == sa_negative
             np.copyto(a, t, where=left)
             np.copyto(b, t, where=~left)
-            step = f / _polyder(coeffs, t)
+            step = f / _polyder(slope, t)
             newton = t - step
             inside = (a < newton) & (newton < b)
             done = active & (np.abs(f) <= slack * _polyval(size, np.abs(t)))
@@ -337,13 +348,22 @@ def _newton_rows(coeffs, a, b, sa):
 
 class _Roots:
     """Solved roots, one row per polynomial: ascending values (NaN-padded),
-    their brackets and degenerate flags, the root count and the error."""
+    their brackets and degenerate flags, the root count and the error.
 
-    __slots__ = ("values", "brackets", "degenerate", "counts", "errors")
+    `brackets` may be given as a function that makes them: only the one-row
+    `roots` reads them, so they are made when first read."""
+
+    __slots__ = ("values", "_brackets", "degenerate", "counts", "errors")
 
     def __init__(self, values, brackets, degenerate, counts, errors):
-        self.values, self.brackets, self.degenerate = values, brackets, degenerate
+        self.values, self._brackets, self.degenerate = values, brackets, degenerate
         self.counts, self.errors = counts, errors
+
+    @property
+    def brackets(self):
+        if callable(self._brackets):
+            self._brackets = self._brackets()
+        return self._brackets
 
     def roots(self, i: int) -> list:
         if self.errors[i] is not None:
@@ -356,15 +376,16 @@ class _Roots:
 
 
 def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Roots:
-    """Roots of polynomial rows from their bracket slots (R, B, 4).
+    """Roots of polynomial rows, coefficients (deg + 1, R) and bracket
+    slots (4, R, B) as `_polynomial_rows` gives them.
 
     Hyperbolic-product roots with |s| <= 1 are dropped (they produce no
     spacelike lift); roots landing within tolerance of a breakpoint are
     flagged degenerate because the induced metric collapses there.
     """
     errors = list(errors)
-    count, slots = brackets.shape[:2]
-    a0, b0, sa, sb = (brackets[..., k] for k in range(4))
+    a0, b0, sa, sb = brackets
+    count, slots = a0.shape
     present = ~_errored(errors)[:, None] & ~np.isnan(a0)
     invalid = present & ((sa == sb) | (sa == 0.0) | (sb == 0.0))
     invalid_rows = _columns(np.logical_or, invalid)
@@ -374,9 +395,10 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
             f"invalid bracket ({float(a0[i, k])}, {float(b0[i, k])}) signs "
             f"({float(sa[i, k])}, {float(sb[i, k])})")
     present &= ~invalid_rows[:, None]
-    row, slot = np.nonzero(present)
-    a, b = a0[row, slot], b0[row, slot]
-    t, stuck = _newton_rows(coeffs[row], a, b, sa[row, slot])
+    at = np.flatnonzero(present)  # row by row, each row's slots ascending
+    row = at // slots
+    a, b = a0.take(at), b0.take(at)
+    t, stuck = _newton_rows(coeffs[:, row], a, b, sa.take(at))
     keep = np.ones(len(t), dtype=bool)
     if stuck.any():
         for k in np.flatnonzero(stuck):
@@ -390,7 +412,8 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
                      <= DEFAULTS.tol_degenerate * (1.0 + np.abs(bps)))
     if kind is AmbientKind.HYPERBOLIC_PRODUCT:
         keep &= np.abs(t) > 1.0
-    row, slot, t, degen = row[keep], slot[keep], t[keep], degen[keep]
+    if not keep.all():
+        at, row, t, degen = at[keep], row[keep], t[keep], degen[keep]
     # brackets are disjoint and ascend by slot, so each row's kept roots
     # ascend already: they move to the row's first columns in their order
     counts = np.bincount(row, minlength=count)
@@ -399,8 +422,12 @@ def _solve_rows(kind: AmbientKind, coeffs, brackets, breakpoints, errors) -> _Ro
     values[row, col] = t
     flags = np.zeros((count, slots), dtype=bool)
     flags[row, col] = degen
-    kept = np.full((count, slots, 2), np.nan)
-    kept[row, col] = brackets[row, slot, :2]
+
+    def kept():
+        out = np.full((count, slots, 2), np.nan)
+        out[row, col] = np.stack([a0.take(at), b0.take(at)], axis=-1)
+        return out
+
     return _Roots(values, kept, flags, counts, errors)
 
 
@@ -411,8 +438,8 @@ def solve_roots(poly: CurvaturePolynomial) -> list:
     tolerance of a breakpoint are flagged degenerate. One row of the array
     root solve.
     """
-    brackets = np.array(poly.brackets, dtype=float).reshape(1, -1, 4)
-    roots = _solve_rows(poly.ambient_kind, np.array([poly.coeffs], dtype=float),
+    brackets = np.array(poly.brackets, dtype=float).reshape(-1, 4).T[:, None]
+    roots = _solve_rows(poly.ambient_kind, np.array(poly.coeffs, dtype=float)[:, None],
                         brackets, np.array([poly.breakpoints], dtype=float), [None])
     return roots.roots(0)
 
@@ -425,21 +452,30 @@ def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x):
     count, n = spectra.raw.shape
     errors = list(spectra.errors)
     values = np.full((count, n + 1), np.nan)
-    brackets = np.full((count, n + 1, 2), np.nan)
     degenerate = np.zeros((count, n + 1), dtype=bool)
     counts = np.zeros(count, dtype=int)
+    parts = []
     for code, mults in spectra.patterns.items():
-        rows = np.flatnonzero(spectra.code == code)
+        rows = spectra.code == code
+        # one pattern on every row, as is usual, takes its rows as a slice
+        rows = slice(None) if rows.all() else np.flatnonzero(rows)
         p = len(mults)
         coeffs, bps, _, brackets_p, _, _, errors_p = _polynomial_rows(
             kind, spectra.kappas[rows, :p], mults)
         roots = _solve_rows(kind, coeffs, brackets_p, bps, errors_p)
         values[rows, :p + 1] = roots.values
-        brackets[rows, :p + 1] = roots.brackets
         degenerate[rows, :p + 1] = roots.degenerate
         counts[rows] = roots.counts
         for j in np.flatnonzero(_errored(roots.errors)):
-            errors[rows[j]] = roots.errors[j]
+            errors[np.arange(count)[rows][j]] = roots.errors[j]
+        parts.append((rows, p, roots))
+
+    def brackets():
+        out = np.full((count, n + 1, 2), np.nan)
+        for rows, p, roots in parts:
+            out[rows, :p + 1] = roots.brackets
+        return out
+
     return frames, spectra, _Roots(values, brackets, degenerate, counts, errors)
 
 

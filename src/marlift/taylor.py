@@ -220,5 +220,7 @@ def taylor_jet(fn, x) -> Jet2:
         d1[:, i] = e
     d2 = np.zeros((count, n, n) + value.shape[1:])
     for (i, j), e in out.d2.items():
-        d2[:, i, j] = d2[:, j, i] = e
+        d2[:, i, j] = e
+        if i != j:
+            d2[:, j, i] = e
     return Jet2(value=value, d1=d1, d2=d2)

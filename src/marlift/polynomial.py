@@ -190,6 +190,18 @@ def _expand(kind: AmbientKind, kappas: np.ndarray, mults: tuple) -> np.ndarray:
     return total
 
 
+def _ascending(a: np.ndarray) -> np.ndarray:
+    """The rows of `a` (R, p) in ascending order, by odd-even transposition
+    of its columns. np.minimum and np.maximum move values without rounding
+    them, and make no per-row call as a sort along a short axis does."""
+    cols = list(a.T)
+    for r in range(len(cols)):
+        for i in range(r % 2, len(cols) - 1, 2):
+            cols[i], cols[i + 1] = (np.minimum(cols[i], cols[i + 1]),
+                                    np.maximum(cols[i], cols[i + 1]))
+    return np.stack(cols, axis=1)
+
+
 def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
     """Height polynomials of spectra sharing multiplicities `mults`, with
     curvatures `kappas` (R, p) ascending per row.
@@ -221,7 +233,7 @@ def _polynomial_rows(kind: AmbientKind, kappas: np.ndarray, mults: tuple):
             radii = 1.0 / kappas
             if len(set(mults)) == 1:
                 # equal weights need not follow the radii to their places
-                bps = np.sort(radii, axis=1)
+                bps = _ascending(radii)
                 weight = np.full(p, float(mults[0]))
             else:
                 order = np.argsort(radii, axis=1, kind="stable")

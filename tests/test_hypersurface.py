@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from marlift.core import Chart, DimensionMismatchError, Jet2, stacked
+from marlift.core import Chart, DimensionMismatchError, Jet2, Signature, bilinear_rows, stacked
 from marlift.hypersurface import (
     HypersurfaceImmersion,
     ImmersionError,
@@ -140,6 +143,71 @@ def test_quadric_constraint_tangency():
             resid = np.max(np.abs(fr.tangent @ (signs * fr.point)))
             assert resid <= 1e-8
             assert np.max(np.abs(fr.tangent @ (signs * fr.normal))) <= 1e-8
+
+
+SPACE_FORMS = {"euclidean": SpaceForm.euclidean, "sphere": SpaceForm.sphere,
+               "hyperbolic": SpaceForm.hyperbolic}
+
+
+def _random_jet_immersion(kind, n, rng, count):
+    """An immersion of the space form of dimension n + 1 whose jets are
+    stacked random rows (C-ordered, as `taylor_jet` and `jet2_of` give
+    them) at scales 10^-3 to 10^3, with a symmetric d2."""
+    space = SPACE_FORMS[kind](n + 1)
+    dim = space.container_dim
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    value = rng.standard_normal((count, dim)) * scale
+    d1 = rng.standard_normal((count, n, dim)) * scale[:, :, None]
+    d2 = rng.standard_normal((count, n, n, dim)) * scale[:, :, None, None]
+    d2 = 0.5 * (d2 + np.swapaxes(d2, 1, 2))
+    jet = Jet2(value=value, d1=d1, d2=d2)
+
+    def jets(x):
+        return Jet2(value=jet.value[:len(x)], d1=jet.d1[:len(x)], d2=jet.d2[:len(x)])
+
+    chart = Chart(n, [-1.0] * n, [1.0] * n, (3,) * n)
+    return HypersurfaceImmersion(space, chart, lambda x: x, jets=jets), jet
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+       kind=st.sampled_from(sorted(SPACE_FORMS)))
+def test_frame_products_keep_the_per_point_rounding(seed, n, kind):
+    """The stacked metric and second form round as one matmul per point,
+    rows @ tangent^T and d2 @ (G normal): the lift's values rest on those
+    bits, which column sums of the products would not keep."""
+    rng = np.random.default_rng(seed)
+    imm, jet = _random_jet_immersion(kind, n, rng, 48)
+    signs = imm.space.signature.signs
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # asymmetry of failed rows
+        frames = frame_rows(imm, np.zeros((48, n)))
+        for i in range(48):
+            rows = jet.d1[i] * signs
+            assert np.array_equal(frames.metric[i], rows @ jet.d1[i].T)
+            b = (jet.d2[i] @ (signs * frames.normal[i])[None, :, None])[..., 0]
+            assert np.array_equal(frames.second_form[i], 0.5 * (b + b.T), equal_nan=True)
+
+    empty = frame_rows(imm, np.zeros((0, n)))
+    dim = imm.space.container_dim
+    assert empty.metric.shape == empty.second_form.shape == (0, n, n)
+    assert empty.normal.shape == (0, dim) and empty.errors == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([3, 4, 5]),
+       minus=st.sampled_from([0, 1, 2]), strided=st.booleans())
+def test_bilinear_rows_are_two_stacked_dot_products(seed, dim, minus, strided):
+    rng = np.random.default_rng(seed)
+    sig = Signature.of(dim - minus, minus)
+    width = 2 * dim if strided else dim
+    u, v = rng.standard_normal((2, 64, width)) * 10.0 ** rng.uniform(-4.0, 4.0, (2, 64, 1))
+    u, v = (u[:, ::2], v[:, ::2]) if strided else (u, v)
+    p = sig.plus
+    dots = ((u[:, None, :p] @ v[:, :p, None])[:, 0, 0]
+            - (u[:, None, p:] @ v[:, p:, None])[:, 0, 0])
+    assert np.array_equal(bilinear_rows(sig, u, v), dots)
 
 
 def test_clifford_torus_minimal_spectrum():

@@ -200,6 +200,19 @@ def _graph3_failing():
     return HypersurfaceImmersion(SpaceForm.euclidean(4), chart, fn)
 
 
+def _umbilic_half():
+    """A graph in E^3 that is a unit sphere for x0 < 0, where its
+    curvatures cluster to the pattern (1, (2,)) with no flat-family root,
+    and a paraboloid with two curvatures and one root elsewhere."""
+    def fn(x):
+        r2 = x[0] ** 2 + x[1] ** 2
+        f = 1.0 - math.sqrt(1.0 - r2) if x[0] < 0.0 else 0.5 * x[0] ** 2 + x[1] ** 2
+        return np.array([x[0], x[1], f])
+
+    chart = Chart(2, [-0.4, -0.4], [0.4, 0.4], (5, 5))
+    return HypersurfaceImmersion(SpaceForm.euclidean(3), chart, fn)
+
+
 ROW_CASES = {
     # values alone: the first _BLOCK rows in one pass, the other 300 in a second
     "torus-minkowski": (lambda: shapes.torus(2.2, 0.8), AmbientKind.MINKOWSKI,
@@ -261,9 +274,14 @@ def _permuted_and_halves(layer, x, seed):
     return whole, permuted, halves
 
 
-@pytest.mark.parametrize("name", sorted(ROW_CASES))
+# a batch of two live multiplicity patterns, whose rows the root solve
+# gathers per pattern; a batch of one pattern takes them as a slice
+MIXED_CASE = (_umbilic_half, AmbientKind.MINKOWSKI, lift_minkowski, 300)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES) + ["umbilic-half-minkowski"])
 def test_root_rows_do_not_depend_on_their_batch(name):
-    make, kind, build, count = ROW_CASES[name]
+    make, kind, build, count = ROW_CASES.get(name, MIXED_CASE)
     imm = make()
     x = _stack(imm.chart, count, 17)
     whole, permuted, halves = _permuted_and_halves(lambda y: _root_layer(imm, kind, y), x, 3)
@@ -271,6 +289,13 @@ def test_root_rows_do_not_depend_on_their_batch(name):
     _assert_same(whole, halves)
     failed = [e for e in whole[4] if e is not None]
     assert len(failed) == (1 if imm.chart.dim == 3 else 0)
+    # each pattern's rows alone, and so solved as a slice
+    _, spectra, _ = _root_rows(imm, kind, x)
+    assert len(spectra.patterns) == (2 if name == "umbilic-half-minkowski" else 1)
+    for code in spectra.patterns:
+        alone = spectra.code == code
+        _assert_same([[part[i] for i in np.flatnonzero(alone)] if isinstance(part, list)
+                      else part[alone] for part in whole], _root_layer(imm, kind, x[alone]))
 
 
 @pytest.mark.parametrize("name", sorted(ROW_CASES))

@@ -478,8 +478,9 @@ def _root_rows(imm: HypersurfaceImmersion, kind: AmbientKind, x):
         values[rows, :p + 1] = roots.values
         degenerate[rows, :p + 1] = roots.degenerate
         counts[rows] = roots.counts
+        at = np.arange(count)[rows]
         for j in np.flatnonzero(_errored(roots.errors)):
-            errors[np.arange(count)[rows][j]] = roots.errors[j]
+            errors[at[j]] = roots.errors[j]
         parts.append((rows, p, roots))
 
     def brackets():

@@ -342,7 +342,8 @@ def spectrum_rows(metric: np.ndarray, second_form: np.ndarray,
     patterns = {}
     # one layout on every row, as is usual, takes its rows as a slice
     whole = bool(count) and bool((code == code[0]).all())
-    for c in sorted(set(code[:1 if whole else count].tolist()) - {-1}):
+    layouts = code[:1] if whole else code
+    for c in sorted(set(layouts.tolist()) - {-1}):
         ends = [i + 1 for i in range(n - 1) if (c >> i) & 1] + [n]
         rows = slice(None) if whole else code == c
         start = 0

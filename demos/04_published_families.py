@@ -9,7 +9,7 @@ The two negative controls show what failure looks like.
 import numpy as np
 
 from marlift.catalog import catalog_lookup
-from marlift.hypersurface import HypersurfaceImmersion, SpaceForm, frame_at
+from marlift.hypersurface import HypersurfaceImmersion, SpaceForm, frame_rows
 from marlift.verifier import assemble_report
 
 for name, params in [("chen-l1", {"f": "x**2"}),
@@ -32,12 +32,11 @@ nu = np.array([-1.0, 0.0, 1.0, -1.0])
 
 
 def projection(x):
-    psi = l4(x)
-    return psi[:4] - psi[4] * nu
+    psi = l4.evaluate(x, 0).values
+    return psi[:, :4] - psi[:, 4:] * nu
 
 
 proj = HypersurfaceImmersion(SpaceForm.hyperbolic(3), l4.chart, projection)
-worst = max(np.max(np.abs(frame_at(proj, x).second_form))
-            for x in l4.chart.grid(margin=0.01)[::19])
+worst = np.max(np.abs(frame_rows(proj, l4.chart.grid(margin=0.01)[::19]).second_form))
 print(f"\nnull projection of chen-l4: max |second form| = {worst:.3e} "
       "(totally geodesic)")

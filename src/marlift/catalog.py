@@ -33,7 +33,7 @@ from .constructor import (
     null_lift,
     spherical_slice,
 )
-from .core import Chart, GeometryError, stacked
+from .core import Chart, GeometryError
 from .taylor import Taylor, taylor_jet
 
 __all__ = [
@@ -148,7 +148,7 @@ def _build_chen_l1(p):
     f = scalar_expr(p["f"])
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
     _check_profile(f, chart, "chen-l1", "f''", lambda f0, d2: d2)
-    return null_lift(flat_slice(chart), stacked(lambda x: f(x[:, 0])), name="chen-l1")
+    return null_lift(flat_slice(chart), lambda x: f(x[:, 0]), name="chen-l1")
 
 
 def _build_chen_l2(p):
@@ -173,7 +173,7 @@ def _build_chen_l3(p):
     chart = Chart(2, [-1.0, -0.9], [1.0, 0.9], (17, 17))
     _check_profile(f, chart, "chen-l3", "f'' + f", lambda f0, d2: d2 + f0)
     return null_lift(spherical_slice(chart),
-                     stacked(lambda x: f(x[:, 0]) * np.cos(x[:, 1])), name="chen-l3")
+                     lambda x: f(x[:, 0]) * np.cos(x[:, 1]), name="chen-l3")
 
 
 def _build_chen_l4(p):
@@ -200,7 +200,6 @@ def _build_l1_perturbed(p):
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
     _finite_on(f, np.linspace(chart.lower[0], chart.upper[0], 15), "l1-perturbed")
 
-    @stacked
     def eval_fn(x):
         v = f(x[:, 0])
         return np.stack([x[:, 0], x[:, 1], v + eps * x[:, 1] ** 2, v], axis=1)
@@ -213,7 +212,6 @@ def _build_spacelike_graph(p):
     amp = float(p["amplitude"])
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (17, 17))
 
-    @stacked
     def eval_fn(x):
         return np.stack([x[:, 0], x[:, 1], amp * np.sin(x[:, 0]) * np.sin(x[:, 1]),
                          np.zeros(len(x))], axis=1)

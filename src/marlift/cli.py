@@ -61,10 +61,16 @@ class RunConfig:
     def validate(self):
         if self.grid is not None and any(g < 3 for g in self.grid):
             raise UsageError("grid resolutions must be at least 3")
-        if self.step is not None and self.step <= 0:
-            raise UsageError("step must be positive")
-        if self.tol_marginal is not None and self.tol_marginal <= 0:
-            raise UsageError("tolerances must be positive")
+        if self.step is not None and not 0.0 < self.step < np.inf:
+            raise UsageError("step must be positive and finite")
+        if self.tol_marginal is not None and not 0.0 < self.tol_marginal < np.inf:
+            raise UsageError("tolerances must be positive and finite")
+
+    def check_grid(self, chart):
+        """The grid, if given, has one resolution per chart axis."""
+        if self.grid is not None and len(self.grid) != chart.dim:
+            raise UsageError(f"--grid has {len(self.grid)} axes, entry {self.entry!r} "
+                             f"has a {chart.dim}-dimensional chart")
 
 
 def _parse_params(text: Optional[str]) -> dict:
@@ -203,6 +209,7 @@ def _lifts_for(cfg: RunConfig, entry, built, verify: bool = False):
 
 def cmd_construct(cfg: RunConfig) -> int:
     entry, built = catalog_lookup(cfg.entry, cfg.params)
+    cfg.check_grid(built.chart)
     indexed = _lifts_for(cfg, entry, built)
     if not indexed:
         print(f"warning: entry {cfg.entry!r} admits no lifts in "
@@ -287,6 +294,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.mesh is not None:
         return _verify_mesh(cfg)
     entry, built = catalog_lookup(cfg.entry, cfg.params)
+    cfg.check_grid(built.chart)
     ((_, lift),) = _lifts_for(cfg, entry, built, verify=True)
     report = assemble_report(lift, resolution=cfg.grid, h=cfg.step,
                              tol_marginal=cfg.tol_marginal)

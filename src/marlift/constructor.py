@@ -35,9 +35,7 @@ from .core import (
     _fail,
     bilinear_rows,
     jet2_of,  # unused here; bench/tracing.py wraps it on this module
-    looped,
     shape_eigen_rows,
-    stacked,
 )
 from .hypersurface import (
     HypersurfaceImmersion,
@@ -253,14 +251,14 @@ class LiftedImmersion:
 
     `evaluate(x)` takes stacked chart points (P, n) to a `LiftRows`. The
     builders here and the catalog's lifts with a null normal pass a
-    `lift_map`, which gives values and construction data in one pass; any
-    other map (an array map marked `core.stacked`, or a one-point map looped
-    through `core.looped`) gives values alone. `construction` is the number
-    of leading rows that get construction data (default: every row); the
-    others get values alone, all a stencil row needs. A row whose
-    evaluation raises GeometryError holds NaN and that error, and the rows
-    beside it are unaffected. Calling the lift, `null_normal` or `context`
-    at one point evaluates one row and raises that row's error.
+    `lift_map`, which gives values and construction data in one pass; an
+    array map (values (P, N), or a `Rows` record when points can fail)
+    gives values alone. `construction` is the number of leading rows that
+    get construction data (default: every row); the others get values
+    alone, all a stencil row needs. A row that fails holds NaN and its
+    error, and the rows beside it are unaffected. Calling the lift,
+    `null_normal` or `context` at one point evaluates one row and raises
+    that row's error.
     """
 
     ambient: LorentzAmbient
@@ -273,7 +271,7 @@ class LiftedImmersion:
         x = np.asarray(x, dtype=float)
         if getattr(self.eval_fn, "lift_map", False):
             return self.eval_fn(x, len(x) if construction is None else construction)
-        values, errors = _call_rows(looped(self.eval_fn, self.ambient.container_dim), x)
+        values, errors = _call_rows(self.eval_fn, x)
         return LiftRows(values, errors or [None] * len(x))
 
     def __call__(self, x) -> np.ndarray:
@@ -576,7 +574,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
 
     @lift_map
     def eval_rows(x, k: int) -> LiftRows:
-        points, errors = _call_rows(looped(imm.eval_fn, imm.space.container_dim), x)
+        points, errors = _call_rows(imm.eval_fn, x)
         errors = errors or [None] * len(x)
         values = np.concatenate([points, np.full((len(x), 1), height)], axis=1)
         if not k:
@@ -640,7 +638,7 @@ def hyperbolic_slice(chart: Chart) -> TotallyGeodesicSlice:
 
 
 def null_lift(slice_: TotallyGeodesicSlice,
-              tau_fn: Callable[[np.ndarray], float],
+              tau_fn: Callable[[np.ndarray], np.ndarray],
               name: str = "") -> LiftedImmersion:
     """Graph of a height field over a totally geodesic slice, moved along the
     constant null direction (normal, 1), in the ambient the slice targets.
@@ -649,15 +647,14 @@ def null_lift(slice_: TotallyGeodesicSlice,
     so the lift is marginally trapped for every C^2 height field. Only the
     flat family carries such lifts (the product ambients admit none besides
     the totally geodesic one), so every slice targets a flat-family ambient.
-    `tau_fn` is an array map (`core.stacked`) of stacked chart points (P, n)
-    to heights (P,), or a one-point map, looped over the rows.
+    `tau_fn` is an array map of stacked chart points (P, n) to heights (P,),
+    or to a `Rows` record when points can fail.
     """
     kind = slice_.kind
-    heights = looped(tau_fn)
 
     def pick(x, k) -> _Source:
         point = slice_.eval_fn(x)
-        tau, errors = _call_rows(heights, x)
+        tau, errors = _call_rows(tau_fn, x)
         return _Source(point, np.broadcast_to(slice_.normal0, point.shape), tau[:, 0],
                        errors)
 
@@ -674,8 +671,7 @@ class SupportFunction:
     `data` is an array map: it takes stacked unit vectors u (P, 3) to the
     values f (P,), the tangent gradients (P, 3) and the Laplacians (P,), in
     one call. `at` gives u and all three at stacked chart points (P, n);
-    `point`, `value`, `gradient` and `laplacian` are views of it that take
-    one chart point (n,) or stacked chart points (P, n).
+    `gradient` and `laplacian` are two of them.
     """
 
     chart: Chart
@@ -687,27 +683,15 @@ class SupportFunction:
         u = sphere_chart(x)
         return (u, *self.data(u))
 
-    def _view(self, k, x):
-        x = np.asarray(x, dtype=float)
-        out = self.at(x if x.ndim == 2 else x[None])[k]
-        return out if x.ndim == 2 else out[0]
-
-    def point(self, x) -> np.ndarray:
-        return self._view(0, x)
-
-    def value(self, x):
-        return self._view(1, x)
-
     def gradient(self, x) -> np.ndarray:
-        return self._view(2, x)
+        return self.at(x)[2]
 
-    def laplacian(self, x):
-        return self._view(3, x)
+    def laplacian(self, x) -> np.ndarray:
+        return self.at(x)[3]
 
     def reconstruction(self) -> HypersurfaceImmersion:
         """The convex-front surface with this support data: f u + grad f."""
 
-        @stacked
         def fn(x):
             u, f, grad, _ = self.at(x)
             return f[:, None] * u + grad

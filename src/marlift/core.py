@@ -5,11 +5,11 @@ maps by central differences, symmetric eigenproblems, and the generalized
 eigenvalue solve that turns a metric / second-form pair into principal
 curvatures.
 
-The pipeline evaluates stacked points: an array map takes rows (P, n) to
-values (P, N), and a row that fails is reported in a `Rows` record beside
-the values of the rows that did not. `jet2_of`, `generalized_shape_eigen`
-and `generalized_cross` work on such stacks; a one-point map is turned into
-an array map by the one looping adapter, `looped`.
+Every map the pipeline evaluates is an array map: it takes stacked points
+(P, n) to values (P, N). A map whose points can fail returns a `Rows`
+record, which holds each failed row's error beside the values of the rows
+that did not. `jet2_of`, `shape_eigen_rows` and `generalized_cross` work
+on such stacks.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "Chart",
     "Jet2",
     "Rows",
-    "stacked",
-    "looped",
     "bilinear",
     "bilinear_rows",
     "jet2_of",
@@ -240,44 +238,6 @@ class Rows:
         return self.values[i]
 
 
-def stacked(fn):
-    """Mark `fn` as an array map: it takes stacked points (P, n) and returns
-    their values (P, N), or a `Rows` record when points can fail."""
-    fn.stacked = True
-    return fn
-
-
-def looped(fn: Callable[[np.ndarray], np.ndarray], width: int = 1):
-    """The adapter from a one-point map to an array map.
-
-    Calls `fn` on each row in turn. A row whose call raises GeometryError is
-    reported in the returned `Rows`, its values NaN; any other exception
-    propagates. `width` is the value length the caller expects, which the
-    rows take when no call returns one. An array map is returned as it is.
-    """
-    if getattr(fn, "stacked", False):
-        return fn
-
-    @stacked
-    def rows_fn(points):
-        values = []
-        errors = [None] * len(points)
-        for i, x in enumerate(points):
-            try:
-                values.append(np.asarray(fn(x), dtype=float).ravel())
-            except GeometryError as exc:
-                values.append(None)
-                errors[i] = exc
-        if errors.count(None) < len(errors):
-            wide = next((len(v) for v in values if v is not None), width)
-            values = [np.full(wide, np.nan) if v is None else v for v in values]
-        if not values:
-            return Rows(np.empty((0, width)), errors)
-        return Rows(np.array(values).reshape(len(points), -1), errors)
-
-    return rows_fn
-
-
 @functools.lru_cache(maxsize=16)
 def _stencil(n: int, h: float) -> np.ndarray:
     """Offsets of the central-difference stencil, one row each, in evaluation
@@ -309,29 +269,27 @@ def _call_rows(fn, points: np.ndarray):
 
 
 def jet2_of(fn: Callable[[np.ndarray], np.ndarray],
-            x: Sequence[float],
+            x: np.ndarray,
             h: Optional[float] = None,
             chart: Optional[Chart] = None) -> Jet2:
-    """Second-order jet of `fn` at `x` by O(h^2) central differences.
+    """Second-order jet of the array map `fn` at stacked points `x` (P, n)
+    by O(h^2) central differences.
 
     Mixed derivatives use the 4-point cross stencil, which is symmetric in its
     two indices by construction.
 
-    `x` is one point (n,) with `fn` a one-point map, or stacked points (P, n)
-    with `fn` an array map. The array map is called once, on the points
-    themselves, in the order of `x`, followed by all their other stencil
-    rows that lie inside the chart. The stacked jet reports, per point, the
-    first stencil row that failed in stencil order (`_stencil`): a row
-    outside the chart (OutOfDomainError), a row the map failed, or a
-    non-finite value (NonFiniteError). One point raises that error.
+    `fn` is called once, on the points themselves, in the order of `x`,
+    followed by all their other stencil rows that lie inside the chart. The
+    jet reports, per point, the first stencil row that failed in stencil
+    order (`_stencil`): a row outside the chart (OutOfDomainError), a row
+    the map failed, or a non-finite value (NonFiniteError). `Jet2.row(i)`
+    raises that error.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return jet2_of(looped(fn), x[None], h, chart).row(0)
     count, n = x.shape
     h = np.float64(DEFAULTS.step_h if h is None else h)
-    if h <= 0:
-        raise OutOfDomainError("step h must be positive")
+    if not 0.0 < h < np.inf:
+        raise OutOfDomainError("step h must be positive and finite")
 
     off = _stencil(n, float(h))
     pts = x[None, :, :] + off[:, None, :]          # (stencil row, point, n)

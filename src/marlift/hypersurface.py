@@ -28,8 +28,8 @@ from .core import (
     DimensionMismatchError,
     GeometryError,
     Jet2,
-    Rows,
     Signature,
+    _call_rows,
     _columns,
     _errored,
     _fail,
@@ -38,7 +38,6 @@ from .core import (
     generalized_cross,
     generalized_shape_eigen,
     jet2_of,
-    looped,
     shape_eigen_rows,
 )
 
@@ -119,16 +118,15 @@ class SpaceForm:
 class HypersurfaceImmersion:
     """Evaluatable immersion of a chart into a space form.
 
-    Array contract: the frame, spectrum and root pipeline evaluates stacked
-    chart points (P, n). `eval_fn` is either an array map marked with
-    `core.stacked`, taking (P, n) to (P, N), or a one-point map (n,) -> (N,),
-    which stacked evaluation loops over the rows through `core.looped`.
+    `eval_fn` is an array map: it takes stacked chart points (P, n) to
+    container points (P, N), or to a `Rows` record when points can fail.
     `jets`, when given, takes stacked points and returns the stacked exact
     Jet2 of `eval_fn`: the `shapes` factories evaluate their own array map
     on Taylor variables (`taylor.taylor_jet`). Without it, derivatives fall
     back to central differences with the shared step, all stencils in one
-    call. A point whose evaluation raises GeometryError fails alone: its
-    jet row carries the error and the other rows are unaffected.
+    call. A point that fails fails alone: its jet row carries its error and
+    the other rows are unaffected. Calling the immersion at one point (n,)
+    evaluates one row and raises that row's error.
     """
 
     space: SpaceForm
@@ -138,19 +136,17 @@ class HypersurfaceImmersion:
     name: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = looped(self.eval_fn, self.space.container_dim)(x[None])
-        if isinstance(out, Rows):
-            return out.value(0)
-        return np.asarray(out, dtype=float)[0]
+        values, errors = _call_rows(self.eval_fn, np.asarray(x, dtype=float)[None])
+        if errors and errors[0] is not None:
+            raise errors[0]
+        return values[0]
 
     def jet(self, x, h: Optional[float] = None) -> Jet2:
         """Stacked jet of points (P, n); `h` is the finite-difference step of
         a map without `jets`."""
         if self.jets is not None:
             return self.jets(x)
-        return jet2_of(looped(self.eval_fn, self.space.container_dim), x, h=h,
-                       chart=self.chart)
+        return jet2_of(self.eval_fn, x, h=h, chart=self.chart)
 
 
 @dataclass(frozen=True)

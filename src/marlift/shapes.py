@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Chart, stacked
+from .core import Chart
 from .hypersurface import HypersurfaceImmersion, SpaceForm
 from .taylor import taylor_jet
 
@@ -26,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def _immersion(space, fn, name, chart) -> HypersurfaceImmersion:
-    return HypersurfaceImmersion(space, chart, stacked(fn),
+    return HypersurfaceImmersion(space, chart, fn,
                                  functools.partial(taylor_jet, fn), name=name)
 
 

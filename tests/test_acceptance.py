@@ -178,8 +178,8 @@ def test_criterion_6_example_corpus():
     nu = np.array([-1.0, 0.0, 1.0, -1.0])
 
     def phi(x):
-        psi = l4(x)
-        return psi[:4] - psi[4] * nu
+        psi = l4.evaluate(x, 0).values
+        return psi[:, :4] - psi[:, 4:] * nu
 
     proj = HypersurfaceImmersion(SpaceForm.hyperbolic(3), l4.chart, phi)
     worst_b = max(np.max(np.abs(frame_at(proj, x).second_form))
@@ -236,7 +236,7 @@ def test_criterion_7_support_route_on_nondegenerate_field():
 
 def test_criterion_8_null_lift_branch():
     chart = Chart(2, [-1.0, -1.0], [1.0, 1.0], (16, 16))
-    lift = null_lift(flat_slice(chart), lambda x: x[0] ** 2 + x[0] * x[1])
+    lift = null_lift(flat_slice(chart), lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1])
     hess = np.array([[2.0, 1.0], [1.0, 0.0]])
     sig = lift.ambient.signature
     worst_h = worst_col = worst_comp = 0.0

@@ -25,8 +25,6 @@ from marlift.core import (
     Rows,
     bilinear,
     jet2_of,
-    looped,
-    stacked,
 )
 from marlift.constructor import (
     AmbientKind,
@@ -82,8 +80,8 @@ def _s4_rotational():
     ch = Chart(3, [0.0, -0.8, -0.8], [2.0, 0.8, 0.8], (5, 5, 5))
 
     def fn(x):
-        return np.concatenate([[ca * math.cos(x[0]), ca * math.sin(x[0])],
-                               sa * shapes.sphere_chart(x[1:])])
+        return np.concatenate([ca * np.stack([np.cos(x[:, 0]), np.sin(x[:, 0])], axis=-1),
+                               sa * shapes.sphere_chart(x[:, 1:])], axis=-1)
 
     imm = HypersurfaceImmersion(SpaceForm.sphere(4), ch, fn, name="s4-rotational")
     return product_lifts(imm, AmbientKind.SPHERE_PRODUCT)[0]
@@ -110,7 +108,7 @@ LIFTS = {
     "graph-lift": lambda: graph_lift(shapes.ellipsoid(), AmbientKind.MINKOWSKI,
                                      _mean_over_gauss),
     "null-lift": lambda: null_lift(flat_slice(Chart(2, [-1.0, -1.0], [1.0, 1.0], (9, 9))),
-                                   lambda x: x[0] ** 2 + x[0] * x[1]),
+                                   lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1]),
     "chen-l1": lambda: catalog_lookup("chen-l1")[1],
     "chen-l2": lambda: catalog_lookup("chen-l2")[1],
     "chen-l3": lambda: catalog_lookup("chen-l3")[1],
@@ -245,7 +243,7 @@ def test_mixed_batch_pattern_change_fails_its_rows_alone():
     sph = shapes.round_sphere(1.0)
     glued = HypersurfaceImmersion(
         SpaceForm.euclidean(3), ch,
-        lambda x: t1(x) if x[1] < 2.0 else sph(x * 0.3))
+        lambda x: np.where(x[:, 1:] < 2.0, t1.eval_fn(x), sph.eval_fn(x * 0.3)))
     lift = lift_minkowski(glued)
     points = np.array([[0.1, 0.8], [0.2, 2.3], [-0.3, 1.2], [0.4, 2.2], [0.0, 1.6]])
     assert _check_mixed(lift, points) == {PatternChangeError}
@@ -260,9 +258,9 @@ def test_mixed_batch_filtered_root_fails_its_rows_alone():
     shr, chr_ = math.sinh(0.7), math.cosh(0.7)
 
     def fn(x):
-        if x[1] < 1.2:
-            return eq(x)
-        return np.append(shr * shapes.sphere_chart(x - 1.0), chr_)
+        sphere = np.concatenate([shr * shapes.sphere_chart(x - 1.0),
+                                 np.full((len(x), 1), chr_)], axis=-1)
+        return np.where(x[:, 1:] < 1.2, eq.eval_fn(x), sphere)
 
     glued = HypersurfaceImmersion(SpaceForm.hyperbolic(3), ch, fn)
     lift = lift_hyperbolic_product(glued)
@@ -289,7 +287,7 @@ def test_stencil_row_outside_the_chart_fails_its_point_alone():
 
 def test_point_with_its_whole_stencil_outside_the_chart():
     chart = Chart(1, [0.0], [1.0], (5,))
-    fn = looped(lambda x: np.array([x[0] ** 2]))
+    fn = lambda x: x ** 2
     jets = jet2_of(fn, np.array([[0.5], [5.0]]), h=0.1, chart=chart)
     assert jets.errors[0] is None
     assert isinstance(jets.errors[1], OutOfDomainError)
@@ -297,36 +295,30 @@ def test_point_with_its_whole_stencil_outside_the_chart():
     assert isinstance(alone.errors[0], OutOfDomainError)
 
 
-def _no_point(x):
-    raise GeometryError(f"no point at {x}")
-
-
-@stacked
-def _no_points(x):
-    return Rows(np.full((len(x), 3), np.nan), [GeometryError(f"no point at {p}") for p in x])
+def _no_points(width):
+    """An array map of `width` columns that fails at every row."""
+    return lambda x: Rows(np.full((len(x), width), np.nan),
+                          [GeometryError(f"no point at {p}") for p in x])
 
 
 def test_a_chart_with_every_point_excluded_has_no_rows_to_solve():
     # every row of the hypersurface fails, so no grid point is left to solve:
     # each frame row carries its error, threading raises the first row's
-    # error, the lift finds no reference; a one-point map that fails
-    # everywhere has no value width of its own and takes the container's
+    # error, the lift finds no reference
     ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (5, 5))
     grid = ch.grid(margin=4.0 * DEFAULTS.step_h)
-    for fn in (_no_points, _no_point):
-        imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, fn)
-        frames = frame_rows(imm, grid)
-        assert [str(e) for e in frames.errors] == [f"no point at {p}" for p in grid]
-        with pytest.raises(GeometryError, match=re.escape(f"no point at {grid[0]}")):
-            thread_root_fields(imm, AmbientKind.MINKOWSKI)
-        with pytest.raises(ConstructionError, match="no usable reference point"):
-            lift_minkowski(imm)
+    imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, _no_points(3))
+    frames = frame_rows(imm, grid)
+    assert [str(e) for e in frames.errors] == [f"no point at {p}" for p in grid]
+    with pytest.raises(GeometryError, match=re.escape(f"no point at {grid[0]}")):
+        thread_root_fields(imm, AmbientKind.MINKOWSKI)
+    with pytest.raises(ConstructionError, match="no usable reference point"):
+        lift_minkowski(imm)
 
 
 def test_a_lift_that_fails_at_every_row_is_inconclusive():
-    # a one-point map with no row to take the value width from
     torus = _lift("torus-minkowski")
-    lift = LiftedImmersion(torus.ambient, torus.chart, _no_point, name="nowhere")
+    lift = LiftedImmersion(torus.ambient, torus.chart, _no_points(4), name="nowhere")
     report = assemble_report(lift, resolution=(5, 5))
     assert report.verdict == "inconclusive"
     assert report.excluded_count == report.total == 25
@@ -335,22 +327,20 @@ def test_a_lift_that_fails_at_every_row_is_inconclusive():
 
 
 def test_a_one_point_jet_whose_centre_or_neighbours_all_fail_raises():
-    x0 = np.array([0.3, -0.2])
+    x0 = np.array([[0.3, -0.2]])
 
-    def centre_fails(p):
-        if np.array_equal(p, x0):
-            raise GeometryError("no centre")
-        return np.array([p[0] ** 2, p[1], 1.0])
-
-    def neighbours_fail(p):
-        if not np.array_equal(p, x0):
-            raise GeometryError("no neighbour")
-        return np.array([p[0] ** 2, p[1], 1.0])
+    def failing(where, message):
+        def fn(p):
+            values = np.stack([p[:, 0] ** 2, p[:, 1], np.ones(len(p))], axis=-1)
+            bad = where((p == x0).all(axis=1))
+            values[bad] = np.nan
+            return Rows(values, [GeometryError(message) if b else None for b in bad])
+        return fn
 
     with pytest.raises(GeometryError, match="no centre"):
-        jet2_of(centre_fails, x0, h=1e-3)
+        jet2_of(failing(lambda centre: centre, "no centre"), x0, h=1e-3).row(0)
     with pytest.raises(GeometryError, match="no neighbour"):
-        jet2_of(neighbours_fail, x0, h=1e-3)
+        jet2_of(failing(lambda centre: ~centre, "no neighbour"), x0, h=1e-3).row(0)
 
 
 def test_frames_and_spectra_rows_equal_one_row_calls():
@@ -371,27 +361,48 @@ def test_frames_and_spectra_rows_equal_one_row_calls():
 # ------------------------------------------------ stacked jets of the core maps
 
 AMAT = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
+
+
+def _high_rows_fail(x):
+    """sin x0 + x1^2, failing at the rows with x1 > 0.5."""
+    bad = x[:, 1] > 0.5
+    values = (np.sin(x[:, 0]) + x[:, 1] ** 2)[:, None]
+    values[bad] = np.nan
+    return Rows(values, [GeometryError(f"high at {p}") if b else None
+                         for p, b in zip(x, bad)])
+
+
 CORE_MAPS = [
-    (lambda x: AMAT @ x, [[0.3, -0.2], [0.1, 0.4], [-0.5, 0.25]], 1e-4),
-    (lambda x: np.array([x[0] ** 2, 0.0]), [[0.5], [0.25], [-0.75]], 2.0 ** -13),
-    (lambda x: np.array([2.0 * x[0] ** 2 + x[0] * x[1], x[1] ** 2 - x[0]]),
+    (lambda x: x[:, :1] * AMAT[:, 0] + x[:, 1:] * AMAT[:, 1],
+     [[0.3, -0.2], [0.1, 0.4], [-0.5, 0.25]], 1e-4),
+    (lambda x: np.stack([x[:, 0] ** 2, np.zeros(len(x))], axis=-1),
+     [[0.5], [0.25], [-0.75]], 2.0 ** -13),
+    (lambda x: np.stack([2.0 * x[:, 0] ** 2 + x[:, 0] * x[:, 1],
+                         x[:, 1] ** 2 - x[:, 0]], axis=-1),
      [[0.5, -0.25], [0.125, 0.5]], 2.0 ** -9),
-    (lambda t: np.array([math.cos(t[0]), math.sin(t[0])]), [[0.0], [0.7]], 1e-4),
-    (lambda x: np.array([math.sin(1.3 * x[0]) * math.exp(0.4 * x[1])]),
+    (lambda t: np.stack([np.cos(t[:, 0]), np.sin(t[:, 0])], axis=-1), [[0.0], [0.7]], 1e-4),
+    (lambda x: (np.sin(1.3 * x[:, 0]) * np.exp(0.4 * x[:, 1]))[:, None],
      [[0.4, -0.3], [-0.2, 0.6]], 1e-2),
+    (_high_rows_fail, [[0.1, 0.2], [0.3, 0.45], [-0.2, 0.7], [0.5, -0.1]], 0.1),
 ]
 
 
 @pytest.mark.parametrize("fn,points,h", CORE_MAPS)
 def test_stacked_jet_equals_single_point_jet_bitwise(fn, points, h):
+    # row i of the batch's jet is the jet of points[i:i+1] alone, bit for
+    # bit; a point whose stencil meets a failing row carries that row's error
     points = np.array(points)
-    jets = jet2_of(looped(fn), points, h=h)
-    for i, x in enumerate(points):
-        one = jet2_of(fn, x, h=h)
-        row = jets.row(i)
-        assert np.array_equal(row.value, one.value)
-        assert np.array_equal(row.d1, one.d1)
-        assert np.array_equal(row.d2, one.d2)
+    jets = jet2_of(fn, points, h=h)
+    for i in range(len(points)):
+        one = jet2_of(fn, points[i:i + 1], h=h)
+        assert str(jets.errors[i]) == str(one.errors[0])
+        assert type(jets.errors[i]) is type(one.errors[0])
+        for name in ("value", "d1", "d2"):
+            assert _same_bits(getattr(jets, name)[i], getattr(one, name)[0])
+    if fn is _high_rows_fail:
+        assert [e is None for e in jets.errors] == [True, False, False, True]
+        assert str(jets.errors[1]) == f"high at {points[1] + [0.0, h]}"
+        assert str(jets.errors[2]) == f"high at {points[2]}"
 
 
 # every hypersurface factory, whose jets come from its value map evaluated
@@ -418,7 +429,7 @@ def test_map_jets_match_central_differences(name):
         jets = imm.jet(points)
         assert np.array_equal(jets.value, fn(points))
     for i, x in enumerate(points):
-        one = jet2_of(fn, x, h=1e-4)
+        one = jet2_of(fn, x[None], h=1e-4).row(0)
         assert np.allclose(jets.value[i], one.value, rtol=0.0, atol=1e-6)
         assert np.allclose(jets.d1[i], one.d1, rtol=0.0, atol=1e-6)
         assert np.allclose(jets.d2[i], one.d2, rtol=0.0, atol=1e-6)
@@ -493,14 +504,14 @@ def _patchwork_desitter():
     e1, a, e3 = np.eye(5)[0], np.array([2.0, 1.0, 0.0, 0.0, 1.5]), np.eye(5)[2]
 
     def fn(x):
-        u, v = x
-        if u < -1.0:
-            return np.array([math.cosh(u) * math.cos(v), math.cosh(u) * math.sin(v),
-                             0.0, 0.0, math.sinh(u)])
-        if u < 1.0:
-            return np.array([math.cos(u) * math.cos(v), math.sin(u) * math.cos(v),
-                             math.sin(v), 0.0, 0.0])
-        return e1 + (u - 2.0) * a + (v - 0.3) * e3
+        u, v = x[:, :1], x[:, 1:]
+        zero = np.zeros_like(u)
+        timelike = np.concatenate([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v),
+                                   zero, zero, np.sinh(u)], axis=-1)
+        sphere = np.concatenate([np.cos(u) * np.cos(v), np.sin(u) * np.cos(v),
+                                 np.sin(v), zero, zero], axis=-1)
+        plane = e1 + (u - 2.0) * a + (v - 0.3) * e3
+        return np.where(u < -1.0, timelike, np.where(u < 1.0, sphere, plane))
 
     return LiftedImmersion(amb, Chart(2, [-3.0, -1.0], [3.0, 1.0], (9, 9)), fn,
                            name="patchwork")
@@ -681,7 +692,6 @@ def test_stacked_jet_calls_its_map_once():
     points = np.array([[0.5, 0.5], [0.3, 0.7], [0.95, 0.2]])
     calls = []
 
-    @stacked
     def fn(x):
         bad = x[:, 1] > 0.75
         values = np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)
@@ -730,7 +740,6 @@ def test_the_all_inside_path_follows_the_stencil_rows(monkeypatch):
     points = np.array([[0.5, 0.5], [1.5e-3, 0.5]])
     seen = []
 
-    @stacked
     def fn(x):
         seen.append(x.copy())
         return Rows(np.stack([x[:, 0] ** 2, x[:, 1]], axis=1), [None] * len(x))
@@ -753,7 +762,6 @@ def test_a_failed_row_leaves_the_maps_own_values_alone(edge):
         points = np.concatenate([points, [[0.99995, 0.5]]])
     returned = []
 
-    @stacked
     def fn(x):
         values = np.stack([x[:, 0] ** 2, x[:, 0] * x[:, 1]], axis=1)
         bad = np.isclose(x[:, 0], 0.3) & np.isclose(x[:, 1], 0.7)

@@ -14,7 +14,7 @@ from marlift.cli import (
     main,
 )
 from marlift.constructor import AmbientKind, LiftedImmersion, LorentzAmbient, lift_minkowski
-from marlift.core import DEFAULTS, Chart, GeometryError
+from marlift.core import DEFAULTS, Chart, GeometryError, Rows
 from marlift.reporting import read_mesh, render_report, write_mesh
 
 
@@ -42,6 +42,24 @@ def test_unknown_entry_is_usage_error(capsys):
 def test_bad_grid_is_usage_error():
     assert main(["construct", "--entry", "torus", "--ambient", "minkowski",
                  "--grid", "2x2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["construct", "--entry", "torus", "--ambient", "minkowski"],
+                                  ["verify", "--entry", "chen-l1"]], ids=["construct", "verify"])
+def test_grid_with_the_wrong_axis_count_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--grid", "9x9x9", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --grid has 3 axes, entry {argv[2]!r} has a 2-dimensional chart\n")
+
+
+@pytest.mark.parametrize("flag,value,what", [
+    ("--step", "0", "step"), ("--step", "nan", "step"), ("--step", "inf", "step"),
+    ("--tol-marginal", "0", "tolerances"), ("--tol-marginal", "nan", "tolerances"),
+    ("--tol-marginal", "inf", "tolerances")])
+def test_non_positive_or_non_finite_flag_is_usage_error(flag, value, what, tmp_path, capsys):
+    assert main(["construct", "--entry", "torus", "--ambient", "minkowski", "--grid", "5x5",
+                 flag, value, "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {what} must be positive and finite\n"
 
 
 def test_bad_ambient_is_usage_error():
@@ -335,16 +353,8 @@ def test_stored_row_whose_rebuild_fails_names_its_reason(torus_mesh_9x9, tmp_pat
                                                          capsys, monkeypatch):
     # the rebuilt lifts fail past x0 = 0.3, where the mesh holds finite rows
     real = cli.space_form_lifts
-
-    def cut(lift):
-        def fn(x):
-            if x[0] > 0.3:
-                raise GeometryError(f"cut at {x[0]}")
-            return lift(x)
-        return LiftedImmersion(lift.ambient, lift.chart, fn, name=lift.name)
-
     monkeypatch.setattr(cli, "space_form_lifts",
-                        lambda *args: [cut(lift) for lift in real(*args)])
+                        lambda *args: [_cut(lift) for lift in real(*args)])
     err = _verify_exits_4(torus_mesh_9x9, tmp_path, capsys)
     x = read_mesh(torus_mesh_9x9)[1]
     first = tuple(x[np.argmax(x[:, 0] > 0.3)])
@@ -513,20 +523,25 @@ def _spacelike_in_part():
     # (x, y, 0, 0.9 x^2) in flat space: timelike where |x| > 1/1.8
     chart = Chart(2, [-1.5, -1.0], [1.5, 1.0], (9, 9))
     return LiftedImmersion(LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2), chart,
-                           lambda x: np.array([x[0], x[1], 0.0, 0.9 * x[0] ** 2]),
+                           lambda x: np.stack([x[:, 0], x[:, 1], np.zeros(len(x)),
+                                               0.9 * x[:, 0] ** 2], axis=1),
                            name="spacelike-in-part")
 
 
-def _cut_torus():
-    # the torus lift as a one-point map that fails for x0 > 0.3
-    torus = lift_minkowski(shapes.torus(2.0, 1.0))
-
+def _cut(lift, name=None):
+    """The values of `lift` as an array map whose rows fail for x0 > 0.3."""
     def fn(x):
-        if x[0] > 0.3:
-            raise GeometryError(f"cut at {x[0]}")
-        return torus(x)
+        rows = lift.evaluate(x, 0)
+        bad = x[:, 0] > 0.3
+        return Rows(np.where(bad[:, None], np.nan, rows.values),
+                    [GeometryError(f"cut at {p[0]}") if b else e
+                     for p, b, e in zip(x, bad, rows.errors)])
 
-    return LiftedImmersion(torus.ambient, torus.chart, fn, name="cut-torus")
+    return LiftedImmersion(lift.ambient, lift.chart, fn, name=name or lift.name)
+
+
+def _cut_torus():
+    return _cut(lift_minkowski(shapes.torus(2.0, 1.0)), "cut-torus")
 
 
 @pytest.mark.parametrize("make", [_cut_torus, _spacelike_in_part],

@@ -27,7 +27,7 @@ from marlift.constructor import (
     solve_roots,
     thread_root_fields,
 )
-from marlift.core import Chart, GeometryError
+from marlift.core import Chart, GeometryError, Rows
 from marlift.hypersurface import HypersurfaceImmersion, SpaceForm, SpectrumRows
 from marlift.polynomial import _Roots
 
@@ -243,7 +243,7 @@ def test_thread_root_fields_aborts_on_glued_surfaces():
     t2 = shapes.torus(4.0, 0.5)
 
     def fn(x):
-        return t1(x) if x[1] < 1.5 else t2(x)
+        return np.where(x[:, 1:] < 1.5, t1.eval_fn(x), t2.eval_fn(x))
 
     glued = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, fn)
     with pytest.raises(PatternChangeError):
@@ -282,7 +282,7 @@ def test_thread_root_fields_plain_map_tori(radii, resolution):
     # finite-difference frames: the root field is constant along v up to
     # noise, which stays under the floor
     torus = shapes.torus(*radii)
-    plain = HypersurfaceImmersion(SpaceForm.euclidean(3), torus.chart, lambda x: torus(x))
+    plain = HypersurfaceImmersion(SpaceForm.euclidean(3), torus.chart, torus.eval_fn)
     threads = thread_root_fields(plain, AmbientKind.MINKOWSKI, resolution=resolution)
     exact = thread_root_fields(torus, AmbientKind.MINKOWSKI, resolution=resolution)
     assert np.allclose(threads.values, exact.values, rtol=0.0, atol=1e-5)
@@ -293,9 +293,11 @@ def test_thread_root_fields_part_failing_map_raises_its_row_error():
     torus = shapes.torus(2.0, 1.0)
 
     def fn(x):
-        if x[1] > 1.9 and x[0] > 0.2:
-            raise GeometryError(f"no point at {x}")
-        return torus(x)
+        bad = (x[:, 1] > 1.9) & (x[:, 0] > 0.2)
+        values = torus.eval_fn(x)
+        values[bad] = np.nan
+        return Rows(values, [GeometryError(f"no point at {p}") if b else None
+                             for p, b in zip(x, bad)])
 
     imm = HypersurfaceImmersion(SpaceForm.euclidean(3), ch, fn)
     with pytest.raises(GeometryError, match=re.escape("no point at [0.2499 1.9998]")):
@@ -306,7 +308,8 @@ def test_thread_root_fields_torus_glued_to_a_sphere_changes_pattern():
     ch = Chart(2, [-1.0, 0.5], [1.0, 2.5], (9, 9))
     torus, sphere = shapes.torus(2.0, 1.0), shapes.round_sphere(1.0)
     glued = HypersurfaceImmersion(SpaceForm.euclidean(3), ch,
-                                  lambda x: torus(x) if x[1] < 2.0 else sphere(x * 0.3))
+                                  lambda x: np.where(x[:, 1:] < 2.0, torus.eval_fn(x),
+                                                     sphere.eval_fn(x * 0.3)))
     with pytest.raises(PatternChangeError,
                        match=re.escape("pattern changed from (2, (1, 1))/1 roots to "
                                        "(1, (2,))/0 at chart [-0.9996  2.2497]")):
@@ -315,9 +318,9 @@ def test_thread_root_fields_torus_glued_to_a_sphere_changes_pattern():
 
 def _graph3(a):
     def fn(x):
-        f = 0.5 * (a[0] * x[0] ** 2 + a[1] * x[1] ** 2 + a[2] * x[2] ** 2) \
-            + 0.1 * x[0] * x[1] * x[2]
-        return np.array([x[0], x[1], x[2], f])
+        f = 0.5 * (a[0] * x[:, 0] ** 2 + a[1] * x[:, 1] ** 2 + a[2] * x[:, 2] ** 2) \
+            + 0.1 * x[:, 0] * x[:, 1] * x[:, 2]
+        return np.concatenate([x, f[:, None]], axis=1)
 
     return fn
 
@@ -340,7 +343,7 @@ def test_thread_root_fields_three_dimensional_chart(resolution):
 def test_thread_root_fields_seam_across_each_axis_of_a_three_dimensional_chart(axis, where):
     g1, g2 = _graph3((1.0, 2.0, 3.5)), _graph3((0.2, 0.4, 0.7))
     imm = HypersurfaceImmersion(SpaceForm.euclidean(4), N3_CHART,
-                                lambda x: g1(x) if x[axis] < 0.05 else g2(x))
+                                lambda x: np.where(x[:, axis:axis + 1] < 0.05, g1(x), g2(x)))
     with pytest.raises(PatternChangeError, match=re.escape(f"at chart {where}")):
         thread_root_fields(imm, AmbientKind.MINKOWSKI)
 

@@ -12,6 +12,7 @@ from marlift.core import (
     Chart,
     DegenerateMetricError,
     DimensionMismatchError,
+    NonFiniteError,
     OutOfDomainError,
     Signature,
     Tolerances,
@@ -86,7 +87,7 @@ def test_chart_grid_shape_and_order():
 
 def test_jet2_linear_map_has_zero_second_derivatives():
     amat = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.0]])
-    jet = jet2_of(lambda x: amat @ x, np.array([0.3, -0.2]), h=1e-4)
+    jet = jet2_of(lambda x: x @ amat.T, np.array([[0.3, -0.2]]), h=1e-4).row(0)
     assert np.allclose(jet.d1, amat.T, atol=1e-9)
     assert np.allclose(jet.d2, 0.0, atol=1e-6)
 
@@ -94,7 +95,8 @@ def test_jet2_linear_map_has_zero_second_derivatives():
 def test_jet2_quadratic_exact_at_dyadic_step():
     # dyadic step and base point keep the stencil arithmetic exact
     h = 2.0 ** -13
-    jet = jet2_of(lambda x: np.array([x[0] ** 2, 0.0]), np.array([0.5]), h=h)
+    jet = jet2_of(lambda x: np.stack([x[:, 0] ** 2, np.zeros(len(x))], axis=-1),
+                  np.array([[0.5]]), h=h).row(0)
     assert jet.d1[0] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert jet.d2[0, 0] == pytest.approx([2.0, 0.0], abs=1e-10)
 
@@ -103,10 +105,11 @@ def test_jet2_quadratic_exact_at_dyadic_step():
 def test_jet2_polynomial_relative_accuracy_across_steps(h):
     # degree <= 2 maps are reproduced through the h range given dyadic sampling
     def poly(x):
-        return np.array([2.0 * x[0] ** 2 + x[0] * x[1], x[1] ** 2 - x[0]])
+        u, v = x[:, 0], x[:, 1]
+        return np.stack([2.0 * u ** 2 + u * v, v ** 2 - u], axis=-1)
 
     x = np.array([0.5, -0.25])
-    jet = jet2_of(poly, x, h=h)
+    jet = jet2_of(poly, x[None], h=h).row(0)
     d1_exact = np.array([[2.0 * 2.0 * x[0] + x[1], -1.0], [x[0], 2.0 * x[1]]])
     assert np.allclose(jet.d1, d1_exact, rtol=1e-8, atol=1e-12)
     d2_exact = np.zeros((2, 2, 2))
@@ -117,15 +120,15 @@ def test_jet2_polynomial_relative_accuracy_across_steps(h):
 
 
 def test_jet2_circle_chart_analytic_oracle():
-    jet = jet2_of(lambda t: np.array([math.cos(t[0]), math.sin(t[0])]),
-                  np.array([0.0]), h=1e-4)
+    jet = jet2_of(lambda t: np.stack([np.cos(t[:, 0]), np.sin(t[:, 0])], axis=-1),
+                  np.array([[0.0]]), h=1e-4).row(0)
     assert np.allclose(jet.d1[0], [0.0, 1.0], atol=1e-8)
     assert np.allclose(jet.d2[0, 0], [-1.0, 0.0], atol=1e-7)
 
 
 def test_jet2_richardson_second_order():
-    fn = lambda x: np.array([math.sin(1.3 * x[0]) * math.exp(0.4 * x[1])])
-    x = np.array([0.4, -0.3])
+    fn = lambda x: (np.sin(1.3 * x[:, 0]) * np.exp(0.4 * x[:, 1]))[:, None]
+    x = np.array([[0.4, -0.3]])
     h = 1e-2
     exact = jet2_of(fn, x, h=1e-4)
     err_h = np.max(np.abs(jet2_of(fn, x, h=h).d2 - exact.d2))
@@ -136,12 +139,15 @@ def test_jet2_richardson_second_order():
 def test_jet2_out_of_domain():
     ch = Chart(1, [0.0], [1.0], (5,))
     with pytest.raises(OutOfDomainError):
-        jet2_of(lambda x: x, np.array([1.0]), h=1e-3, chart=ch)
+        jet2_of(lambda x: x, np.array([[1.0]]), h=1e-3, chart=ch).row(0)
+    for h in (0.0, -1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfDomainError, match="step h"):
+            jet2_of(lambda x: x, np.array([[0.5]]), h=h, chart=ch)
 
 
 def test_jet2_non_finite():
-    with pytest.raises(Exception):
-        jet2_of(lambda x: np.array([math.inf * x[0]]), np.array([1.0]), h=1e-4)
+    with pytest.raises(NonFiniteError):
+        jet2_of(lambda x: math.inf * x, np.array([[1.0]]), h=1e-4).row(0)
 
 
 # ---------------------------------------------------------------- eigen

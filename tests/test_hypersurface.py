@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marlift.core import Chart, DimensionMismatchError, Jet2, Signature, bilinear_rows, stacked
+from marlift.core import Chart, DimensionMismatchError, Jet2, Signature, bilinear_rows
 from marlift.hypersurface import (
     HypersurfaceImmersion,
     ImmersionError,
@@ -29,7 +29,7 @@ def spectrum_of(imm, x):
 def test_flat_plane_has_zero_second_form():
     ch = Chart(2, [-1.0, -1.0], [1.0, 1.0], (5, 5))
     imm = HypersurfaceImmersion(
-        SpaceForm.euclidean(3), ch, lambda x: np.array([x[0], x[1], 0.0]))
+        SpaceForm.euclidean(3), ch, lambda x: np.concatenate([x, np.zeros((len(x), 1))], axis=1))
     fr = frame_at(imm, [0.2, -0.3])
     assert np.allclose(fr.second_form, 0.0, atol=1e-8)
     assert np.allclose(fr.metric, np.eye(2), atol=1e-9)
@@ -76,14 +76,13 @@ def test_orientation_flip_negates_curvatures():
     ch = imm.chart
     swapped = HypersurfaceImmersion(
         imm.space, Chart(2, ch.lower[::-1], ch.upper[::-1], ch.resolution[::-1]),
-        stacked(lambda x: imm.eval_fn(x[:, ::-1])), swapped_jets)
+        lambda x: imm.eval_fn(x[:, ::-1]), swapped_jets)
     x = [0.5, 1.0]
     sp = spectrum_at(frame_at(imm, x))
     spf = spectrum_at(frame_at(swapped, x[::-1]))
     assert np.allclose(sorted(spf.raw), sorted([-k for k in sp.raw]), atol=1e-9)
 
 
-@stacked
 def _s4_hypersurface(x):
     # S^1(cos a) x S^2(sin a) in S^4, a = 0.9
     ca, sa = math.cos(0.9), math.sin(0.9)
@@ -91,7 +90,6 @@ def _s4_hypersurface(x):
                            sa * shapes.sphere_chart(x[:, 1:])], axis=1)
 
 
-@stacked
 def _e4_graph(x):
     f = 0.5 * (x[:, 0] ** 2 + 2.0 * x[:, 1] ** 2 + 3.5 * x[:, 2] ** 2) \
         + 0.1 * x[:, 0] * x[:, 1] * x[:, 2]
@@ -130,7 +128,7 @@ def test_orientation_sign_is_the_determinants(name):
 def test_rank_deficient_chart_rejected():
     ch = Chart(2, [-1.0, -1.0], [1.0, 1.0], (5, 5))
     imm = HypersurfaceImmersion(
-        SpaceForm.euclidean(3), ch, lambda x: np.array([x[0], x[0], 0.0]))
+        SpaceForm.euclidean(3), ch, lambda x: np.stack([x[:, 0], x[:, 0], np.zeros(len(x))], axis=1))
     with pytest.raises(ImmersionError):
         frame_at(imm, [0.0, 0.0])
 
@@ -249,7 +247,7 @@ def test_reparametrization_invariance():
     lin = np.array([[0.5, 0.1], [0.0, 2.0]])   # orientation preserving
     shift = np.array([0.1, -0.2])
     ch = Chart(2, [-1.0, -1.0], [1.0, 1.0], (5, 5))
-    rep = HypersurfaceImmersion(imm.space, ch, lambda x: imm(lin @ x + shift))
+    rep = HypersurfaceImmersion(imm.space, ch, lambda x: imm.eval_fn(x @ lin.T + shift))
     x = np.array([0.3, 0.4])
     sp_direct = spectrum_of(imm, lin @ x + shift)
     sp_rep = spectrum_of(rep, x)
@@ -276,7 +274,7 @@ def test_spectrum_distinct_values_kept():
 def test_spectrum_totally_geodesic():
     ch = Chart(2, [-1.0, -1.0], [1.0, 1.0], (5, 5))
     imm = HypersurfaceImmersion(
-        SpaceForm.euclidean(3), ch, lambda x: np.array([x[0], x[1], 0.0]))
+        SpaceForm.euclidean(3), ch, lambda x: np.concatenate([x, np.zeros((len(x), 1))], axis=1))
     sp = spectrum_of(imm, [0.0, 0.0])
     assert sp.p == 1
     assert sp.kappas[0] == pytest.approx(0.0, abs=1e-8)

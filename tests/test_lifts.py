@@ -93,7 +93,7 @@ def test_antidesitter_lift_constraint_and_verdict():
 
 def test_null_lift_desitter_constraint():
     sl = spherical_slice(Chart(2, [-1.0, -1.0], [1.0, 1.0], (5, 5)))
-    lift = null_lift(sl, lambda x: 0.7)
+    lift = null_lift(sl, lambda x: np.full(len(x), 0.7))
     assert constraint_max(lift, stride=7) <= 1e-12
     nu = lift.null_normal(np.array([0.0, 0.0]))
     assert bilinear(lift.ambient.signature, nu, nu) == pytest.approx(0.0, abs=1e-14)
@@ -163,10 +163,10 @@ def test_chen_l4_null_projection_is_totally_geodesic():
     _, lift = catalog_lookup("chen-l4")
 
     def phi(x):
-        psi = lift(x)
-        tau = psi[4]
+        psi = lift.evaluate(x, 0).values
+        tau = psi[:, 4:]
         nu = np.array([-1.0, 0.0, 1.0, -1.0])
-        return psi[:4] - tau * nu
+        return psi[:, :4] - tau * nu
 
     ch = lift.chart
     imm = HypersurfaceImmersion(SpaceForm.hyperbolic(3), ch, phi)
@@ -178,7 +178,7 @@ def test_chen_l4_null_projection_is_totally_geodesic():
 def test_chen_l1_matches_null_lift_of_plane():
     _, lift = catalog_lookup("chen-l1", {"f": "x**2"})
     ch = lift.chart
-    direct = null_lift(flat_slice(ch), lambda x: x[0] ** 2)
+    direct = null_lift(flat_slice(ch), lambda x: x[:, 0] ** 2)
     for x in ch.grid(margin=0.01)[::67]:
         assert np.allclose(lift(x), direct(x), atol=1e-12)
 
@@ -193,7 +193,7 @@ def test_chen_l2_spacelike_and_trapped():
 def test_chen_l3_reduces_to_spherical_null_lift():
     _, lift = catalog_lookup("chen-l3", {"f": "2+sin(x)"})
     sl = spherical_slice(lift.chart)
-    direct = null_lift(sl, lambda x: (2.0 + math.sin(x[0])) * math.cos(x[1]))
+    direct = null_lift(sl, lambda x: (2.0 + np.sin(x[:, 0])) * np.cos(x[:, 1]))
     for x in lift.chart.grid(margin=0.01)[::67]:
         assert np.allclose(lift(x), direct(x), atol=1e-12)
 
@@ -238,9 +238,9 @@ def test_three_dimensional_rotational_hypersurface_of_s4():
     ch = Chart(3, [0.0, -0.8, -0.8], [2.0, 0.8, 0.8], (5, 5, 5))
 
     def fn(x):
-        u = x[0]
-        s2 = shapes.sphere_chart(x[1:])
-        return np.concatenate([[ca * math.cos(u), ca * math.sin(u)], sa * s2])
+        u = x[:, 0]
+        s2 = shapes.sphere_chart(x[:, 1:])
+        return np.concatenate([ca * np.stack([np.cos(u), np.sin(u)], axis=1), sa * s2], axis=1)
 
     imm = HypersurfaceImmersion(SpaceForm.sphere(4), ch, fn, name="s4-rotational")
     frame = frame_at(imm, [0.5, 0.2, -0.1])

@@ -20,22 +20,23 @@ def test_expr_preset_gradient_matches_analytic():
     # f = u3 is a first spherical harmonic: grad = e3 - u3 u, lap = -2 u3
     _, sf = catalog_lookup("palmer-sphere", {"preset": "expr", "f": "u3"})
     e3 = np.array([0.0, 0.0, 1.0])
-    for x in chart().grid(margin=0.01)[::7]:
-        u = sf.point(x)
-        grad = sf.gradient(x)
-        assert np.allclose(grad, e3 - u[2] * u, rtol=0.0, atol=1e-12)
-        assert sf.laplacian(x) == pytest.approx(-2.0 * u[2], abs=1e-12)
+    points = chart().grid(margin=0.01)[::7]
+    u = sf.at(points)[0]
+    assert np.allclose(sf.gradient(points), e3 - u[:, 2:] * u, rtol=0.0, atol=1e-12)
+    assert sf.laplacian(points) == pytest.approx(-2.0 * u[:, 2], abs=1e-12)
 
 
-def test_support_function_takes_one_or_stacked_points():
+def test_support_function_rows_do_not_depend_on_their_batch():
     _, sf = catalog_lookup("palmer-sphere", {"preset": "expr",
                                              "f": "1+0.2*sin(u3)*exp(u3)"})
     points = chart().grid()
-    for method in (sf.point, sf.value, sf.gradient, sf.laplacian):
-        rows = method(points)
-        assert len(rows) == len(points)
-        for x, row in zip(points, rows):
-            assert np.array_equal(method(x), row)
+    rows = sf.at(points)
+    assert np.array_equal(sf.gradient(points), rows[2])
+    assert np.array_equal(sf.laplacian(points), rows[3])
+    for i in range(len(points)):
+        for whole, alone in zip(rows, sf.at(points[i:i + 1])):
+            assert len(whole) == len(points)
+            assert np.array_equal(whole[i], alone[0])
 
 
 def test_quadric_rows_keep_the_one_point_arithmetic():
@@ -44,9 +45,7 @@ def test_quadric_rows_keep_the_one_point_arithmetic():
     _, sf = catalog_lookup("palmer-sphere")   # quadric preset, axes 1.3/1.0/0.8
     m2 = np.array([1.3, 1.0, 0.8]) ** 2
     points = sf.chart.grid()
-    rows = zip(sf.point(points), sf.value(points), sf.gradient(points),
-               sf.laplacian(points))
-    for u, f, grad, lap in rows:
+    for u, f, grad, lap in zip(*sf.at(points)):
         fv = math.sqrt(float(u @ (m2 * u)))
         m2u = m2 * u
         assert f == fv
@@ -109,10 +108,10 @@ def test_route_height_matches_support_formula():
     # tau = H/K of the front equals -(f + lap f / 2)
     _, sf = catalog_lookup("palmer-sphere")
     route = support_route_lift(sf)
-    for x in sf.chart.grid(margin=0.01)[::9]:
-        tau_route = route(x)[-1]
-        tau_support = -sf.value(x) - 0.5 * sf.laplacian(x)
-        assert tau_route == pytest.approx(tau_support, abs=1e-6)
+    points = sf.chart.grid(margin=0.01)[::9]
+    _, f, _, lap = sf.at(points)
+    tau_route = route.evaluate(points).values[:, -1]
+    assert tau_route == pytest.approx(-f - 0.5 * lap, abs=1e-6)
 
 
 def test_constant_support_route_height():

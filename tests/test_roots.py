@@ -30,7 +30,7 @@ from marlift.constructor import (
     lift_sphere_product,
     solve_roots,
 )
-from marlift.core import Chart, GeometryError
+from marlift.core import Chart, GeometryError, Rows
 from marlift.hypersurface import HypersurfaceImmersion, SpaceForm
 from marlift.polynomial import PRODUCT_FAMILY, SPACE_FORM_FAMILY, _root_rows
 
@@ -191,10 +191,13 @@ def test_a_row_still_running_at_the_cap_names_its_bracket():
 def _graph3_failing():
     """An n = 3 graph in E^4 whose map fails for x0 > 0.275."""
     def fn(x):
-        if x[0] > 0.275:
-            raise GeometryError(f"no point at {x}")
-        f = 0.5 * (x[0] ** 2 + 2.0 * x[1] ** 2 + 3.5 * x[2] ** 2) + 0.1 * x[0] * x[1] * x[2]
-        return np.array([x[0], x[1], x[2], f])
+        u, v, w = x.T
+        f = 0.5 * (u ** 2 + 2.0 * v ** 2 + 3.5 * w ** 2) + 0.1 * u * v * w
+        values = np.concatenate([x, f[:, None]], axis=1)
+        bad = u > 0.275
+        values[bad] = np.nan
+        return Rows(values, [GeometryError(f"no point at {p}") if b else None
+                             for p, b in zip(x, bad)])
 
     chart = Chart(3, [-0.3] * 3, [0.3] * 3, (5, 5, 5))
     return HypersurfaceImmersion(SpaceForm.euclidean(4), chart, fn)
@@ -205,9 +208,9 @@ def _umbilic_half():
     curvatures cluster to the pattern (1, (2,)) with no flat-family root,
     and a paraboloid with two curvatures and one root elsewhere."""
     def fn(x):
-        r2 = x[0] ** 2 + x[1] ** 2
-        f = 1.0 - math.sqrt(1.0 - r2) if x[0] < 0.0 else 0.5 * x[0] ** 2 + x[1] ** 2
-        return np.array([x[0], x[1], f])
+        u, v = x.T
+        f = np.where(u < 0.0, 1.0 - np.sqrt(1.0 - (u ** 2 + v ** 2)), 0.5 * u ** 2 + v ** 2)
+        return np.concatenate([x, f[:, None]], axis=1)
 
     chart = Chart(2, [-0.4, -0.4], [0.4, 0.4], (5, 5))
     return HypersurfaceImmersion(SpaceForm.euclidean(3), chart, fn)

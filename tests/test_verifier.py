@@ -49,7 +49,7 @@ def plane_chart(res=6):
 # ----------------------------------------------------------------- frames
 
 def test_flat_null_lift_frame_null_pair():
-    lift = null_lift(flat_slice(plane_chart()), lambda x: 0.0)
+    lift = null_lift(flat_slice(plane_chart()), lambda x: np.zeros(len(x)))
     fr = lorentz_frame_at(lift, [0.1, 0.2])
     sig = lift.ambient.signature
     for v in fr.null_pair:
@@ -75,7 +75,7 @@ def test_constructor_lift_primary_null_matches_stored():
 def test_timelike_perturbation_detected():
     amb = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
     bad = LiftedImmersion(amb, plane_chart(),
-                          lambda x: np.array([x[0], x[1], 0.0, 2.0 * x[0]]))
+                          lambda x: np.stack([x[:, 0], x[:, 1], np.zeros(len(x)), 2.0 * x[:, 0]], axis=1))
     with pytest.raises(SpacelikeViolationError):
         lorentz_frame_at(bad, [0.3, 0.1])
 
@@ -84,7 +84,7 @@ def test_timelike_reason_names_its_eigenvalue():
     # g = diag(1 - 4, 1): the eigenvalue -3 lies far below -tol_pd
     amb = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
     bad = LiftedImmersion(amb, plane_chart(5),
-                          lambda x: np.array([x[0], x[1], 0.0, 2.0 * x[0]]))
+                          lambda x: np.stack([x[:, 0], x[:, 1], np.zeros(len(x)), 2.0 * x[:, 0]], axis=1))
     report = assemble_report(bad)
     assert report.spacelike_failures == report.total
     assert all(reason.endswith("(min eigenvalue -3.000e+00)") for reason in report.reasons)
@@ -129,7 +129,7 @@ def test_dependent_tangent_and_constraint_rows_are_degenerate():
     # the quadric and g = I, but the quadric's normal there is along e1 too
     amb = LorentzAmbient.for_kind(AmbientKind.DE_SITTER, 2)
     lift = LiftedImmersion(amb, plane_chart(),
-                           lambda x: np.array([1.0 + x[0], x[1], 0.0, 0.0, 0.0]))
+                           lambda x: np.concatenate([x + [1.0, 0.0], np.zeros((len(x), 3))], axis=1))
     assert "degenerate tangent/constraint system" in _row_error_is_the_point_error(
         lift, [0.0, 0.0])
 
@@ -139,7 +139,7 @@ def test_normal_complement_of_the_wrong_dimension():
     # dimension 3
     amb = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 3)
     lift = LiftedImmersion(amb, plane_chart(),
-                           lambda x: np.array([x[0], x[1], 0.0, 0.0, 0.0]))
+                           lambda x: np.concatenate([x, np.zeros((len(x), 3))], axis=1))
     assert _row_error_is_the_point_error(lift, [0.3, 0.1]) == (
         "normal complement has dimension 3, expected 2")
 
@@ -261,7 +261,7 @@ def test_null_frame_validity_over_grid():
 # ------------------------------------------------------------ second form
 
 def test_null_lift_second_form_is_hessian_times_null():
-    lift = null_lift(flat_slice(plane_chart()), lambda x: x[0] ** 2 + x[0] * x[1])
+    lift = null_lift(flat_slice(plane_chart()), lambda x: x[:, 0] ** 2 + x[:, 0] * x[:, 1])
     x = np.array([0.3, -0.2])
     sff = second_form_at(lift, x)
     nu = lift.null_normal(x)
@@ -270,7 +270,7 @@ def test_null_lift_second_form_is_hessian_times_null():
 
 
 def test_totally_geodesic_lift_second_form_vanishes():
-    lift = null_lift(flat_slice(plane_chart()), lambda x: 0.0)
+    lift = null_lift(flat_slice(plane_chart()), lambda x: np.zeros(len(x)))
     sff = second_form_at(lift, [0.1, 0.4])
     assert np.max(np.abs(sff)) <= 1e-8
 
@@ -395,7 +395,8 @@ def test_report_random_graph_not_marginal():
     amb = LorentzAmbient.for_kind(AmbientKind.MINKOWSKI, 2)
     graph = LiftedImmersion(
         amb, plane_chart(),
-        lambda x: np.array([x[0], x[1], 0.1 * math.sin(x[0]) * math.sin(x[1]), 0.0]),
+        lambda x: np.stack([x[:, 0], x[:, 1], 0.1 * np.sin(x[:, 0]) * np.sin(x[:, 1]),
+                            np.zeros(len(x))], axis=1),
         name="random-graph")
     rep = assemble_report(graph, resolution=(6, 6))
     assert rep.verdict == "not_marginal"
@@ -429,7 +430,7 @@ def test_verdict_scale_invariant_under_chart_rescaling():
     ch = imm.chart
     doubled = Chart(2, 2.0 * ch.lower, 2.0 * ch.upper, (7, 7))
     remapped = HypersurfaceImmersion(imm.space, doubled,
-                                     lambda x: imm(0.5 * x))
+                                     lambda x: imm.eval_fn(0.5 * x))
     rep1 = assemble_report(lift_minkowski(imm), resolution=(7, 7))
     rep2 = assemble_report(lift_minkowski(remapped), resolution=(7, 7))
     assert rep1.verdict == rep2.verdict == "marginally_trapped"

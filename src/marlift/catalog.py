@@ -16,8 +16,7 @@ derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -121,8 +120,7 @@ def _check_profile(f, chart: Chart, entry: str, what: str, guard):
             f"{entry} needs {what} nowhere zero; fails near x={t[flat][0]:.3f}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     kind: str                      # hypersurface | lift | support
     builder: Callable[[dict], object]

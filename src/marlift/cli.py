@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,10 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     entry: str = ""
-    params: dict = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})  # read-only, so configs can share it
     ambient: Optional[AmbientKind] = None
     grid: Optional[tuple] = None
     step: Optional[float] = None
@@ -67,9 +66,11 @@ class RunConfig:
             raise UsageError("tolerances must be positive and finite")
 
     def check_grid(self, chart):
-        """The grid, if given, has one resolution per chart axis."""
+        """The grid, if given, has one resolution per chart axis; a config
+        with a mesh has its grid from the mesh header, not from --grid."""
         if self.grid is not None and len(self.grid) != chart.dim:
-            raise UsageError(f"--grid has {len(self.grid)} axes, entry {self.entry!r} "
+            source = "--grid" if self.mesh is None else "grid"
+            raise UsageError(f"{source} has {len(self.grid)} axes, entry {self.entry!r} "
                              f"has a {chart.dim}-dimensional chart")
 
 
@@ -98,7 +99,7 @@ def _parse_grid(text: Optional[str]) -> Optional[tuple]:
     try:
         vals = tuple(int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"--grid expects NxM, got {text!r}")
+        raise UsageError(f"grid expects NxM, got {text!r}")
     if len(vals) == 1:
         vals = (vals[0], vals[0])
     return vals
@@ -271,13 +272,15 @@ def _verify_mesh(cfg: RunConfig) -> int:
     try:
         step = float(metadata["step"]) if metadata.get("step") else None
         root_index = int(metadata["root_index"]) if metadata.get("root_index") else None
-    except ValueError as exc:
+        cfg = RunConfig(entry=name, params=params,
+                        ambient=_parse_ambient(metadata.get("ambient") or None),
+                        grid=_parse_grid(metadata.get("grid") or None), step=step,
+                        tol_marginal=cfg.tol_marginal, out_dir=cfg.out_dir,
+                        root_index=root_index, mesh=mesh_path)
+        cfg.validate()
+        cfg.check_grid(built.chart)
+    except (ValueError, UsageError) as exc:
         raise IngestError(f"{mesh_path}: bad header value: {exc}") from None
-    cfg = RunConfig(entry=name, params=params,
-                    ambient=_parse_ambient(metadata.get("ambient") or None),
-                    grid=_parse_grid(metadata.get("grid") or None), step=step,
-                    tol_marginal=cfg.tol_marginal, out_dir=cfg.out_dir,
-                    root_index=root_index, mesh=mesh_path)
     indexed = _lifts_for(cfg, entry, built, verify=True)
     if not indexed:
         raise IngestError("mesh names root 0 but the entry has none")

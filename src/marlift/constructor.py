@@ -18,7 +18,6 @@ formulas live; only the constant-height product embedding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from .core import (
     _call_rows,
     _errored,
     _fail,
+    _merged,
     bilinear_rows,
     jet2_of,  # unused here; bench/tracing.py wraps it on this module
     shape_eigen_rows,
@@ -120,8 +120,7 @@ _SOURCE_SPACE = {
 }
 
 
-@dataclass(frozen=True)
-class LorentzAmbient:
+class LorentzAmbient(NamedTuple):
     """Lorentzian ambient inside its flat container.
 
     dim is the ambient dimension n+2 for an n-dimensional submanifold. The
@@ -185,8 +184,7 @@ class LorentzAmbient:
 
 # ------------------------------------------------------------------- lifts
 
-@dataclass(frozen=True)
-class LiftContext:
+class LiftContext(NamedTuple):
     """Cross-check data the verifier may consult: the lemma identities are
     expressed through the source frame, its raw curvatures and the height
     (tau, and s = cot/coth tau in the products). A context of stacked points
@@ -245,8 +243,7 @@ def lift_map(fn):
     return fn
 
 
-@dataclass(frozen=True)
-class LiftedImmersion:
+class LiftedImmersion(NamedTuple):
     """Evaluatable spacelike map into a Lorentzian ambient.
 
     `evaluate(x)` takes stacked chart points (P, n) to a `LiftRows`. The
@@ -552,7 +549,7 @@ def graph_lift(imm: HypersurfaceImmersion, kind: AmbientKind,
     def pick(x, k) -> _Source:
         frame = frame_rows(imm, x)
         height = tau_fn(frame)
-        errors = [f if f is not None else e for f, e in zip(frame.errors, height.errors)]
+        errors = _merged(frame.errors, height.errors)
         return _Source(frame.point, frame.normal, height.values, errors, frame)
 
     return _shift_lift(kind, imm.chart, pick, name or f"{imm.name}:graph")
@@ -580,8 +577,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
         if not k:
             return LiftRows(values, errors)
         frame = frame_rows(imm, x[:k])
-        errors = [e if e is not None else f
-                  for e, f in zip(errors, frame.errors)] + errors[k:]
+        errors = _merged(errors, frame.errors)
         failed = _errored(errors)
         nulls = np.concatenate([frame.normal, np.ones((k, 1))], axis=1)
         values[failed] = np.nan
@@ -595,8 +591,7 @@ def product_height_lift(imm: HypersurfaceImmersion, height: float,
 
 # --------------------------------------------------------------- null lifts
 
-@dataclass(frozen=True)
-class TotallyGeodesicSlice:
+class TotallyGeodesicSlice(NamedTuple):
     """Totally geodesic hypersurface of a space form with a constant unit
     normal; `eval_fn` takes stacked chart points (P, n)."""
 
@@ -663,8 +658,7 @@ def null_lift(slice_: TotallyGeodesicSlice,
 
 # --------------------------------------------------------- support functions
 
-@dataclass(frozen=True)
-class SupportFunction:
+class SupportFunction(NamedTuple):
     """Scalar field f on a chart of S^2 with its round-metric gradient and
     Laplacian.
 
@@ -737,8 +731,7 @@ def support_route_lift(sf: SupportFunction) -> LiftedImmersion:
 
 # ------------------------------------------------------------ root threading
 
-@dataclass(frozen=True)
-class RootThreads:
+class RootThreads(NamedTuple):
     """Root fields sampled over a raster grid, one column per root index,
     and the grid's frames, spectra and roots (`solved`, as `_root_rows`
     gives them), which serve the lift builders as their reference."""

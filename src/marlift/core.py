@@ -15,8 +15,7 @@ on such stacks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,8 +67,7 @@ class DegenerateMetricError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Central tolerance record.
 
     The one place tolerances are set: every module reads `DEFAULTS` where it
@@ -96,18 +94,15 @@ class Tolerances:
 DEFAULTS = Tolerances()
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple("_Signature", [("plus", int), ("minus", int)])):
     """Diagonal flat bilinear form with `plus` +1 entries then `minus` -1 entries."""
 
-    plus: int
-    minus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.plus < 0 or self.minus < 0:
+    def __new__(cls, plus: int, minus: int):
+        if plus < 0 or minus < 0:
             raise DimensionMismatchError("signature counts must be nonnegative")
-        object.__setattr__(self, "_signs", np.concatenate(
-            [np.ones(self.plus), -np.ones(self.minus)]))
+        return super().__new__(cls, plus, minus)
 
     @property
     def dim(self) -> int:
@@ -115,12 +110,19 @@ class Signature:
 
     @property
     def signs(self) -> np.ndarray:
-        return self._signs
+        return _signs(self.plus, self.minus)
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def of(plus: int, minus: int) -> "Signature":
         return Signature(plus, minus)
+
+
+@functools.lru_cache(maxsize=None)
+def _signs(plus: int, minus: int) -> np.ndarray:
+    signs = np.concatenate([np.ones(plus), -np.ones(minus)])
+    signs.flags.writeable = False  # one array per signature, shared
+    return signs
 
 
 def bilinear(sig: Signature, u: Sequence[float], v: Sequence[float]) -> float:
@@ -154,34 +156,29 @@ def bilinear_rows(sig: Signature, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.vecdot(u[..., :p], v[..., :p]) - np.vecdot(u[..., p:], v[..., p:])
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple("_Chart", [("dim", int), ("lower", np.ndarray),
+                                   ("upper", np.ndarray), ("resolution", tuple)])):
     """Sampled open box in R^n.
 
     Grid sweeps visit every sample point; a point that the construction or
     the verifier cannot handle fails alone, with its own reason.
     """
 
-    dim: int
-    lower: np.ndarray
-    upper: np.ndarray
-    resolution: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        res = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        if lower.shape != (self.dim,) or upper.shape != (self.dim,):
+    def __new__(cls, dim: int, lower, upper, resolution):
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        res = tuple(int(r) for r in np.atleast_1d(resolution))
+        if lower.shape != (dim,) or upper.shape != (dim,):
             raise DimensionMismatchError("chart bounds must have length dim")
-        if len(res) != self.dim:
+        if len(res) != dim:
             raise DimensionMismatchError("chart resolution must have length dim")
         if not np.all(lower < upper):
             raise OutOfDomainError("chart requires lower < upper on every axis")
         if any(r < 3 for r in res):
             raise OutOfDomainError("resolution >= 3 per axis (central differences need interior points)")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "resolution", res)
+        return super().__new__(cls, dim, lower, upper, res)
 
     def with_resolution(self, resolution) -> "Chart":
         return Chart(self.dim, self.lower, self.upper, resolution)
@@ -196,8 +193,7 @@ class Chart:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-@dataclass(frozen=True)
-class Jet2:
+class Jet2(NamedTuple):
     """Value, first and second derivatives of a map at a point.
 
     d1[i] is the i-th partial derivative vector, d2[i, j] the mixed second
@@ -392,6 +388,14 @@ def _errored(errors) -> np.ndarray:
     if errors.count(None) == len(errors):
         return np.zeros(len(errors), dtype=bool)
     return np.array([e is not None for e in errors], dtype=bool)
+
+
+def _merged(first, second) -> list:
+    """Each row's error from `first`, else from `second`, which may be
+    shorter; when `second` holds none, as is usual, no per-row loop runs."""
+    if not _errored(second).any():
+        return list(first)
+    return [f if f is not None else s for f, s in zip(first, second)] + list(first[len(second):])
 
 
 def _fail(errors: list, mask, make) -> None:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,8 +71,7 @@ class SpaceFormKind(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class SpaceForm:
+class SpaceForm(NamedTuple):
     """Riemannian space form in its flat container.
 
     dim is the space form dimension n+1; the container is R^{n+1} for the
@@ -114,8 +112,7 @@ class SpaceForm:
         return SpaceForm(SpaceFormKind.HYPERBOLIC, dim)
 
 
-@dataclass(frozen=True)
-class HypersurfaceImmersion:
+class HypersurfaceImmersion(NamedTuple):
     """Evaluatable immersion of a chart into a space form.
 
     `eval_fn` is an array map: it takes stacked chart points (P, n) to
@@ -149,8 +146,7 @@ class HypersurfaceImmersion:
         return jet2_of(self.eval_fn, x, h=h, chart=self.chart)
 
 
-@dataclass(frozen=True)
-class PointFrame:
+class PointFrame(NamedTuple):
     """First and second order data of a hypersurface at one chart point.
 
     A frame of stacked points carries a leading point axis on every array
@@ -180,21 +176,20 @@ class PointFrame:
                           metric=self.metric[i], second_form=self.second_form[i])
 
 
-@dataclass(frozen=True)
-class ShapeSpectrum:
+class ShapeSpectrum(NamedTuple("_ShapeSpectrum",
+                                [("kappas", tuple), ("mults", tuple), ("raw", tuple)])):
     """Clustered principal curvatures: distinct values with multiplicities."""
 
-    kappas: tuple
-    mults: tuple
-    raw: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.kappas) != len(self.mults):
+    def __new__(cls, kappas: tuple, mults: tuple, raw: tuple):
+        if len(kappas) != len(mults):
             raise DimensionMismatchError("kappas and mults must align")
-        if sum(self.mults) != len(self.raw):
+        if sum(mults) != len(raw):
             raise DimensionMismatchError("multiplicities must sum to the raw count")
-        if any(m <= 0 for m in self.mults):
+        if any(m <= 0 for m in mults):
             raise DimensionMismatchError("multiplicities must be positive")
+        return super().__new__(cls, kappas, mults, raw)
 
     @property
     def p(self) -> int:

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -135,8 +134,7 @@ def _polyder(slope, t):
     return acc
 
 
-@dataclass(frozen=True)
-class CurvaturePolynomial:
+class CurvaturePolynomial(NamedTuple):
     """Height polynomial of a curvature spectrum, with guaranteed brackets.
 
     `breakpoints` are the curvature radii (flat family) or the curvatures
@@ -310,8 +308,7 @@ def curvature_polynomial(spectrum: ShapeSpectrum | Sequence[float],
 
 # --------------------------------------------------------------- root solve
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     value: float
     bracket: tuple
     degenerate: bool

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -93,8 +92,7 @@ class SpacelikeViolationError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class LorentzFrame:
+class LorentzFrame(NamedTuple):
     """Tangent data, induced metric and the null normal pair at one point.
 
     A frame of stacked points carries a leading point axis on every array
@@ -125,8 +123,7 @@ class LorentzFrame:
         """The frame of stacked point i; raises that point's error."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        arrays = (getattr(self, f.name) for f in fields(self)[:-2])
-        return LorentzFrame(*(a[i] for a in arrays), jet=self.jet.row(i))
+        return LorentzFrame(*(a[i] for a in self[:-2]), jet=self.jet.row(i))
 
 
 def _resolved(name: str, value: float) -> str:
@@ -427,8 +424,7 @@ def check_second_form_identity(lift: LiftedImmersion, x) -> float:
 
 # ----------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     x: tuple
     position: Optional[tuple] = None
     min_eig_g: float = math.nan
@@ -448,18 +444,7 @@ class PointRecord:
         return min(self.null_residual_primary, self.null_residual_opposite)
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalityReport:
-    """The verified lift as its per-point table, a row per grid point.
-
-    `x` (P, n) holds the chart points and `values` (P, N) the lift's values
-    there, NaN where the lift failed. `table` (P, 8) holds the value fields
-    of `PointRecord` in their order, NaN where a value was not computed and
-    on excluded points. `reasons` holds each point's exclusion reason, ""
-    on live points. `records` is the table as PointRecords, built when first
-    read.
-    """
-
+class _ReportFields(NamedTuple):
     name: str
     ambient: str
     verdict: str
@@ -470,6 +455,24 @@ class MarginalityReport:
     reasons: tuple
     cross_check_failures: int = 0
     convention: str = CONVENTION_NOTE
+
+
+class MarginalityReport(_ReportFields):
+    """The verified lift as its per-point table, a row per grid point.
+
+    `x` (P, n) holds the chart points and `values` (P, N) the lift's values
+    there, NaN where the lift failed. `table` (P, 8) holds the value fields
+    of `PointRecord` in their order, NaN where a value was not computed and
+    on excluded points. `reasons` holds each point's exclusion reason, ""
+    on live points. `records` is the table as PointRecords, built when first
+    read and kept in the instance dict, the one attribute a report sets.
+    Reports compare and hash by identity.
+    """
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def total(self) -> int:

@@ -5,7 +5,6 @@ gives, and a failing row must fail alone with the error its one-row call
 raises.
 """
 
-import dataclasses
 import functools
 import math
 import re
@@ -569,10 +568,9 @@ def _partial_context_lift():
         errors = tuple(FrameError(f"no context at {p}") if p[0] > 0.0 else e
                        for p, e in zip(x[:k], rows.contexts.errors))
         return LiftRows(rows.values, rows.errors, rows.nulls,
-                        dataclasses.replace(rows.contexts, errors=errors))
+                        rows.contexts._replace(errors=errors))
 
-    return dataclasses.replace(torus, eval_fn=partial_context,
-                               name="torus-partial-context")
+    return torus._replace(eval_fn=partial_context, name="torus-partial-context")
 
 
 def test_cross_check_failures_are_counted():
@@ -678,7 +676,7 @@ def test_report_makes_one_lift_pass(name, grid, monkeypatch):
             return fn(imm, *args)
 
         monkeypatch.setattr(constructor, solve, counted_solve)
-    report = assemble_report(dataclasses.replace(lift, eval_fn=counted), resolution=grid)
+    report = assemble_report(lift._replace(eval_fn=counted), resolution=grid)
     points = grid[0] * grid[1]
     assert calls == [(9 * points, points)]
     assert solved == ([("frame_rows", points)] if name == "palmer-quadric"

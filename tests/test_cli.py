@@ -1,9 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marlift import cli, constructor, shapes, verifier
+from marlift.catalog import CATALOG
 from marlift.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -29,6 +34,20 @@ def test_catalog_listing(capsys):
     for name in ["chen-l1", "chen-l2", "chen-l3", "chen-l4", "torus",
                  "clifford-torus", "catenoid", "ellipsoid", "palmer-sphere"]:
         assert name in out
+
+
+def test_console_entry_lists_the_catalog_from_a_cold_import(tmp_path):
+    # a fresh interpreter compiles every module from source, with no cached
+    # bytecode to read or write
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-m", "marlift.cli", "catalog"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    names = [line.split()[0] for line in proc.stdout.splitlines() if not line.startswith(" ")]
+    assert names == list(CATALOG) and len(names) == 16
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_is_error():
@@ -234,6 +253,26 @@ def test_malformed_mesh_is_classified(torus_mesh, tmp_path, capsys, edit, code, 
     assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("grid", "abc", "grid expects NxM, got 'abc'"),
+    ("ambient", "bogus", "unknown ambient 'bogus'"),
+    ("grid", "5x5x5", "grid has 3 axes, entry 'torus' has a 2-dimensional chart"),
+    ("grid", "2x2", "grid resolutions must be at least 3"),
+    ("step", "-1", "step must be positive and finite"),
+    ("step", "nan", "step must be positive and finite"),
+], ids=["grid-abc", "ambient-bogus", "grid-5x5x5", "grid-2x2", "step-negative", "step-nan"])
+def test_bad_header_value_is_ingest_error(torus_mesh, tmp_path, capsys, key, value, why):
+    # the header is checked as the flags are, and its faults name the file
+    mesh = tmp_path / "edited.mesh.txt"
+    lines = torus_mesh.read_text().splitlines()
+    _header(key, value)(lines)
+    mesh.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--mesh", str(mesh), "--out-dir", str(tmp_path)]) == EXIT_PIPELINE
+    err = capsys.readouterr().err
+    assert err.startswith(f"ingest error: {mesh}: bad header value: {why}")
+    assert "--grid" not in err
 
 
 def test_ingest_check_names_the_first_disagreeing_sample(torus_mesh, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import sys
 
@@ -367,6 +366,28 @@ def test_metric_identity_at_zero_height():
     ctx = lift.context(x)
     assert np.max(np.abs(fr.metric - ctx.frame.metric)) <= 1e-7
 
+    # a row whose frame and height both fail keeps the frame's error
+    def cut(p):
+        return Rows(np.where(p[:, :1] > 0.3, np.nan, imm.eval_fn(p)),
+                    [GeometryError("cut") if u > 0.3 else None for u in p[:, 0]])
+
+    frames = []
+
+    def height(frame):
+        frames.append(frame)
+        return Rows(np.zeros(len(frame.x)),
+                    [GeometryError("height") if v > 0.5 else None for v in frame.x[:, 1]])
+
+    cut_lift = graph_lift(HypersurfaceImmersion(imm.space, imm.chart, cut),
+                          AmbientKind.MINKOWSKI, height)
+    rows = cut_lift.evaluate(np.array([[0.2, 0.2], [0.2, 0.8], [0.6, 0.2], [0.6, 0.8]]))
+    frame_errors = frames[-1].errors
+    assert rows.errors[0] is None and frame_errors[0] is None
+    assert str(rows.errors[1]) == "height" and frame_errors[1] is None
+    assert rows.errors[2] is frame_errors[2] is not None
+    assert rows.errors[3] is frame_errors[3] is not None
+    assert str(rows.errors[3]) != "height"
+
 
 def test_constant_height_product_control_fails():
     imm = shapes.clifford_torus(1.0)   # non-minimal
@@ -417,7 +438,7 @@ def test_report_inconclusive_when_mostly_excluded():
         values = np.where(bad[:, None], np.nan, rows.values)
         return LiftRows(values, errors, rows.nulls, rows.contexts)
 
-    lift = dataclasses.replace(torus, eval_fn=mostly_failing, name="torus-mostly-failing")
+    lift = torus._replace(eval_fn=mostly_failing, name="torus-mostly-failing")
     rep = assemble_report(lift, resolution=(6, 6))
     assert rep.verdict == "inconclusive"
     assert 0.5 * rep.total < rep.excluded_count < rep.total
